@@ -57,12 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="keep only each pair's best predicate before ranking")
     p_eval.add_argument("--out", required=True, help="metrics CSV path")
 
-    p_trace = sub.add_parser("trace-pgla",
-                             help="train with per-iteration adjustment tracing")
-    p_trace.add_argument("--config", required=True)
-    p_trace.add_argument("--data", required=True)
-    p_trace.add_argument("--out", required=True)
-
     p_pts = sub.add_parser("sample-points",
                            help="dump inference-grid representative points for one scene")
     p_pts.add_argument("--checkpoint", required=True)
@@ -86,9 +80,9 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_train(args, trace: bool) -> int:
+def _cmd_train(args) -> int:
     cfg = RunConfig.from_json(args.config)
-    result = train(cfg, args.data, args.out, trace=trace)
+    result = train(cfg, args.data, args.out, trace=args.trace_pgla)
     print(f"trained {result.iterations} iterations; checkpoint at {result.checkpoint_path}")
     print(f"final losses: {json.dumps(result.final_losses, sort_keys=True)}")
     return 0
@@ -144,9 +138,7 @@ def main(argv=None) -> int:
         if args.command == "gen-data":
             return _cmd_gen_data(args)
         if args.command == "train":
-            return _cmd_train(args, trace=args.trace_pgla)
-        if args.command == "trace-pgla":
-            return _cmd_train(args, trace=True)
+            return _cmd_train(args)
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "sample-points":

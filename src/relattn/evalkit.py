@@ -13,56 +13,48 @@ training.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class RankedTriplet:
-    predicate: int
-    subject: int
-    object: int
-    score: float
-
-
-def ranked_triplets(scores: np.ndarray, graph_constraint: bool = False) -> list:
-    """Rank all off-diagonal candidates. With the graph constraint, only
-    each ordered pair's best predicate (ties to the lowest index) enters
-    the ranking."""
+def ranked_triplets(scores: np.ndarray, graph_constraint: bool = False) -> np.ndarray:
+    """Rank all off-diagonal candidates of a (P, n, n) score grid. Returns
+    an (M, 3) integer array of (predicate, subject, object) rows in rank
+    order. With the graph constraint, only each ordered pair's best
+    predicate (ties to the lowest index) enters the ranking."""
     P, n, _ = scores.shape
+    sub, obj = np.nonzero(~np.eye(n, dtype=bool))
     if graph_constraint:
-        best = scores.argmax(axis=0)  # n x n, first max wins
-        pred = best[~np.eye(n, dtype=bool)]
-        sub, obj = np.nonzero(~np.eye(n, dtype=bool))
-        vals = scores[pred, sub, obj]
+        pred = scores.argmax(axis=0)[sub, obj]  # first max wins
     else:
-        pred, sub, obj = np.indices((P, n, n))
-        keep = sub != obj
-        pred, sub, obj = pred[keep], sub[keep], obj[keep]
-        vals = scores[keep]
-    order = np.lexsort((obj, sub, pred, -vals))
-    return [RankedTriplet(int(pred[i]), int(sub[i]), int(obj[i]), float(vals[i]))
-            for i in order]
+        pred = np.repeat(np.arange(P), sub.size)
+        sub, obj = np.tile(sub, P), np.tile(obj, P)
+    order = np.lexsort((obj, sub, pred, -scores[pred, sub, obj]))
+    return np.stack([pred[order], sub[order], obj[order]], axis=1)
 
 
-def recall_at_k(ranked: list, gt_triplets: list, k: int) -> float | None:
+def _top_k(ranked: np.ndarray, k: int) -> set:
+    """The first k ranked candidates as (subject, predicate, object)."""
+    return {(s, p, o) for p, s, o in ranked[:k].tolist()}
+
+
+def recall_at_k(ranked: np.ndarray, gt_triplets: list, k: int) -> float | None:
     """Fraction of ground truth inside the top k; None when the image has
     no ground truth (excluded from aggregation)."""
     gt = {(s, p, o) for s, p, o in gt_triplets}
     if not gt:
         return None
-    top = {(t.subject, t.predicate, t.object) for t in ranked[:k]}
-    return len(gt & top) / len(gt)
+    return len(gt & _top_k(ranked, k)) / len(gt)
 
 
-def per_predicate_recall_at_k(ranked: list, gt_triplets: list, k: int, P: int) -> dict:
+def per_predicate_recall_at_k(ranked: np.ndarray, gt_triplets: list, k: int,
+                              P: int) -> dict:
     """Recall@k split by predicate; only predicates with ground truth in
     this image appear."""
     by_pred: dict[int, list] = {}
     for s, p, o in gt_triplets:
         by_pred.setdefault(p, []).append((s, p, o))
-    top = {(t.subject, t.predicate, t.object) for t in ranked[:k]}
+    top = _top_k(ranked, k)
     return {p: sum(1 for t in triples if t in top) / len(triples)
             for p, triples in by_pred.items()}
 
@@ -73,19 +65,26 @@ def aggregate_recall(per_image: list) -> float | None:
     return float(np.mean(vals)) if vals else None
 
 
-def aggregate_mean_recall(per_image_per_pred: list, P: int) -> float | None:
-    """Average each predicate over the images containing it, then average
-    over predicates with at least one ground-truth instance."""
+def per_predicate_mean(per_image_per_pred: list, P: int) -> dict:
+    """Each predicate's value averaged over the images containing it;
+    predicates absent from every image are left out."""
     sums = np.zeros(P)
     counts = np.zeros(P)
     for rec in per_image_per_pred:
         for p, v in rec.items():
             sums[p] += v
             counts[p] += 1
-    present = counts > 0
-    if not present.any():
+    present = np.flatnonzero(counts)
+    return dict(zip(present.tolist(), sums[present] / counts[present]))
+
+
+def aggregate_mean_recall(per_image_per_pred: list, P: int) -> float | None:
+    """Average each predicate over the images containing it, then average
+    over predicates with at least one ground-truth instance."""
+    means = per_predicate_mean(per_image_per_pred, P)
+    if not means:
         return None
-    return float((sums[present] / counts[present]).mean())
+    return float(np.mean(list(means.values())))
 
 
 def zero_shot_filter(gt_triplets: list, entity_classes: list, seen_triples: set) -> list:

@@ -9,8 +9,9 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .config import RunConfig
 from .data import Dataset, load_dataset
-from .evalkit import aggregate_mean_recall, aggregate_recall, per_predicate_recall_at_k, \
-    ranked_triplets, recall_at_k, write_metrics_csv, zero_shot_filter
+from .evalkit import aggregate_mean_recall, aggregate_recall, per_predicate_mean, \
+    per_predicate_recall_at_k, ranked_triplets, recall_at_k, write_metrics_csv, \
+    zero_shot_filter
 from .features import class_signatures, scene_volume
 from .model import RelationModel
 from .tensor import no_grad
@@ -63,16 +64,8 @@ def evaluate_dataset(model: RelationModel, ds: Dataset, ks=DEFAULT_KS,
         rows.append((split, "predcls", "zs_mean_recall", k, None,
                      aggregate_mean_recall(zs_per_pred[k], cfg.P)))
     for k in ks:
-        sums = np.zeros(cfg.P)
-        counts = np.zeros(cfg.P)
-        for rec in per_pred[k]:
-            for p, v in rec.items():
-                sums[p] += v
-                counts[p] += 1
-        for p in range(cfg.P):
-            if counts[p] > 0:
-                rows.append((split, "predcls", "predicate_recall", k, p,
-                             float(sums[p] / counts[p])))
+        for p, value in per_predicate_mean(per_pred[k], cfg.P).items():
+            rows.append((split, "predcls", "predicate_recall", k, p, float(value)))
     return rows
 
 

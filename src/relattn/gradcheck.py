@@ -13,13 +13,21 @@ class GradientCheckError(RuntimeError):
 
 def check_parameter_gradients(loss_fn, tensor: Tensor, eps: float = 1e-5,
                               coords=None) -> float:
-    """Like check_gradients, but for a leaf that other code holds references
-    to (a registered parameter): ``loss_fn()`` takes no arguments and must
-    rebuild the scalar loss from the tensor's current data."""
+    """Compare tape gradients of the scalar ``loss_fn()`` with respect to
+    ``tensor`` against central differences at its current data.
+
+    ``loss_fn`` takes no arguments and must rebuild the loss from the
+    tensor's current data, so the tensor can be a leaf that other code
+    holds references to (a registered parameter). Returns the maximum
+    relative error over checked coordinates, where the relative error uses
+    denominator max(|analytic|, |numeric|, 1e-8). ``loss_fn`` must be
+    deterministic; pass pinned noise through a closure. ``coords``
+    optionally restricts the probe to a subset of flat indices.
+    """
     tensor.grad = None
     out = loss_fn()
     if out.data.size != 1:
-        raise ValueError("check_parameter_gradients requires a scalar loss")
+        raise ValueError("gradient check requires a scalar loss")
     if not np.isfinite(out.data).all():
         raise GradientCheckError("non-finite value at the expansion point")
     out.backward()
@@ -45,37 +53,8 @@ def check_parameter_gradients(loss_fn, tensor: Tensor, eps: float = 1e-5,
 
 
 def check_gradients(fn, x: Tensor, eps: float = 1e-5, coords=None) -> float:
-    """Compare tape gradients of a scalar-valued ``fn`` against central
-    differences at ``x``.
-
-    Returns the maximum relative error over checked coordinates, where the
-    relative error uses denominator max(|analytic|, |numeric|, 1e-8).
-    ``fn`` must be deterministic; pass pinned noise through a closure.
-    ``coords`` optionally restricts the probe to a subset of flat indices.
-    """
+    """Like check_parameter_gradients, for a scalar-valued ``fn(x)``: the
+    probe runs on a gradient-requiring copy of ``x``, so ``x`` is never
+    modified."""
     leaf = Tensor(np.array(x.data, copy=True), requires_grad=True)
-    out = fn(leaf)
-    if out.data.size != 1:
-        raise ValueError("check_gradients requires a scalar-valued function")
-    if not np.isfinite(out.data).all():
-        raise GradientCheckError("non-finite value at the expansion point")
-    out.backward()
-    analytic = (np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad).reshape(-1)
-
-    flat = leaf.data.reshape(-1)
-    indices = range(flat.size) if coords is None else coords
-    worst = 0.0
-    with no_grad():
-        for i in indices:
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(fn(Tensor(flat.reshape(leaf.data.shape))).data)
-            flat[i] = orig - eps
-            lo = float(fn(Tensor(flat.reshape(leaf.data.shape))).data)
-            flat[i] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise GradientCheckError(f"non-finite value at coordinate {i}")
-            numeric = (hi - lo) / (2.0 * eps)
-            denom = max(abs(analytic[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic[i] - numeric) / denom)
-    return worst
+    return check_parameter_gradients(lambda: fn(leaf), leaf, eps, coords)

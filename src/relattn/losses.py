@@ -34,6 +34,7 @@ class GroundTruthRelations:
 
 
 def offdiagonal(n: int) -> np.ndarray:
+    """(n, n) float mask: 1 off the diagonal, 0 on it."""
     return 1.0 - np.eye(n, dtype=np.float64)
 
 

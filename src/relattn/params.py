@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor
 
 
 class Parameter:
@@ -14,7 +14,7 @@ class Parameter:
 
     def __init__(self, name: str, data: np.ndarray, lr_mult: float = 1.0):
         self.name = name
-        self.tensor = Tensor(np.asarray(data, dtype=default_dtype()))
+        self.tensor = Tensor(data)
         self.tensor.requires_grad = True
         self.lr_mult = float(lr_mult)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .evalkit import ranked_triplets
 from .losses import GroundTruthRelations
 from .tensor import Tensor, add, mul
 
@@ -80,19 +81,6 @@ def adjust_logits(logits: Tensor, gt: GroundTruthRelations, W: np.ndarray,
     return add(mul(logits, Tensor(w_full)), Tensor(b_full))
 
 
-def _ranked_candidates(scores: np.ndarray) -> np.ndarray:
-    """All off-diagonal (predicate, subject, object) candidates sorted by
-    score descending, ties broken by ascending predicate, subject, object.
-    Returns an (M, 3) integer array."""
-    P, n, _ = scores.shape
-    pred, sub, obj = np.indices((P, n, n))
-    keep = sub != obj
-    pred, sub, obj = pred[keep], sub[keep], obj[keep]
-    vals = scores[keep]
-    order = np.lexsort((obj, sub, pred, -vals))
-    return np.stack([pred[order], sub[order], obj[order]], axis=1)
-
-
 def _budgets(priors: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Top-list budget per predicate: ground-truth counts accumulated in
     ascending-prior order, so rarer predicates get tighter budgets."""
@@ -115,25 +103,19 @@ def batch_performance(scores: np.ndarray, gt: GroundTruthRelations,
     P = priors.size
     counts = gt.targets.sum(axis=(1, 2)).astype(np.int64)
     values = np.zeros(P, dtype=np.float64)
-    updated = np.zeros(P, dtype=bool)
     if counts.sum() == 0:
-        return values, updated
-    ranked = _ranked_candidates(scores)
-    kappa = _budgets(priors, counts)
-    rank_of = {tuple(row): i for i, row in enumerate(ranked)}
-    for p in range(P):
-        budget = int(kappa[p])
-        subs, objs = np.nonzero(gt.targets[p])
-        matched = sum(1 for s, o in zip(subs, objs) if rank_of[(p, s, o)] < budget)
-        if metric == "recall":
-            if counts[p] > 0:
-                values[p] = matched / counts[p]
-                updated[p] = True
-        else:
-            predicted = int((ranked[:budget, 0] == p).sum())
-            if predicted > 0:
-                values[p] = matched / predicted
-                updated[p] = True
+        return values, np.zeros(P, dtype=bool)
+    ranked = ranked_triplets(scores)
+    rank = np.full(scores.shape, len(ranked))  # the diagonal is never ranked
+    rank[ranked[:, 0], ranked[:, 1], ranked[:, 2]] = np.arange(len(ranked))
+    in_budget = rank < _budgets(priors, counts)[:, None, None]
+    matched = (in_budget & (gt.targets != 0)).sum(axis=(1, 2))
+    if metric == "recall":
+        denom = counts
+    else:
+        denom = in_budget.sum(axis=(1, 2))  # candidates of p inside its budget
+    updated = denom > 0
+    values[updated] = matched[updated] / denom[updated]
     return values, updated
 
 

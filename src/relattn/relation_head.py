@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
+from .losses import offdiagonal
 from .params import LinearParams, ParameterRegistry
 from .tensor import Tensor, add, gumbel_softmax, matmul, mul, reshape, sigmoid, sqrt, \
     swap_last, tmax, transpose, tsum
@@ -44,15 +45,11 @@ class RelationPrediction:
     pair_weights: Tensor | None = None  # P x n x n x K^2, training only
 
 
-def offdiagonal_mask(n: int) -> np.ndarray:
-    return 1.0 - np.eye(n, dtype=np.float64)
-
-
 def final_scores(predicate_logits: Tensor, relatedness_logits: Tensor) -> Tensor:
     """Geometric mean of the two sigmoid branches, diagonal forced to 0."""
     P, n, _ = predicate_logits.shape
     blended = mul(sigmoid(reshape(relatedness_logits, (1, n, n))), sigmoid(predicate_logits))
-    return mul(sqrt(blended), Tensor(offdiagonal_mask(n)[None, :, :]))
+    return mul(sqrt(blended), Tensor(offdiagonal(n)[None, :, :]))
 
 
 class RelationHead:

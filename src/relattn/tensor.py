@@ -3,7 +3,7 @@
 A small eager tape: every differentiable operation records its parent
 nodes and a backward closure on the output. ``Tensor.backward()`` walks
 the graph in reverse topological order and accumulates gradients into
-``.grad``. Storage is numpy, 64-bit floats by default.
+``.grad``. Storage is numpy float64.
 """
 
 from __future__ import annotations
@@ -21,21 +21,7 @@ class DomainError(ValueError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-_DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch the storage dtype for newly created tensors (float32 or float64)."""
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dt}; use float32 or float64")
-    _DEFAULT_DTYPE = dt.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 @contextlib.contextmanager
@@ -74,7 +60,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._parents = ()
@@ -206,7 +192,7 @@ class Tensor:
 
 
 def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
@@ -663,7 +649,7 @@ def point_sample(volume, coords) -> Tensor:
     s1 = np.minimum(s0 + 1, S - 1)
     fx, fy, fs = frac[:, 0], frac[:, 1], frac[:, 2]
 
-    corner_idx = []
+    corner_lin = []
     corner_w = []
     for ds, sidx in ((0, s0), (1, s1)):
         ws = (1.0 - fs) if ds == 0 else fs
@@ -671,20 +657,24 @@ def point_sample(volume, coords) -> Tensor:
             wy = (1.0 - fy) if dy == 0 else fy
             for dx, xidx in ((0, x0), (1, x1)):
                 wx = (1.0 - fx) if dx == 0 else fx
-                corner_idx.append((sidx, yidx, xidx))
+                corner_lin.append((sidx * H + yidx) * W + xidx)
                 corner_w.append(ws * wy * wx)
     weights = np.stack(corner_w, axis=0)  # 8 x n
-    gathered = np.stack([volume.data[s, y, x] for s, y, x in corner_idx], axis=0)  # 8 x n x d
+    lin = np.stack(corner_lin, axis=0)  # 8 x n flat voxel indices
+    gathered = volume.data.reshape(-1, d)[lin]  # 8 x n x d
     out_flat = (weights[:, :, None] * gathered).sum(axis=0)
     data = out_flat.reshape(lead + (d,))
 
     def backward(g):
         gf = g.reshape(n, d)
         if volume.requires_grad:
-            buf = np.zeros_like(volume.data)
-            for (sidx, yidx, xidx), w in zip(corner_idx, corner_w):
-                np.add.at(buf, (sidx, yidx, xidx), w[:, None] * gf)
-            volume._accumulate(buf)
+            # One scatter-add over all corners. bincount sums each bin in
+            # input order (corner, then point), the order of adding the
+            # corners one after another.
+            bins = (lin[:, :, None] * d + np.arange(d)).ravel()
+            buf = np.bincount(bins, weights=(weights[:, :, None] * gf).ravel(),
+                              minlength=volume.data.size)
+            volume._accumulate(buf.reshape(volume.data.shape))
         if coords.requires_grad:
             # d/du of trilinear interpolation: the corner-difference form
             # along each axis, scaled by (size - 1), zeroed where the raw

@@ -10,8 +10,10 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -68,6 +70,43 @@ def desk_config(seed: int, **overrides) -> RunConfig:
             "learning_rate": 1e-3, "seed": seed}
     base.update(overrides)
     return RunConfig.from_dict(base)
+
+
+def train_and_evaluate(cfg: RunConfig, data_dir: str, out_dir: str):
+    """Train one model with the PGLA trace on and evaluate it on the test
+    split at K=20. Returns (TrainResult, metric rows)."""
+    result = train(cfg, data_dir, out_dir, trace=True)
+    rows = evaluate(result.checkpoint_path, data_dir, split="test", ks=(20,))
+    return result, rows
+
+
+@pytest.fixture(scope="module")
+def tail_runs(tail_data, tmp_path_factory):
+    """Train and evaluate desk models on ``tail_data``, each configuration
+    once per module: criterion 9's lambda = 1 run is criterion 8's seed-5
+    run with adjustment on. Call it with a list of configurations; it
+    returns (TrainResult, test rows at K=20) for each, in order. New
+    configurations train on up to two worker processes. Every run is
+    seeded, traced (tracing leaves training unchanged) and writes to its
+    own directory, so its result does not depend on the process that ran
+    it."""
+    root = tmp_path_factory.mktemp("tail_runs")
+    done = {}
+
+    def run(cfgs: list) -> list:
+        keys = [json.dumps(cfg.to_dict(), sort_keys=True) for cfg in cfgs]
+        todo = {key: cfg for key, cfg in zip(keys, cfgs) if key not in done}
+        if todo:
+            dirs = [str(root / f"run{len(done) + i}") for i in range(len(todo))]
+            workers = min(2, len(todo), os.cpu_count() or 1)
+            ctx = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+                outcomes = pool.map(train_and_evaluate, todo.values(),
+                                    [tail_data] * len(todo), dirs)
+                done.update(zip(todo, outcomes))
+        return [done[key] for key in keys]
+
+    return run
 
 
 def test_criterion_01_point_sampling_oracle():
@@ -381,19 +420,16 @@ def test_criterion_07_overfit(tmp_path):
     assert ok
 
 
-def test_criterion_08_long_tail_direction(tail_data, tmp_path):
+def test_criterion_08_long_tail_direction(tail_runs):
     """Adjustment on beats adjustment off in mean recall across seeds."""
     t0 = time.time()
+    runs = [(seed, adjusted) for seed in (3, 5, 7) for adjusted in (True, False)]
+    outcomes = tail_runs([desk_config(seed=seed, pgla=adjusted)
+                          for seed, adjusted in runs])
     with_adj, without_adj = [], []
-    for seed in (3, 5, 7):
-        for adjusted in (True, False):
-            cfg = desk_config(seed=seed, pgla=adjusted)
-            out = tmp_path / f"s{seed}_{'on' if adjusted else 'off'}"
-            result = train(cfg, tail_data, str(out))
-            rows = evaluate(result.checkpoint_path, tail_data, split="test",
-                            ks=(20,))
-            mr = metric_value(rows, "mean_recall", 20)
-            (with_adj if adjusted else without_adj).append(mr)
+    for (_seed, adjusted), (_result, rows) in zip(runs, outcomes):
+        mr = metric_value(rows, "mean_recall", 20)
+        (with_adj if adjusted else without_adj).append(mr)
     mean_on = float(np.mean(with_adj))
     mean_off = float(np.mean(without_adj))
     elapsed = time.time() - t0
@@ -407,7 +443,7 @@ def test_criterion_08_long_tail_direction(tail_data, tmp_path):
     assert ok
 
 
-def test_criterion_09_lambda_tradeoff(tail_data, tmp_path):
+def test_criterion_09_lambda_tradeoff(tail_data, tail_runs):
     """Lambda sets how far the performance-guided bias departs from plain
     logit adjustment, in the direction of each predicate's tracked
     performance.
@@ -450,9 +486,8 @@ def test_criterion_09_lambda_tradeoff(tail_data, tmp_path):
     lams = (0.5, 1.0, 5.0)
     r20, mr20, max_gap, below = {}, {}, {}, {}
     signs_match = True
-    for lam in lams:
-        cfg = desk_config(seed=5, lam=lam)
-        result = train(cfg, tail_data, str(tmp_path / f"lam{lam}"), trace=True)
+    cfgs = [desk_config(seed=5, lam=lam) for lam in lams]
+    for lam, cfg, (result, rows) in zip(lams, cfgs, tail_runs(cfgs)):
         with open(result.trace_path, encoding="utf-8", newline="") as fh:
             last = [row for row in csv.DictReader(fh)
                     if int(row["iteration"]) == cfg.iterations - 1]
@@ -463,8 +498,6 @@ def test_criterion_09_lambda_tradeoff(tail_data, tmp_path):
         max_gap[lam] = float(np.abs(departure).max())
         below[lam] = [int(p) for p in np.nonzero(dr < 0)[0]]
         signs_match = signs_match and np.array_equal(np.sign(departure), np.sign(dr))
-        rows = evaluate(result.checkpoint_path, tail_data, split="test",
-                        ks=(20,))
         r20[lam] = metric_value(rows, "recall", 20)
         mr20[lam] = metric_value(rows, "mean_recall", 20)
     elapsed = time.time() - t0

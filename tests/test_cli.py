@@ -62,7 +62,7 @@ class TestPipeline:
     def test_trace_pgla_writes_trace(self, pipeline):
         root, cfg_path, data_dir, _ = pipeline
         out = root / "traced"
-        code = main(["trace-pgla", "--config", str(cfg_path),
+        code = main(["train", "--trace-pgla", "--config", str(cfg_path),
                      "--data", str(data_dir), "--out", str(out)])
         assert code == 0
         lines = (out / "pgla_trace.csv").read_text().splitlines()

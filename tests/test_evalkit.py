@@ -21,36 +21,36 @@ class TestRanking:
     def test_excludes_diagonal(self):
         rng = np.random.default_rng(120)
         ranked = ranked_triplets(rng.standard_normal((3, 4, 4)))
-        assert len(ranked) == 3 * 4 * 3
-        assert all(t.subject != t.object for t in ranked)
+        assert ranked.shape == (3 * 4 * 3, 3)
+        assert (ranked[:, 1] != ranked[:, 2]).all()
 
     def test_orders_by_score_descending(self):
         rng = np.random.default_rng(121)
-        ranked = ranked_triplets(rng.standard_normal((2, 3, 3)))
-        vals = [t.score for t in ranked]
+        scores = rng.standard_normal((2, 3, 3))
+        ranked = ranked_triplets(scores)
+        vals = scores[ranked[:, 0], ranked[:, 1], ranked[:, 2]].tolist()
         assert vals == sorted(vals, reverse=True)
 
     def test_tie_break_is_lexicographic(self):
         ranked = ranked_triplets(np.zeros((2, 3, 3)))
         want = [(p, i, j) for p in range(2) for i in range(3)
                 for j in range(3) if i != j]
-        got = [(t.predicate, t.subject, t.object) for t in ranked]
-        assert got == want
+        assert ranked.tolist() == [list(t) for t in want]
 
     def test_graph_constraint_keeps_one_predicate_per_pair(self):
         rng = np.random.default_rng(122)
         scores = rng.standard_normal((4, 3, 3))
         ranked = ranked_triplets(scores, graph_constraint=True)
         assert len(ranked) == 3 * 2
-        pairs = {(t.subject, t.object) for t in ranked}
+        pairs = {(s, o) for _p, s, o in ranked.tolist()}
         assert len(pairs) == 6
-        for t in ranked:
-            assert t.predicate == int(scores[:, t.subject, t.object].argmax())
+        for p, s, o in ranked.tolist():
+            assert p == int(scores[:, s, o].argmax())
 
     def test_graph_constraint_tie_takes_lowest_predicate(self):
         scores = np.zeros((3, 2, 2))
         ranked = ranked_triplets(scores, graph_constraint=True)
-        assert all(t.predicate == 0 for t in ranked)
+        assert (ranked[:, 0] == 0).all()
 
 
 class TestRecall:

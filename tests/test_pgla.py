@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from relattn.evalkit import ranked_triplets, recall_at_k
 from relattn.losses import GroundTruthRelations
 from relattn.pgla import (
     PglaState,
@@ -14,11 +15,11 @@ from relattn.pgla import (
     compute_wb,
     update_confusion,
     update_performance,
-    _ranked_candidates,
 )
 from relattn.tensor import Tensor
 
-from oracles import budget_precision_oracle, budget_recall_oracle
+from oracles import budget_precision_oracle, budget_recall_oracle, \
+    recall_at_k_oracle
 
 
 def state_with(priors, r=None, lam=1.0, metric="recall", confusion=None):
@@ -156,9 +157,11 @@ class TestAdjustLogits:
 
 
 class TestRanking:
+    """Budgets are filled from the evaluation ranker."""
+
     def test_tie_break_is_lexicographic(self):
         scores = np.zeros((2, 3, 3))
-        ranked = _ranked_candidates(scores)
+        ranked = ranked_triplets(scores)
         want = [(p, i, j) for p in range(2) for i in range(3)
                 for j in range(3) if i != j]
         np.testing.assert_array_equal(ranked, np.array(want))
@@ -167,7 +170,7 @@ class TestRanking:
         scores = np.zeros((1, 3, 3))
         scores[0, 2, 1] = 5.0
         scores[0, 0, 2] = 3.0
-        ranked = _ranked_candidates(scores)
+        ranked = ranked_triplets(scores)
         np.testing.assert_array_equal(ranked[0], [0, 2, 1])
         np.testing.assert_array_equal(ranked[1], [0, 0, 2])
 
@@ -232,6 +235,36 @@ class TestBatchPerformance:
             want, present = budget_precision_oracle(scores, triplets, priors)
             np.testing.assert_array_equal(updated, present)
             np.testing.assert_array_equal(values, want)
+
+    def test_matches_oracles_at_visual_genome_size(self):
+        """P=50 predicates over n=25 entities (30,000 candidates): the
+        shared ranker agrees with the exhaustive oracles on budgeted
+        recall and precision, and on recall@K with and without the graph
+        constraint. Truths score about four points higher, so they fill
+        the budgets, and every score is rounded to an integer, so the
+        budgets and top-K lists cut through tie groups."""
+        rng = np.random.default_rng(109)
+        P, n = 50, 25
+        priors = 1.0 / np.arange(1, P + 1) ** 1.2
+        priors = rng.permutation(priors / priors.sum())
+        triplets = [(i, int(rng.choice(P, p=priors)), j)
+                    for i in range(n) for j in range(n)
+                    if i != j and rng.random() < 0.1]
+        gt = gt_for(triplets, n, P)
+        scores = np.round(rng.standard_normal((P, n, n)) + 4.0 * gt.targets)
+        for metric, oracle in (("recall", budget_recall_oracle),
+                               ("precision", budget_precision_oracle)):
+            values, updated = batch_performance(scores, gt, priors,
+                                                metric=metric)
+            want, present = oracle(scores, triplets, priors)
+            np.testing.assert_array_equal(updated, present)
+            np.testing.assert_array_equal(values, want)
+        ones = np.ones((n, n))
+        for graph_constraint in (False, True):
+            ranked = ranked_triplets(scores, graph_constraint=graph_constraint)
+            for k in (20, 50, 100):
+                assert recall_at_k(ranked, triplets, k) == recall_at_k_oracle(
+                    scores, ones, triplets, k, graph_constraint=graph_constraint)
 
     def test_precision_skips_when_never_predicted(self):
         """A predicate whose budget contains no candidate of its own kind
