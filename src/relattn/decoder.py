@@ -19,8 +19,9 @@ import numpy as np
 from .params import LinearParams, ParameterRegistry
 from .sampler import GroupOffsetPredictor, draw_offsets, inference_grid_offsets, \
     accumulate_points
-from .tensor import Tensor, add, concat, layer_norm, matmul, point_sample, relu, \
-    reshape, softmax, swap_last, transpose
+from .features import PositionalEmbeddings
+from .tensor import Tensor, add, concat, layer_norm, level_lerp, matmul, point_sample, \
+    relu, reshape, softmax, swap_last, transpose
 
 
 def initial_points(detections: list) -> np.ndarray:
@@ -187,7 +188,7 @@ class DecoderStack:
             self.rca.append(RcaLayer(
                 registry, f"decoder.layer{layer}.rca", d, h_R, d_R, rng))
 
-    def init_state(self, detections: list, volume: Tensor, pe: Tensor,
+    def init_state(self, detections: list, volume: Tensor, pe: PositionalEmbeddings,
                    sub_embeds: Tensor, obj_embeds: Tensor) -> tuple:
         """Initial states from class embeddings + center features, and box
         embeddings from positional codes at the two box corners."""
@@ -204,8 +205,8 @@ class DecoderStack:
             s = det.scale_level / 4.0
             corners[0, i] = (x0, y0, s)
             corners[1, i] = (x1, y1, s)
-        pe_tl = point_sample(pe, Tensor(corners[0]))
-        pe_br = point_sample(pe, Tensor(corners[1]))
+        pe_tl, pe_br = (add(point_sample(pe.grid, c), level_lerp(pe.scale, c))
+                        for c in (Tensor(corners[0]), Tensor(corners[1])))
         tl = add(pe_tl, self.corner_embeds[0])
         br = add(pe_br, self.corner_embeds[1])
         box = self.box_proj(concat([tl, br], axis=-1))
@@ -214,7 +215,7 @@ class DecoderStack:
                              obj_box=add(box, self.role_embeds[1]))
         return state, p0
 
-    def decode(self, detections: list, volume: Tensor, pe: Tensor,
+    def decode(self, detections: list, volume: Tensor, pe: PositionalEmbeddings,
                sub_embeds: Tensor, obj_embeds: Tensor, mode: str,
                rng: np.random.Generator = None, m: int = None,
                range_mult: int = 3, step_mult: int = 1,
@@ -255,10 +256,12 @@ class DecoderStack:
 
             coords_sub = snap_scale(points_sub) if scale_interpolation == "nearest" else points_sub
             coords_obj = snap_scale(points_obj) if scale_interpolation == "nearest" else points_obj
-            feats_sub = point_sample(volume, coords_sub)
-            feats_obj = point_sample(volume, coords_obj)
-            pe_sub = point_sample(pe, coords_sub)
-            pe_obj = point_sample(pe, coords_obj)
+            # Features plus positional code in one sample of the folded
+            # volume; the scale embedding is interpolated along s alone.
+            feats_sub = point_sample(pe.folded, coords_sub)
+            feats_obj = point_sample(pe.folded, coords_obj)
+            pe_sub = level_lerp(pe.scale, coords_sub)
+            pe_obj = level_lerp(pe.scale, coords_obj)
             new_sub = self.gca_sub[layer](state.sub, state.sub_box, feats_sub, pe_sub)
             new_obj = self.gca_obj[layer](state.obj, state.obj_box, feats_obj, pe_obj)
             state = DecoderState(sub=new_sub, obj=new_obj,

@@ -9,12 +9,13 @@ sinusoids shared across levels plus a learnable per-level embedding.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConfigError
 from .data import SCALE_LEVELS, SceneSample, scene_feature_rng
-from .tensor import Tensor, add, reshape
+from .tensor import Tensor, add
 
 _PE_CACHE: dict = {}
 
@@ -57,15 +58,35 @@ def sinusoidal_grid(H: int, W: int, d: int) -> np.ndarray:
     return grid
 
 
-def build_positional_embeddings(H: int, W: int, d: int, scale_embeds) -> Tensor:
-    """5 x H x W x d positional volume: cached sinusoidal base plus the
-    learnable scale embedding broadcast over each level."""
+@dataclass(frozen=True)
+class PositionalEmbeddings:
+    """The positional code of one scene in factored form.
+
+    The code at (x, y, s) is the sinusoid at (x, y) plus the scale
+    embedding at level s. It is never built as a 5 x H x W x d volume:
+    `point_sample` is linear in the volume and the sinusoid is the same
+    on every level, so sampling features plus code at c equals
+    `point_sample(folded, c) + level_lerp(scale, c)`.
+    """
+
+    folded: Tensor  # 5 x H x W x d feature volume plus the sinusoid grid
+    grid: Tensor    # 1 x H x W x d sinusoid grid
+    scale: Tensor   # 5 x d learnable scale embeddings
+
+
+def build_positional_embeddings(volume, scale_embeds) -> PositionalEmbeddings:
+    """Factored positional code for a 5 x H x W x d feature volume, with
+    the cached sinusoid grid folded into the volume once per forward."""
     scale_embeds = scale_embeds if isinstance(scale_embeds, Tensor) else Tensor(scale_embeds)
+    if volume.ndim != 4 or volume.shape[0] != SCALE_LEVELS:
+        raise ConfigError(f"feature volume must be {SCALE_LEVELS} x H x W x d, got {volume.shape}")
+    _, H, W, d = volume.shape
     if scale_embeds.shape != (SCALE_LEVELS, d):
         raise ConfigError(
             f"scale embeddings must be {(SCALE_LEVELS, d)}, got {scale_embeds.shape}")
-    base = np.broadcast_to(sinusoidal_grid(H, W, d), (SCALE_LEVELS, H, W, d))
-    return add(Tensor(base), reshape(scale_embeds, (SCALE_LEVELS, 1, 1, d)))
+    grid = sinusoidal_grid(H, W, d)
+    return PositionalEmbeddings(folded=add(volume, Tensor(grid)), grid=Tensor(grid[None]),
+                                scale=scale_embeds)
 
 
 def class_signatures(dataset_seed: int, C: int, d: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 from .config import ConfigError, RunConfig
 from .data import SCALE_LEVELS, SceneSample
 from .decoder import DecodeResult, DecoderStack
-from .features import build_positional_embeddings, grid_shape
+from .features import build_positional_embeddings
 from .params import ParameterRegistry
 from .relation_head import RelationHead, RelationPrediction
 from .tensor import Tensor
@@ -53,10 +53,10 @@ class RelationModel:
                 relatedness_logits=Tensor(np.zeros((0, 0))),
                 scores=Tensor(np.zeros((cfg.P, 0, 0))))
             return ForwardOutput(prediction=empty, decode=DecodeResult(state=None))
-        H, W = grid_shape(scene.image_size)
-        pe = build_positional_embeddings(H, W, cfg.d, self.scale_embeds)
+        volume = Tensor(volume)
+        pe = build_positional_embeddings(volume, self.scale_embeds)
         decode = self.decoder.decode(
-            scene.entities, Tensor(volume), pe, self.sub_embeds, self.obj_embeds,
+            scene.entities, volume, pe, self.sub_embeds, self.obj_embeds,
             mode=mode, rng=rng, m=m,
             range_mult=cfg.infer_range_mult, step_mult=cfg.infer_step_mult,
             scale_interpolation=cfg.scale_interpolation, collect_points=collect_points)

@@ -90,17 +90,16 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     # -- autodiff ------------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # The first gradient is stored, not copied: it may be shared with
+        # other nodes, so no code writes into a ``.grad`` in place.
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
             self.grad = self.grad + g
 
@@ -616,6 +615,21 @@ def gumbel_softmax(logits, tau: float, rng: np.random.Generator = None,
 # -- feature volume sampling ---------------------------------------------
 
 
+def _grid_cells(pts: np.ndarray, sizes: np.ndarray) -> tuple:
+    """Lower grid index, fraction and in-range mask of points on grids of
+    the given sizes, one size per column. Each coordinate u maps to the
+    continuous index u * (size - 1) and clamps to the border; the lower
+    index stops at size - 2, so a point on the far border has fraction 1.
+    The mask is 1 where the raw coordinate lies in [0, 1]."""
+    cont = pts * (sizes - 1.0)
+    cont_cl = np.clip(cont, 0.0, sizes - 1.0)
+    lo = np.floor(cont_cl).astype(np.intp)
+    lo = np.minimum(lo, (sizes - 2).clip(min=0).astype(np.intp))
+    frac = cont_cl - lo
+    inside = ((cont >= 0.0) & (cont <= sizes - 1.0)).astype(pts.dtype)
+    return lo, frac, inside
+
+
 def point_sample(volume, coords) -> Tensor:
     """Sample a feature volume at fractional 3-d points.
 
@@ -624,6 +638,10 @@ def point_sample(volume, coords) -> Tensor:
     axis; each coordinate maps to a continuous index u * (size - 1) and
     the eight surrounding corners blend trilinearly. Coordinates outside
     [0,1] clamp to the border. Returns [... x d] features.
+
+    The corners are gathered and blended one after another into one
+    n x d buffer, in the order of summing an 8 x n x d stack over its
+    first axis, without building the stack.
     """
     volume, coords = _coerce(volume), _coerce(coords)
     if volume.ndim != 4:
@@ -635,14 +653,7 @@ def point_sample(volume, coords) -> Tensor:
     pts = coords.data.reshape(-1, 3)
     n = pts.shape[0]
 
-    sizes = np.array([W, H, S], dtype=volume.data.dtype)
-    cont = pts * (sizes - 1.0)
-    cont_cl = np.clip(cont, 0.0, sizes - 1.0)
-    lo = np.floor(cont_cl).astype(np.intp)
-    lo = np.minimum(lo, (sizes - 2).clip(min=0).astype(np.intp))
-    frac = cont_cl - lo
-    inside = ((cont >= 0.0) & (cont <= sizes - 1.0)).astype(volume.data.dtype)
-
+    lo, frac, inside = _grid_cells(pts, np.array([W, H, S], dtype=np.float64))
     x0, y0, s0 = lo[:, 0], lo[:, 1], lo[:, 2]
     x1 = np.minimum(x0 + 1, W - 1)
     y1 = np.minimum(y0 + 1, H - 1)
@@ -661,8 +672,20 @@ def point_sample(volume, coords) -> Tensor:
                 corner_w.append(ws * wy * wx)
     weights = np.stack(corner_w, axis=0)  # 8 x n
     lin = np.stack(corner_lin, axis=0)  # 8 x n flat voxel indices
-    gathered = volume.data.reshape(-1, d)[lin]  # 8 x n x d
-    out_flat = (weights[:, :, None] * gathered).sum(axis=0)
+    flat = volume.data.reshape(-1, d)
+
+    def gather(k: int, out: np.ndarray) -> np.ndarray:
+        # Indices are in range; mode="clip" lets take write into `out`
+        # without an intermediate buffer.
+        return np.take(flat, lin[k], axis=0, out=out, mode="clip")
+
+    out_flat = gather(0, np.empty((n, d), dtype=flat.dtype))
+    out_flat *= weights[0][:, None]
+    corner = np.empty_like(out_flat)
+    for k in range(1, 8):
+        gather(k, corner)
+        corner *= weights[k][:, None]
+        out_flat += corner
     data = out_flat.reshape(lead + (d,))
 
     def backward(g):
@@ -679,7 +702,8 @@ def point_sample(volume, coords) -> Tensor:
             # d/du of trilinear interpolation: the corner-difference form
             # along each axis, scaled by (size - 1), zeroed where the raw
             # coordinate fell outside [0, 1] (border clamp).
-            gcorner = [np.einsum("nd,nd->n", gf, c) for c in gathered]  # 8 scalars per point
+            buf = np.empty((n, d), dtype=flat.dtype)
+            gcorner = [np.einsum("nd,nd->n", gf, gather(k, buf)) for k in range(8)]
             ws0, ws1 = 1.0 - fs, fs
             wy0, wy1 = 1.0 - fy, fy
             wx0, wx1 = 1.0 - fx, fx
@@ -696,3 +720,44 @@ def point_sample(volume, coords) -> Tensor:
             coords._accumulate(gc.reshape(lead + (3,)))
 
     return _node(data, (volume, coords), backward)
+
+
+def level_lerp(table, coords) -> Tensor:
+    """Interpolate a per-level table linearly along the scale coordinate.
+
+    table: S x d tensor; coords: [... x 3] points ordered (x, y, s). Only
+    s is read, and it maps and clamps as in `point_sample`, so the result
+    equals, up to rounding, `point_sample` of the table broadcast over
+    any H x W grid.
+    Returns [... x d]. The gradient reaches the table and the s
+    coordinate; the x and y gradients are zero.
+    """
+    table, coords = _coerce(table), _coerce(coords)
+    if table.ndim != 2:
+        raise DimensionError(f"table must be S x d, got {table.shape}")
+    if coords.data.shape[-1] != 3:
+        raise DimensionError(f"coords must end in 3 (x, y, s), got {coords.shape}")
+    S, d = table.data.shape
+    lead = coords.data.shape[:-1]
+    s = coords.data.reshape(-1, 3)[:, 2:]
+    n = s.shape[0]
+    lo, frac, inside = _grid_cells(s, np.array([S], dtype=np.float64))
+    s0, fs = lo[:, 0], frac[:, 0]
+    s1 = np.minimum(s0 + 1, S - 1)
+    rows = np.arange(n)
+    blend = np.zeros((n, S), dtype=table.data.dtype)  # row i: the level weights of point i
+    blend[rows, s0] += 1.0 - fs
+    blend[rows, s1] += fs
+    data = (blend @ table.data).reshape(lead + (d,))
+
+    def backward(g):
+        gf = g.reshape(n, d)
+        if table.requires_grad:
+            table._accumulate(blend.T @ gf)
+        if coords.requires_grad:
+            gc = np.zeros((n, 3), dtype=table.data.dtype)
+            step = table.data[s1] - table.data[s0]
+            gc[:, 2] = np.einsum("nd,nd->n", gf, step) * (S - 1) * inside[:, 0]
+            coords._accumulate(gc.reshape(lead + (3,)))
+
+    return _node(data, (table, coords), backward)

@@ -27,7 +27,7 @@ def detections():
 
 def volume_and_pe(rng, d=8, H=6, W=6):
     vol = Tensor(rng.standard_normal((5, H, W, d)))
-    pe = build_positional_embeddings(H, W, d, Tensor(np.zeros((5, d))))
+    pe = build_positional_embeddings(vol, Tensor(np.zeros((5, d))))
     return vol, pe
 
 

@@ -13,7 +13,7 @@ from relattn.features import (
     sinusoidal_grid,
     synthesize_features,
 )
-from relattn.tensor import Tensor
+from relattn.tensor import Tensor, level_lerp, point_sample
 
 
 class TestSinusoidalGrid:
@@ -48,16 +48,27 @@ class TestSinusoidalGrid:
 
 class TestPositionalEmbeddings:
     def test_scale_embedding_shifts_each_level(self):
+        """At every lattice node, the folded sample plus the scale lerp is
+        the feature plus the sinusoid plus that level's scale embedding."""
         rng = np.random.default_rng(50)
+        volume = rng.standard_normal((5, 4, 4, 8))
         scale = rng.standard_normal((5, 8))
-        pe = build_positional_embeddings(4, 4, 8, Tensor(scale)).data
+        pe = build_positional_embeddings(Tensor(volume), Tensor(scale))
         base = sinusoidal_grid(4, 4, 8)
+        np.testing.assert_array_equal(pe.grid.data[0], base)
+        np.testing.assert_array_equal(pe.folded.data, volume + base)
         for s in range(5):
-            np.testing.assert_allclose(pe[s], base + scale[s], atol=1e-12)
+            nodes = np.array([[x / 3, y / 3, s / 4] for y in range(4) for x in range(4)])
+            got = (point_sample(pe.folded, Tensor(nodes))
+                   + level_lerp(pe.scale, Tensor(nodes))).data.reshape(4, 4, 8)
+            np.testing.assert_allclose(got, volume[s] + base + scale[s], atol=1e-12)
 
     def test_rejects_wrong_scale_shape(self):
+        volume = Tensor(np.zeros((5, 4, 4, 8)))
         with pytest.raises(ConfigError):
-            build_positional_embeddings(4, 4, 8, Tensor(np.zeros((4, 8))))
+            build_positional_embeddings(volume, Tensor(np.zeros((4, 8))))
+        with pytest.raises(ConfigError):
+            build_positional_embeddings(Tensor(np.zeros((4, 4, 4, 8))), Tensor(np.zeros((5, 8))))
 
 
 class TestVolumes:

@@ -1,12 +1,70 @@
-"""Feature-volume sampling against an explicit eight-corner oracle."""
+"""Feature-volume sampling against an explicit eight-corner oracle, the
+scale-axis interpolation, and the fold of the positional code into the
+feature volume."""
 
 import numpy as np
 import pytest
 
-from relattn.tensor import Tensor, mul, point_sample, tsum
+from relattn.tensor import Tensor, add, level_lerp, mul, point_sample, reshape, tsum
 from relattn.gradcheck import check_gradients
 
 from oracles import trilinear_oracle
+
+
+def stacked_point_sample(volume, coords, g):
+    """Trilinear sampling by stacking all eight corners: forward values,
+    volume gradient and coordinate gradient for the output gradient g.
+    Corners are summed over the 8 x n x d stack's first axis."""
+    S, H, W, d = volume.shape
+    pts = coords.reshape(-1, 3)
+    n = pts.shape[0]
+    sizes = np.array([W, H, S], dtype=np.float64)
+    cont = pts * (sizes - 1.0)
+    cont_cl = np.clip(cont, 0.0, sizes - 1.0)
+    lo = np.minimum(np.floor(cont_cl).astype(np.intp),
+                    (sizes - 2).clip(min=0).astype(np.intp))
+    frac = cont_cl - lo
+    inside = ((cont >= 0.0) & (cont <= sizes - 1.0)).astype(np.float64)
+    hi = np.minimum(lo + 1, np.array([W, H, S]) - 1)
+    lin, weights = [], []
+    for bits in range(8):  # s*4 + y*2 + x
+        idx = [hi[:, a] if bits >> a & 1 else lo[:, a] for a in (0, 1, 2)]
+        w = [frac[:, a] if bits >> a & 1 else 1.0 - frac[:, a] for a in (0, 1, 2)]
+        lin.append((idx[2] * H + idx[1]) * W + idx[0])
+        weights.append(w[2] * w[1] * w[0])
+    lin, weights = np.stack(lin), np.stack(weights)
+    gathered = volume.reshape(-1, d)[lin]  # 8 x n x d
+    out = (weights[:, :, None] * gathered).sum(axis=0)
+
+    gf = g.reshape(n, d)
+    vgrad = np.zeros((S * H * W, d))
+    for k in range(8):
+        np.add.at(vgrad, lin[k], weights[k][:, None] * gf)
+    c = [np.einsum("nd,nd->n", gf, gathered[k]) for k in range(8)]
+    (wx0, wy0, ws0), (wx1, wy1, ws1) = (1.0 - frac).T, frac.T
+    d_dx = (ws0 * (wy0 * (c[1] - c[0]) + wy1 * (c[3] - c[2]))
+            + ws1 * (wy0 * (c[5] - c[4]) + wy1 * (c[7] - c[6])))
+    d_dy = (ws0 * (wx0 * (c[2] - c[0]) + wx1 * (c[3] - c[1]))
+            + ws1 * (wx0 * (c[6] - c[4]) + wx1 * (c[7] - c[5])))
+    d_ds = (wy0 * (wx0 * (c[4] - c[0]) + wx1 * (c[5] - c[1]))
+            + wy1 * (wx0 * (c[6] - c[2]) + wx1 * (c[7] - c[3])))
+    cgrad = np.stack([d_dx * (W - 1), d_dy * (H - 1), d_ds * (S - 1)], axis=-1) * inside
+    return (out.reshape(coords.shape[:-1] + (d,)), vgrad.reshape(volume.shape),
+            cgrad.reshape(coords.shape))
+
+
+def lattice_and_stray_points(rng, S, H, W, n):
+    """n points mixing fractional points, lattice nodes, level-exact
+    scales (box corners) and coordinates outside [0, 1]."""
+    pts = rng.uniform(0.0, 1.0, (n, 3))
+    sizes = np.array([W, H, S]) - 1
+    node = rng.integers(0, sizes + 1, (n, 3)) / np.maximum(sizes, 1)
+    kind = rng.integers(0, 4, n)
+    pts[kind == 1] = node[kind == 1]
+    pts[kind == 2, 2] = node[kind == 2, 2]
+    stray = rng.uniform(-0.5, 1.5, (n, 3))
+    pts[kind == 3] = stray[kind == 3]
+    return pts
 
 
 class TestForward:
@@ -86,3 +144,115 @@ class TestGradients:
         assert coords.grad[0, 0] == 0.0
         assert coords.grad[1, 1] == 0.0
         assert coords.grad[0, 1] != 0.0
+
+
+class TestCornerBlend:
+    def test_bit_identical_to_stacked_formula(self):
+        """The corner-by-corner blend and both gradients equal the
+        stacked 8 x n x d formula bit for bit. d >= 2 throughout: numpy
+        sums a stack with n * d == 1 pairwise, not corner by corner."""
+        rng = np.random.default_rng(27)
+        for case in range(60):
+            S, H, W = (int(v) for v in rng.integers(1, 6, 3))
+            d = int(rng.integers(2, 6))
+            n = 0 if case % 10 == 0 else int(rng.integers(1, 30))
+            volume = rng.standard_normal((S, H, W, d))
+            pts = lattice_and_stray_points(rng, S, H, W, n).reshape(n, 1, 3)
+            g = rng.standard_normal((n, 1, d))
+            vol_t = Tensor(volume, requires_grad=True)
+            pts_t = Tensor(pts, requires_grad=True)
+            out = point_sample(vol_t, pts_t)
+            out.backward(g)
+            want, want_vgrad, want_cgrad = stacked_point_sample(volume, pts, g)
+            assert np.array_equal(out.data, want)
+            assert np.array_equal(vol_t.grad, want_vgrad)
+            assert np.array_equal(pts_t.grad, want_cgrad)
+
+
+class TestLevelLerp:
+    def test_table_gradient(self):
+        rng = np.random.default_rng(28)
+        table = Tensor(rng.standard_normal((5, 3)))
+        coords = Tensor(rng.uniform(-0.2, 1.2, (9, 3)))
+        w = rng.standard_normal((9, 3))
+        err = check_gradients(
+            lambda t: tsum(mul(level_lerp(t, coords), Tensor(w))), table)
+        assert err < 1e-6
+
+    def test_scale_coordinate_gradient(self):
+        """Finite differences agree on s; x and y get exactly zero."""
+        rng = np.random.default_rng(29)
+        table = Tensor(rng.standard_normal((5, 4)))
+        pts = rng.uniform(0.0, 1.0, (7, 3))
+        pts[:, 2] = (rng.integers(0, 4, 7) + rng.uniform(0.1, 0.9, 7)) / 4  # off the levels
+        w = rng.standard_normal((7, 4))
+        err = check_gradients(
+            lambda c: tsum(mul(level_lerp(table, c), Tensor(w))), Tensor(pts))
+        assert err < 1e-6
+        coords = Tensor(pts, requires_grad=True)
+        tsum(mul(level_lerp(table, coords), Tensor(w))).backward()
+        assert np.all(coords.grad[:, :2] == 0.0)
+        assert np.all(coords.grad[:, 2] != 0.0)
+
+    def test_clamps_like_point_sample(self):
+        """s < 0 and s > 1 clamp to the end levels with zero s-gradient;
+        s = 1 and s = 0 keep their one-sided gradient. Values and
+        gradients match point_sample of the table broadcast over a grid."""
+        rng = np.random.default_rng(30)
+        table = rng.standard_normal((5, 3))
+        pts = np.array([[0.3, 0.6, -0.4], [0.3, 0.6, 1.7], [0.3, 0.6, 1.0],
+                        [0.3, 0.6, 0.0], [0.8, 0.1, 0.6]])
+        g = rng.standard_normal((5, 3))
+        coords = Tensor(pts, requires_grad=True)
+        out = level_lerp(Tensor(table), coords)
+        out.backward(g)
+        np.testing.assert_array_equal(out.data[0], table[0])
+        np.testing.assert_array_equal(out.data[1], table[4])
+        np.testing.assert_array_equal(out.data[2], table[4])
+        np.testing.assert_array_equal(out.data[3], table[0])
+        assert coords.grad[0, 2] == 0.0 and coords.grad[1, 2] == 0.0
+        np.testing.assert_allclose(coords.grad[2, 2], 4 * g[2] @ (table[4] - table[3]),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(coords.grad[3, 2], 4 * g[3] @ (table[1] - table[0]),
+                                   rtol=1e-12)
+
+        flat = Tensor(np.broadcast_to(table[:, None, None, :], (5, 3, 4, 3)))
+        ref_coords = Tensor(pts, requires_grad=True)
+        ref = point_sample(flat, ref_coords)
+        ref.backward(g)
+        np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(coords.grad, ref_coords.grad, rtol=0, atol=1e-12)
+
+
+class TestFold:
+    def test_folded_sample_matches_separate_samples(self):
+        """point_sample(V + grid) + level_lerp(scale) equals sampling V and
+        the positional volume grid + scale separately, in values and in
+        the gradients for the coordinates and the scale table."""
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            S, H, W = (int(v) for v in rng.integers(2, 6, 3))
+            d = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 20))
+            V = rng.standard_normal((S, H, W, d))
+            grid = rng.standard_normal((H, W, d))
+            table = rng.standard_normal((S, d))
+            pts = lattice_and_stray_points(rng, S, H, W, n)
+            g = rng.standard_normal((n, d))
+
+            scale_a, coords_a = Tensor(table, requires_grad=True), Tensor(pts, requires_grad=True)
+            folded = add(point_sample(Tensor(V + grid), coords_a), level_lerp(scale_a, coords_a))
+            folded.backward(g)
+
+            scale_b, coords_b = Tensor(table, requires_grad=True), Tensor(pts, requires_grad=True)
+            pe = add(Tensor(grid), reshape(scale_b, (S, 1, 1, d)))
+            separate = add(point_sample(Tensor(V), coords_b), point_sample(pe, coords_b))
+            separate.backward(g)
+
+            pe_volume = grid + table[:, None, None, :]
+            oracle = np.stack([trilinear_oracle(V, c) + trilinear_oracle(pe_volume, c)
+                               for c in pts])
+            np.testing.assert_allclose(folded.data, oracle, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(folded.data, separate.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(coords_a.grad, coords_b.grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(scale_a.grad, scale_b.grad, rtol=0, atol=1e-12)

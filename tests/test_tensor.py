@@ -259,6 +259,19 @@ class TestAutodiff:
         y2.backward()
         np.testing.assert_allclose(x.grad, 2 * first)
 
+    def test_shared_first_gradient_stays_correct(self):
+        """add hands one gradient array to both leaves, uncopied; a second
+        contribution to one leaf leaves the other's gradient as it was."""
+        rng = np.random.default_rng(9)
+        a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
+        w, v = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        both = add(a, b)
+        add(tsum(mul(both, Tensor(w))), tsum(mul(a, Tensor(v)))).backward()
+        assert b.grad is both.grad
+        np.testing.assert_array_equal(b.grad, w)
+        np.testing.assert_array_equal(a.grad, w + v)
+        np.testing.assert_array_equal(both.grad, w)
+
 
 class TestGumbel:
     def test_standard_gumbel_moments(self):
