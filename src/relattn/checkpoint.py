@@ -35,7 +35,7 @@ def save_checkpoint(path, state: dict[str, np.ndarray], meta: dict | None = None
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for arr in state.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")))
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -43,17 +43,17 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     version mismatch, or truncated payloads."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            raw = np.fromfile(fh, dtype=np.uint8)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
-    if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
+    if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)].tobytes() != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     (hlen,) = struct.unpack_from("<Q", raw, len(MAGIC))
     start = len(MAGIC) + 8
     if len(raw) < start + hlen:
         raise CheckpointError("truncated checkpoint header")
     try:
-        header = json.loads(raw[start : start + hlen].decode("utf-8"))
+        header = json.loads(raw[start : start + hlen].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
     if header.get("format_version") != FORMAT_VERSION:
@@ -69,8 +69,9 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         nbytes = count * 8
         if offset + nbytes > len(raw):
             raise CheckpointError(f"truncated payload for parameter {entry['name']}")
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        state[entry["name"]] = arr.astype(np.float64).reshape(shape)
+        # A view of the file's bytes, not a copy; a big-endian host converts.
+        arr = raw[offset : offset + nbytes].view("<f8")
+        state[entry["name"]] = arr.astype(np.float64, copy=False).reshape(shape)
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError("trailing bytes after final payload")

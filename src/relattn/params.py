@@ -8,13 +8,17 @@ from .tensor import Tensor
 
 
 class Parameter:
-    """A named learnable tensor with an optional learning-rate multiplier."""
+    """A named learnable tensor with an optional learning-rate multiplier.
+
+    It owns C-contiguous, writeable float64 storage (copied from ``data``
+    only when ``data`` is not already so), which the optimizer and
+    ``load_state_dict`` update in place."""
 
     __slots__ = ("name", "tensor", "lr_mult")
 
     def __init__(self, name: str, data: np.ndarray, lr_mult: float = 1.0):
         self.name = name
-        self.tensor = Tensor(data)
+        self.tensor = Tensor(np.require(data, dtype=np.float64, requirements=("C", "W")))
         self.tensor.requires_grad = True
         self.lr_mult = float(lr_mult)
 
@@ -58,6 +62,11 @@ class ParameterRegistry:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: np.array(p.data, copy=True) for name, p in self._params.items()}
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Name -> the live parameter array, not copied: read-only use,
+        such as writing a checkpoint."""
+        return {name: p.data for name, p in self._params.items()}
+
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         missing = set(self._params) - set(state)
         extra = set(state) - set(self._params)
@@ -67,7 +76,7 @@ class ParameterRegistry:
             arr = np.asarray(state[name], dtype=p.data.dtype)
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} != {p.data.shape}")
-            p.tensor.data = np.array(arr, copy=True)
+            np.copyto(p.data, arr)
 
 
 def xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:

@@ -138,14 +138,13 @@ def update_confusion(state: PglaState, logits: np.ndarray,
     P = state.P
     log_pi = np.log(state.priors)
     gate = np.tanh(np.maximum(log_pi[None, :] - log_pi[:, None], 0.0))  # rows p, cols q
+    # One row per annotated instance, in (p, s, o) order; ``add.at`` sums
+    # each predicate's rows one after another, in that order.
+    ps, subs, objs = np.nonzero(gt.targets)
+    surplus = np.maximum(logits[:, subs, objs].T - logits[ps, subs, objs][:, None], 0.0)
     rows = np.zeros((P, P), dtype=np.float64)
-    hits = np.zeros(P, dtype=np.int64)
-    for p in range(P):
-        subs, objs = np.nonzero(gt.targets[p])
-        for s, o in zip(subs, objs):
-            surplus = np.maximum(logits[:, s, o] - logits[p, s, o], 0.0)
-            rows[p] += surplus * gate[p]
-            hits[p] += 1
+    np.add.at(rows, ps, surplus * gate[ps])
+    hits = np.bincount(ps, minlength=P)
     confusion = state.confusion.copy()
     present = hits > 0
     if present.any():

@@ -152,9 +152,12 @@ def train(cfg: RunConfig, data_dir: str, out_dir: str, trace: bool = False) -> T
             output, gt, cfg, gammas, pgla_state, boxes, run_rng)
         if not np.isfinite(breakdown["total"]):
             raise TrainingError(f"non-finite loss at iteration {it}: {breakdown}")
-        opt.zero_grad()
+        model.registry.zero_grad()
         total.backward()
-        opt.step(lr_scale=lr_scale_at(it, cfg.iterations))
+        bad = opt.step(lr_scale=lr_scale_at(it, cfg.iterations))
+        if bad is not None:
+            raise TrainingError(f"non-finite values in parameter {bad} after the step"
+                                f" at iteration {it}")
         log_rows.append((it, breakdown["focal_predicate"], breakdown["mask"],
                          breakdown["margin_rank"], breakdown["rep_point_margin"],
                          breakdown["total"]))
@@ -164,7 +167,7 @@ def train(cfg: RunConfig, data_dir: str, out_dir: str, trace: bool = False) -> T
                 trace_rows.append((it, p, pgla_state.r[p], W[p], B[p]))
 
     ckpt_path = os.path.join(out_dir, "model.ckpt")
-    save_checkpoint(ckpt_path, model.registry.state_dict(), meta={"config": cfg.to_dict()})
+    save_checkpoint(ckpt_path, model.registry.arrays(), meta={"config": cfg.to_dict()})
     log_path = os.path.join(out_dir, "train_log.csv")
     _write_csv(log_path, LOG_COLUMNS, log_rows)
     trace_path = None

@@ -134,3 +134,60 @@ def recall_at_k_oracle(scores, relatedness, gt_triplets, k,
         return None
     hits = sum(1 for s, p, o in gt_triplets if (p, s, o) in top)
     return hits / len(gt_triplets)
+
+
+def confusion_oracle(confusion, priors, rho, logits, targets):
+    """One fold of PGLA's confusion matrix, looping over every annotated
+    instance. Returns the new (P, P) matrix.
+
+    Each instance of predicate p at pair (s, o) adds the row
+    relu(logits[:, s, o] - logits[p, s, o]) * tanh(relu(log prior_q -
+    log prior_p)) to predicate p's sum, in (p, s, o) order. A present
+    predicate's mean row enters the EMA with momentum rho[p]; absent
+    predicates keep their row.
+    """
+    P = len(priors)
+    log_pi = np.log(priors)
+    gate = np.tanh(np.maximum(log_pi[None, :] - log_pi[:, None], 0.0))
+    rows = np.zeros((P, P))
+    hits = np.zeros(P, dtype=np.int64)
+    for p in range(P):
+        subs, objs = np.nonzero(targets[p])
+        for s, o in zip(subs, objs):
+            surplus = np.maximum(logits[:, s, o] - logits[p, s, o], 0.0)
+            rows[p] += surplus * gate[p]
+            hits[p] += 1
+    out = confusion.copy()
+    present = hits > 0
+    if present.any():
+        rows[present] /= hits[present, None]
+        r = rho[present, None]
+        out[present] = r * out[present] + (1.0 - r) * rows[present]
+    return out
+
+
+def adamw_oracle(weights, grad_steps, lr, lr_mults, lr_scales,
+                 betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-4):
+    """AdamW written out of place, one full-size temporary per operation.
+
+    weights: list of arrays (not modified). grad_steps: one list per step
+    holding each weight's gradient, or None to skip that weight (no
+    moment decay, no weight decay). lr_scales: the schedule factor of each
+    step. Returns the weights after the last step.
+    """
+    beta1, beta2 = betas
+    x = [np.array(w, dtype=np.float64) for w in weights]
+    m = [np.zeros_like(w) for w in x]
+    v = [np.zeros_like(w) for w in x]
+    for t, (grads, scale) in enumerate(zip(grad_steps, lr_scales), start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            m[i] = m[i] * beta1 + (1.0 - beta1) * g
+            v[i] = v[i] * beta2 + (1.0 - beta2) * g * g
+            step_lr = lr * scale * lr_mults[i]
+            update = (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            x[i] = x[i] - step_lr * update - step_lr * weight_decay * x[i]
+    return x

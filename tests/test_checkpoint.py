@@ -27,12 +27,28 @@ class TestRoundTrip:
         for name, arr in state.items():
             np.testing.assert_array_equal(got_state[name], arr)
             assert got_state[name].dtype == arr.dtype
+            assert got_state[name].flags.writeable
 
     def test_save_is_deterministic(self, tmp_path, state):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(a, state, {"k": 1})
         save_checkpoint(b, state, {"k": 1})
         assert a.read_bytes() == b.read_bytes()
+
+    def test_payload_is_raw_little_endian_float64(self, tmp_path, state):
+        """Payloads follow the header in state order as raw <f8 bytes;
+        a transposed or float32 array is written as its C-order float64
+        copy."""
+        odd = dict(state, transposed=np.arange(6.0).reshape(2, 3).T,
+                   single=np.arange(3, dtype=np.float32))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, odd)
+        payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                           for a in odd.values())
+        assert path.read_bytes().endswith(payload)
+        _, got = load_checkpoint(path)
+        for name, arr in odd.items():
+            np.testing.assert_array_equal(got[name], arr)
 
     def test_empty_meta_allowed(self, tmp_path, state):
         path = tmp_path / "m.ckpt"

@@ -19,6 +19,7 @@ from relattn.evaluate import evaluate, load_model, metric_value
 from relattn.features import class_signatures, scene_volume
 from relattn.losses import GroundTruthRelations, predicate_gammas
 from relattn.model import RelationModel
+from relattn.optim import AdamW
 from relattn.pgla import PglaState
 from relattn.tensor import no_grad
 from relattn.train import TrainingError, resolve_config, train, training_loss
@@ -198,6 +199,29 @@ class TestTraining:
             x = model.forward(scene, volume, "infer").prediction.scores.data
             y = fresh.forward(scene, volume, "infer").prediction.scores.data
         np.testing.assert_array_equal(x, y)
+
+    def test_non_finite_gradient_stops_training(self, tiny_data, tmp_path,
+                                                monkeypatch):
+        """One NaN injected into a gradient at the third step: training
+        stops there with a TrainingError naming that parameter."""
+        data_dir, _, _ = tiny_data
+        step = AdamW.step
+        poisoned = []
+
+        def poisoned_step(opt, *args, **kwargs):
+            if opt.t == 2:
+                p = opt.params[3]
+                p.tensor.grad = p.tensor.grad.copy()
+                p.tensor.grad.flat[0] = np.nan
+                poisoned.append(p.name)
+            return step(opt, *args, **kwargs)
+
+        monkeypatch.setattr(AdamW, "step", poisoned_step)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TrainingError) as err:
+                train(tiny_config(), data_dir, str(tmp_path / "out"))
+        assert f"parameter {poisoned[0]} " in str(err.value)
+        assert "iteration 2" in str(err.value)
 
     def test_relationless_split_is_rejected(self, tiny_data, tmp_path):
         _, train_ds, _ = tiny_data

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from relattn.params import Parameter, ParameterRegistry, xavier
-from relattn.optim import AdamW, lr_scale_at
+from relattn.optim import _CHUNK, AdamW, lr_scale_at
 from relattn.tensor import Tensor, mul, tsum
+
+from oracles import adamw_oracle
 
 
 class TestRegistry:
@@ -36,6 +38,23 @@ class TestRegistry:
         for name in ("a", "b"):
             np.testing.assert_array_equal(other.get(name).data,
                                           reg.get(name).data)
+
+    def test_load_writes_into_the_live_arrays(self):
+        """A load copies values into each parameter's existing array, so
+        anything holding that array (the tape, the optimizer) sees them."""
+        reg = ParameterRegistry()
+        reg.add("a", np.zeros((2, 3)))
+        before = reg.get("a").data
+        values = np.arange(6.0).reshape(2, 3)
+        reg.load_state_dict({"a": values})
+        assert reg.get("a").data is before
+        np.testing.assert_array_equal(before, values)
+
+    def test_arrays_are_live_and_state_dict_copies(self):
+        reg = ParameterRegistry()
+        reg.add("a", np.ones(3))
+        assert reg.arrays()["a"] is reg.get("a").data
+        assert reg.state_dict()["a"] is not reg.get("a").data
 
     def test_load_rejects_missing_extra_and_shape(self):
         reg = ParameterRegistry()
@@ -116,6 +135,92 @@ class TestAdamW:
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
             AdamW([], lr=0.0)
+
+    def test_bit_equal_to_out_of_place_formula(self):
+        """Several steps over a mix of parameters: one spanning more than
+        two chunks with a reduced rate, one that never gets a gradient,
+        one with a transposed gradient and one with a zero-stride
+        broadcast gradient. Every value equals the out-of-place oracle
+        bit for bit, and no gradient array is written to."""
+        rng = np.random.default_rng(60)
+        shapes = [(2 * _CHUNK + 77,), (5, 4), (3,), (6, 7), (4, 9)]
+        lr_mults = [0.1, 1.0, 1.0, 1.0, 0.5]
+        init = [rng.standard_normal(s) for s in shapes]
+        params = [Parameter(f"p{i}", w.copy(), lr_mult=mult)
+                  for i, (w, mult) in enumerate(zip(init, lr_mults))]
+        opt = AdamW(params, lr=0.01, weight_decay=0.05)
+        scales = [1.0, 1.0, 0.1, 0.1]
+        grad_steps = []
+        for _ in scales:
+            grad_steps.append([
+                rng.standard_normal(shapes[0]),
+                rng.standard_normal(shapes[1]),
+                None,
+                rng.standard_normal((7, 6)).T,
+                np.broadcast_to(rng.standard_normal(9), (4, 9)),
+            ])
+        originals = [[None if g is None else g.copy() for g in grads]
+                     for grads in grad_steps]
+        for grads, scale in zip(grad_steps, scales):
+            for p, g in zip(params, grads):
+                p.tensor.grad = g
+            assert opt.step(lr_scale=scale) is None
+        want = adamw_oracle(init, grad_steps, 0.01, lr_mults, scales,
+                            weight_decay=0.05)
+        for p, w in zip(params, want):
+            assert np.array_equal(p.data, w), p.name
+        np.testing.assert_array_equal(params[2].data, init[2])
+        for grads, copies in zip(grad_steps, originals):
+            for g, c in zip(grads, copies):
+                if g is not None:
+                    assert np.array_equal(g, c)
+
+    def test_updates_the_parameter_array_in_place(self):
+        p = Parameter("w", np.ones((3, 2)))
+        before = p.tensor.data
+        opt = AdamW([p], lr=0.1)
+        p.tensor.grad = np.ones((3, 2))
+        opt.step()
+        assert p.tensor.data is before
+        assert np.all(before < 1.0)
+
+    def test_parameter_from_non_contiguous_array_updates(self):
+        """A parameter owns C-contiguous writeable storage, so a transposed
+        or read-only source is copied once and the step still lands."""
+        source = np.arange(1.0, 7.0).reshape(2, 3).T
+        frozen = np.broadcast_to(np.ones(3), (2, 3))
+        a, b = Parameter("a", source), Parameter("b", frozen)
+        assert a.data.flags.c_contiguous and b.data.flags.writeable
+        opt = AdamW([a, b], lr=0.1)
+        a.tensor.grad = np.ones((3, 2))
+        b.tensor.grad = np.ones((2, 3))
+        opt.step()
+        assert np.all(a.data < source)
+        assert np.all(b.data < 1.0)
+        np.testing.assert_array_equal(source, np.arange(1.0, 7.0).reshape(2, 3).T)
+
+    def test_contiguous_float_storage_is_not_copied(self):
+        data = np.zeros((4, 5))
+        assert Parameter("w", data).data is data
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_reports_first_non_finite_parameter(self, bad):
+        """A NaN or infinite gradient reaches the updated weight; the step
+        names the first such parameter and still updates the others."""
+        params = [Parameter(name, np.ones(size)) for name, size in
+                  (("a", 4), ("b", _CHUNK + 10), ("c", 4))]
+        opt = AdamW(params, lr=0.1)
+        for p in params:
+            p.tensor.grad = np.ones(p.data.size)
+        assert opt.step() is None
+        for p in params:
+            p.tensor.grad = np.ones(p.data.size)
+        params[1].tensor.grad[_CHUNK + 3] = bad
+        params[2].tensor.grad[0] = bad
+        with np.errstate(invalid="ignore"):
+            assert opt.step() == "b"
+        assert np.isfinite(params[0].data).all()
+        assert not np.isfinite(params[1].data[_CHUNK + 3])
 
 
 class TestSchedule:

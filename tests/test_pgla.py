@@ -19,7 +19,7 @@ from relattn.pgla import (
 from relattn.tensor import Tensor
 
 from oracles import budget_precision_oracle, budget_recall_oracle, \
-    recall_at_k_oracle
+    confusion_oracle, recall_at_k_oracle
 
 
 def state_with(priors, r=None, lam=1.0, metric="recall", confusion=None):
@@ -357,6 +357,27 @@ class TestConfusion:
             st = update_confusion(st, logits, gt_for(triplets, 4, 3))
         assert np.all(st.confusion >= 0.0)
         np.testing.assert_array_equal(np.diag(st.confusion), np.zeros(3))
+
+    def test_matches_loop_oracle_at_visual_genome_size(self):
+        """P=50 predicates over n=25 entities, several folds with many
+        instances per predicate: the vectorized fold equals the
+        per-instance loop bit for bit."""
+        rng = np.random.default_rng(110)
+        P, n = 50, 25
+        priors = 1.0 / np.arange(1, P + 1) ** 1.2
+        priors = rng.permutation(priors / priors.sum())
+        st = PglaState.create(priors)
+        for _ in range(4):
+            triplets = [(i, int(rng.choice(P, p=priors)), j)
+                        for i in range(n) for j in range(n)
+                        if i != j and rng.random() < 0.1]
+            gt = gt_for(triplets, n, P)
+            logits = rng.standard_normal((P, n, n)) * 3
+            want = confusion_oracle(st.confusion, st.priors, st.rho, logits,
+                                    gt.targets)
+            st = update_confusion(st, logits, gt)
+            assert np.array_equal(st.confusion, want)
+        assert np.count_nonzero(st.confusion) > P
 
     def test_instances_average_within_batch(self):
         priors = np.array([1.0 / 21.0, 20.0 / 21.0])
