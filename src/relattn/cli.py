@@ -134,20 +134,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    commands = {"gen-data": _cmd_gen_data, "train": _cmd_train, "eval": _cmd_eval,
+                "sample-points": _cmd_sample_points}
     try:
-        if args.command == "gen-data":
-            return _cmd_gen_data(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "sample-points":
-            return _cmd_sample_points(args)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, DatasetError, GenerationError, ValueError) as exc:
+        return commands[args.command](args)
+    except (_UsageError, ConfigError, DatasetError, GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TrainingError, CheckpointError, FloatingPointError, OSError) as exc:

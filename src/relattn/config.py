@@ -97,6 +97,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"configuration must be a JSON object, got {type(raw).__name__}")
         fields = {f.name for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in raw.items():

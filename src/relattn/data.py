@@ -160,6 +160,9 @@ class GenSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GenSpec":
+        if not isinstance(raw, dict):
+            raise GenerationError(
+                f"generator spec must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
         if "entities_per_scene" in raw:
             lo, hi = raw.pop("entities_per_scene")
@@ -354,11 +357,16 @@ def load_dataset(path) -> Dataset:
         raise DatasetError(f"cannot read dataset: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetError(f"invalid dataset JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DatasetError("dataset JSON must be an object")
     for key in ("scenes", "priors", "seen_triples", "meta"):
         if key not in raw:
             raise DatasetError(f"dataset missing required key {key!r}")
     meta = raw["meta"]
-    C, P = int(meta["C"]), int(meta["P"])
+    if not isinstance(meta, dict) or not all(
+            type(meta.get(key)) is int for key in ("C", "P", "seed")):
+        raise DatasetError("dataset meta must hold integer C, P and seed")
+    C, P = meta["C"], meta["P"]
     split = meta.get("split", "train")
     scenes = []
     for i, rec in enumerate(raw["scenes"]):

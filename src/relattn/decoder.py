@@ -24,6 +24,9 @@ from .tensor import Tensor, add, concat, layer_norm, level_lerp, matmul, point_s
     relu, reshape, softmax, swap_last, transpose
 
 
+ROLES = ("sub", "obj")
+
+
 def initial_points(detections: list) -> np.ndarray:
     """n x 3 initial reference points: box center (x, y) and the scale
     level mapped into [0, 1] as level / 4."""
@@ -42,6 +45,12 @@ def snap_scale(points: Tensor) -> Tensor:
     return concat([xy, Tensor(snapped[..., None])], axis=-1)
 
 
+def norm_params(registry: ParameterRegistry, prefix: str, d: int) -> tuple:
+    """Layer-norm gain and shift, registered as ``prefix.gain``/``.shift``."""
+    return (registry.add(f"{prefix}.gain", np.ones(d)),
+            registry.add(f"{prefix}.shift", np.zeros(d)))
+
+
 @dataclass
 class DecoderState:
     sub: Tensor      # n x K x d subject-role states
@@ -53,10 +62,8 @@ class DecoderState:
 @dataclass
 class DecodeResult:
     state: DecoderState
-    mu_sub: list = field(default_factory=list)      # per layer, n x K x 3
-    mu_obj: list = field(default_factory=list)
-    mean_sub: list = field(default_factory=list)    # accumulated unclamped offset means
-    mean_obj: list = field(default_factory=list)
+    mean_sub: list = field(default_factory=list)    # per layer, n x K x 3: accumulated
+    mean_obj: list = field(default_factory=list)    # unclamped offset means
     points_sub: list = field(default_factory=list)  # per layer, n x K x m x 3 arrays
     points_obj: list = field(default_factory=list)
 
@@ -73,8 +80,7 @@ class GcaLayer:
         self.wk = LinearParams(registry, f"{prefix}.k", d, width, rng, bias=False)
         self.wv = LinearParams(registry, f"{prefix}.v", d, width, rng)
         self.out = LinearParams(registry, f"{prefix}.out", width, d, rng)
-        self.ln_gain = registry.add(f"{prefix}.ln.gain", np.ones(d))
-        self.ln_shift = registry.add(f"{prefix}.ln.shift", np.zeros(d))
+        self.ln = norm_params(registry, f"{prefix}.ln", d)
 
     def __call__(self, state: Tensor, box_embed: Tensor, feats: Tensor, pe: Tensor,
                  return_weights: bool = False):
@@ -89,7 +95,7 @@ class GcaLayer:
         scores = matmul(q, swap_last(k)) * (1.0 / math.sqrt(dh))  # n,K,h,1,m
         weights = softmax(scores, axis=-1)
         ctx = reshape(matmul(weights, v), (n, K, h * dh))
-        out = layer_norm(add(state, self.out(ctx)), self.ln_gain, self.ln_shift)
+        out = layer_norm(add(state, self.out(ctx)), *self.ln)
         if return_weights:
             return out, reshape(weights, (n, K, h, m))
         return out
@@ -110,18 +116,14 @@ class RcaLayer:
         self.heads, self.head_dim, self.d = heads, head_dim, d
         self.wq = LinearParams(registry, f"{prefix}.q", d, width, rng)
         self.wk = LinearParams(registry, f"{prefix}.k", d, width, rng)
-        self.wv_sub = LinearParams(registry, f"{prefix}.v_sub", d, width, rng)
-        self.wv_obj = LinearParams(registry, f"{prefix}.v_obj", d, width, rng)
-        self.out_sub = LinearParams(registry, f"{prefix}.out_sub", width, d, rng)
-        self.out_obj = LinearParams(registry, f"{prefix}.out_obj", width, d, rng)
-        self.ffn_sub = (LinearParams(registry, f"{prefix}.ffn_sub.hidden", d, 4 * d, rng),
-                        LinearParams(registry, f"{prefix}.ffn_sub.out", 4 * d, d, rng))
-        self.ffn_obj = (LinearParams(registry, f"{prefix}.ffn_obj.hidden", d, 4 * d, rng),
-                        LinearParams(registry, f"{prefix}.ffn_obj.out", 4 * d, d, rng))
-        self.ln = {}
-        for tag in ("attn_sub", "attn_obj", "ffn_sub", "ffn_obj"):
-            self.ln[tag] = (registry.add(f"{prefix}.ln.{tag}.gain", np.ones(d)),
-                            registry.add(f"{prefix}.ln.{tag}.shift", np.zeros(d)))
+        # Per-role blocks, indexed (subject, object).
+        self.wv = [LinearParams(registry, f"{prefix}.v_{r}", d, width, rng) for r in ROLES]
+        self.out = [LinearParams(registry, f"{prefix}.out_{r}", width, d, rng) for r in ROLES]
+        self.ffn = [(LinearParams(registry, f"{prefix}.ffn_{r}.hidden", d, 4 * d, rng),
+                     LinearParams(registry, f"{prefix}.ffn_{r}.out", 4 * d, d, rng))
+                    for r in ROLES]
+        self.ln_attn = [norm_params(registry, f"{prefix}.ln.attn_{r}", d) for r in ROLES]
+        self.ln_ffn = [norm_params(registry, f"{prefix}.ln.ffn_{r}", d) for r in ROLES]
 
     def _split_heads(self, x: Tensor, N: int) -> Tensor:
         return transpose(reshape(x, (N, self.heads, self.head_dim)), (1, 0, 2))
@@ -129,31 +131,28 @@ class RcaLayer:
     def __call__(self, state: DecoderState, return_weights: bool = False):
         n, K, d = state.sub.shape
         N = n * K
-        sub_flat = reshape(state.sub, (N, d))
-        obj_flat = reshape(state.obj, (N, d))
-        q_in = reshape(add(state.sub, reshape(state.sub_box, (n, 1, d))), (N, d))
-        k_in = reshape(add(state.obj, reshape(state.obj_box, (n, 1, d))), (N, d))
-        q = self._split_heads(self.wq(q_in), N)
-        k = self._split_heads(self.wk(k_in), N)
-        v_sub = self._split_heads(self.wv_sub(q_in), N)
-        v_obj = self._split_heads(self.wv_obj(k_in), N)
+        states = (state.sub, state.obj)
+        inputs = [reshape(add(x, reshape(box, (n, 1, d))), (N, d))
+                  for x, box in zip(states, (state.sub_box, state.obj_box))]
+        q = self._split_heads(self.wq(inputs[0]), N)
+        k = self._split_heads(self.wk(inputs[1]), N)
         logits = matmul(q, swap_last(k)) * (1.0 / math.sqrt(self.head_dim))  # h,N,N
         over_keys = softmax(logits, axis=-1)
         over_queries = softmax(logits, axis=1)
-        sub_ctx = matmul(over_keys, v_obj)                   # h,N,dh
-        obj_ctx = matmul(swap_last(over_queries), v_sub)     # h,N,dh
-
-        def merge(ctx: Tensor) -> Tensor:
-            return reshape(transpose(ctx, (1, 0, 2)), (N, self.heads * self.head_dim))
-
-        sub1 = layer_norm(add(sub_flat, self.out_sub(merge(sub_ctx))), *self.ln["attn_sub"])
-        obj1 = layer_norm(add(obj_flat, self.out_obj(merge(obj_ctx))), *self.ln["attn_obj"])
-        sub2 = layer_norm(add(sub1, self.ffn_sub[1](relu(self.ffn_sub[0](sub1)))),
-                          *self.ln["ffn_sub"])
-        obj2 = layer_norm(add(obj1, self.ffn_obj[1](relu(self.ffn_obj[0](obj1)))),
-                          *self.ln["ffn_obj"])
-        new_state = DecoderState(sub=reshape(sub2, (n, K, d)), obj=reshape(obj2, (n, K, d)),
-                                 sub_box=state.sub_box, obj_box=state.obj_box)
+        # Subjects read object values over keys; objects read subject
+        # values over queries.
+        reads = (over_keys, swap_last(over_queries))
+        updated = []
+        for r, x in enumerate(states):
+            other = 1 - r
+            values = self._split_heads(self.wv[other](inputs[other]), N)
+            ctx = transpose(matmul(reads[r], values), (1, 0, 2))  # N,h,dh
+            ctx = reshape(ctx, (N, self.heads * self.head_dim))
+            x = layer_norm(add(reshape(x, (N, d)), self.out[r](ctx)), *self.ln_attn[r])
+            ffn_hidden, ffn_out = self.ffn[r]
+            x = layer_norm(add(x, ffn_out(relu(ffn_hidden(x)))), *self.ln_ffn[r])
+            updated.append(reshape(x, (n, K, d)))
+        new_state = DecoderState(*updated, sub_box=state.sub_box, obj_box=state.obj_box)
         if return_weights:
             return new_state, (over_keys, over_queries)
         return new_state
@@ -172,44 +171,35 @@ class DecoderStack:
                                           rng.normal(0.0, 0.02, size=(2, d)))
         self.role_embeds = registry.add("decoder.role_embeds",
                                         rng.normal(0.0, 0.02, size=(2, d)))
-        self.sampler_sub, self.sampler_obj = [], []
-        self.gca_sub, self.gca_obj, self.rca = [], [], []
+        # Per layer, one sampler and one GCA block per role, as
+        # (subject, object) pairs, then one RCA block over both roles.
+        self.samplers, self.gca, self.rca = [], [], []
         for layer in range(layers):
-            self.sampler_sub.append(GroupOffsetPredictor(
-                registry, f"decoder.layer{layer}.sampler_sub", d, K, rng,
-                lr_mult=sampler_lr_mult))
-            self.sampler_obj.append(GroupOffsetPredictor(
-                registry, f"decoder.layer{layer}.sampler_obj", d, K, rng,
-                lr_mult=sampler_lr_mult))
-            self.gca_sub.append(GcaLayer(
-                registry, f"decoder.layer{layer}.gca_sub", d, h_G, d_G, rng))
-            self.gca_obj.append(GcaLayer(
-                registry, f"decoder.layer{layer}.gca_obj", d, h_G, d_G, rng))
-            self.rca.append(RcaLayer(
-                registry, f"decoder.layer{layer}.rca", d, h_R, d_R, rng))
+            prefix = f"decoder.layer{layer}"
+            self.samplers.append(tuple(
+                GroupOffsetPredictor(registry, f"{prefix}.sampler_{r}", d, K, rng,
+                                     lr_mult=sampler_lr_mult) for r in ROLES))
+            self.gca.append(tuple(
+                GcaLayer(registry, f"{prefix}.gca_{r}", d, h_G, d_G, rng) for r in ROLES))
+            self.rca.append(RcaLayer(registry, f"{prefix}.rca", d, h_R, d_R, rng))
 
     def init_state(self, detections: list, volume: Tensor, pe: PositionalEmbeddings,
                    sub_embeds: Tensor, obj_embeds: Tensor) -> tuple:
         """Initial states from class embeddings + center features, and box
         embeddings from positional codes at the two box corners."""
-        n = len(detections)
+        n, d = len(detections), self.d
         classes = np.array([det.class_label for det in detections], dtype=np.intp)
         p0 = initial_points(detections)
         center_feats = point_sample(volume, Tensor(p0.reshape(n, 1, 3)))  # n x 1 x d
         sub = add(sub_embeds[classes], center_feats)
         obj = add(obj_embeds[classes], center_feats)
 
-        corners = np.empty((2, n, 3), dtype=np.float64)
-        for i, det in enumerate(detections):
-            x0, y0, x1, y1 = det.box
-            s = det.scale_level / 4.0
-            corners[0, i] = (x0, y0, s)
-            corners[1, i] = (x1, y1, s)
-        pe_tl, pe_br = (add(point_sample(pe.grid, c), level_lerp(pe.scale, c))
-                        for c in (Tensor(corners[0]), Tensor(corners[1])))
-        tl = add(pe_tl, self.corner_embeds[0])
-        br = add(pe_br, self.corner_embeds[1])
-        box = self.box_proj(concat([tl, br], axis=-1))
+        xy = np.array([det.box for det in detections], dtype=np.float64).reshape(n, 2, 2)
+        corners = Tensor(np.concatenate(  # 2 x n x 3: top-left, bottom-right
+            [xy.transpose(1, 0, 2), np.broadcast_to(p0[:, 2:], (2, n, 1))], axis=-1))
+        codes = add(add(point_sample(pe.grid, corners), level_lerp(pe.scale, corners)),
+                    reshape(self.corner_embeds, (2, 1, d)))
+        box = self.box_proj(reshape(transpose(codes, (1, 0, 2)), (n, 2 * d)))
         state = DecoderState(sub=sub, obj=obj,
                              sub_box=add(box, self.role_embeds[0]),
                              obj_box=add(box, self.role_embeds[1]))
@@ -228,45 +218,32 @@ class DecoderStack:
         state, p0 = self.init_state(detections, volume, pe, sub_embeds, obj_embeds)
         n = len(detections)
         result = DecodeResult(state=state)
-        points_sub = Tensor(p0.reshape(n, 1, 1, 3))
-        points_obj = Tensor(p0.reshape(n, 1, 1, 3))
-        mean_sub = Tensor(p0.reshape(n, 1, 3))
-        mean_obj = Tensor(p0.reshape(n, 1, 3))
+        points = [Tensor(p0.reshape(n, 1, 1, 3))] * 2
+        means = [Tensor(p0.reshape(n, 1, 3))] * 2
+        mean_lists = (result.mean_sub, result.mean_obj)
+        point_lists = (result.points_sub, result.points_obj)
 
         for layer in range(self.layers):
-            dist_sub = self.sampler_sub[layer](state.sub, state.sub_box)
-            dist_obj = self.sampler_obj[layer](state.obj, state.obj_box)
-            if mode == "train":
-                off_sub = draw_offsets(dist_sub, m, rng)
-                off_obj = draw_offsets(dist_obj, m, rng)
-            else:
-                off_sub = inference_grid_offsets(dist_sub, range_mult, step_mult)
-                off_obj = inference_grid_offsets(dist_obj, range_mult, step_mult)
-            points_sub = accumulate_points(points_sub, off_sub)
-            points_obj = accumulate_points(points_obj, off_obj)
-            mean_sub = add(mean_sub, dist_sub.mu)
-            mean_obj = add(mean_obj, dist_obj.mu)
-            result.mu_sub.append(dist_sub.mu)
-            result.mu_obj.append(dist_obj.mu)
-            result.mean_sub.append(mean_sub)
-            result.mean_obj.append(mean_obj)
-            if collect_points:
-                result.points_sub.append(np.array(points_sub.data, copy=True))
-                result.points_obj.append(np.array(points_obj.data, copy=True))
-
-            coords_sub = snap_scale(points_sub) if scale_interpolation == "nearest" else points_sub
-            coords_obj = snap_scale(points_obj) if scale_interpolation == "nearest" else points_obj
-            # Features plus positional code in one sample of the folded
-            # volume; the scale embedding is interpolated along s alone.
-            feats_sub = point_sample(pe.folded, coords_sub)
-            feats_obj = point_sample(pe.folded, coords_obj)
-            pe_sub = level_lerp(pe.scale, coords_sub)
-            pe_obj = level_lerp(pe.scale, coords_obj)
-            new_sub = self.gca_sub[layer](state.sub, state.sub_box, feats_sub, pe_sub)
-            new_obj = self.gca_obj[layer](state.obj, state.obj_box, feats_obj, pe_obj)
-            state = DecoderState(sub=new_sub, obj=new_obj,
-                                 sub_box=state.sub_box, obj_box=state.obj_box)
-            state = self.rca[layer](state)
+            boxes = (state.sub_box, state.obj_box)
+            updated = []
+            for r, x in enumerate((state.sub, state.obj)):
+                dist = self.samplers[layer][r](x, boxes[r])
+                if mode == "train":
+                    offsets = draw_offsets(dist, m, rng)
+                else:
+                    offsets = inference_grid_offsets(dist, range_mult, step_mult)
+                points[r] = accumulate_points(points[r], offsets)
+                means[r] = add(means[r], dist.mu)
+                mean_lists[r].append(means[r])
+                if collect_points:
+                    point_lists[r].append(np.array(points[r].data, copy=True))
+                coords = snap_scale(points[r]) if scale_interpolation == "nearest" else points[r]
+                # Features plus positional code in one sample of the folded
+                # volume; the scale embedding is interpolated along s alone.
+                feats = point_sample(pe.folded, coords)
+                updated.append(self.gca[layer][r](x, boxes[r], feats,
+                                                  level_lerp(pe.scale, coords)))
+            state = self.rca[layer](DecoderState(*updated, *boxes))
 
         result.state = state
         return result

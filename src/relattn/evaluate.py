@@ -28,11 +28,18 @@ def load_model(checkpoint_path: str) -> tuple:
     return model, cfg
 
 
+def check_ks(ks) -> None:
+    """Every K must be a positive candidate budget."""
+    if any(k < 1 for k in ks):
+        raise ValueError(f"every K must be >= 1, got {list(ks)}")
+
+
 def evaluate_dataset(model: RelationModel, ds: Dataset, ks=DEFAULT_KS,
                      graph_constraint: bool = False) -> list:
     """Metric rows for one split: recall@K and mean recall@K over all
     ground truth and over the zero-shot subset, plus per-predicate
     recalls. Rows follow the metrics CSV column layout."""
+    check_ks(ks)
     cfg = model.config
     signatures = class_signatures(ds.seed, cfg.C, cfg.d)
     split = ds.meta.get("split", "test")
@@ -71,6 +78,7 @@ def evaluate_dataset(model: RelationModel, ds: Dataset, ks=DEFAULT_KS,
 
 def evaluate(checkpoint_path: str, data_dir: str, split: str = "test", ks=DEFAULT_KS,
              graph_constraint: bool = False, out_csv: str | None = None) -> list:
+    check_ks(ks)
     model, _cfg = load_model(checkpoint_path)
     ds = load_dataset(os.path.join(data_dir, f"{split}.json"))
     rows = evaluate_dataset(model, ds, ks=ks, graph_constraint=graph_constraint)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, linear
 
 
 class Parameter:
@@ -95,13 +95,9 @@ class LinearParams:
     every key's logit by the same amount per query and cancels)."""
 
     def __init__(self, registry: ParameterRegistry, prefix: str, d_in: int, d_out: int,
-                 rng: np.random.Generator, lr_mult: float = 1.0, bias_fill: float = 0.0,
-                 bias: bool = True):
-        self.weight = registry.add(f"{prefix}.weight", xavier(rng, d_in, d_out), lr_mult=lr_mult)
-        self.bias = registry.add(f"{prefix}.bias", np.full(d_out, bias_fill),
-                                 lr_mult=lr_mult) if bias else None
+                 rng: np.random.Generator, bias: bool = True):
+        self.weight = registry.add(f"{prefix}.weight", xavier(rng, d_in, d_out))
+        self.bias = registry.add(f"{prefix}.bias", np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        from .tensor import linear
-
         return linear(x, self.weight, self.bias)

@@ -56,7 +56,6 @@ class RelationHead:
     def __init__(self, registry: ParameterRegistry, d: int, heads: int, head_dim: int,
                  num_predicates: int, rng: np.random.Generator, prefix: str = "head"):
         self.heads, self.head_dim, self.d = heads, head_dim, d
-        self.num_predicates = num_predicates
         width = heads * head_dim
         self.wq = LinearParams(registry, f"{prefix}.q", d, width, rng)
         self.wk = LinearParams(registry, f"{prefix}.k", d, width, rng)
@@ -78,22 +77,16 @@ class RelationHead:
         scaled = matmul(q, swap_last(k)) * (1.0 / math.sqrt(self.head_dim))
         return add(scaled, reshape(self.head_bias, (self.heads, 1, 1)))
 
-    def project_heads(self, logits: Tensor) -> tuple:
-        """Per-predicate logits (P x nK x nK) and relatedness logits
-        (nK x nK) as linear maps over the head axis."""
-        N = logits.shape[1]
-        stacked = transpose(logits, (1, 2, 0))  # N x N x h
-        pred = transpose(self.to_predicates(stacked), (2, 0, 1))
-        rel = reshape(self.to_relatedness(stacked), (N, N))
-        return pred, rel
-
-    @staticmethod
-    def group_pairs(pred: Tensor, rel: Tensor, n: int, K: int) -> tuple:
-        """Regroup state-level grids to P x n x n x K^2 and n x n x K^2."""
-        P = pred.shape[0]
-        pred = reshape(transpose(reshape(pred, (P, n, K, n, K)), (0, 1, 3, 2, 4)),
-                       (P, n, n, K * K))
-        rel = reshape(transpose(reshape(rel, (n, K, n, K)), (0, 2, 1, 3)), (n, n, K * K))
+    def group_pairs(self, logits: Tensor, n: int, K: int) -> tuple:
+        """Regroup the h x nK x nK state-level logits by entity pair, with
+        entry (i, j, k_s * K + k_o) taken from row i * K + k_s and column
+        j * K + k_o, and map the head axis linearly to per-predicate logits
+        (P x n x n x K^2) and relatedness logits (n x n x K^2)."""
+        h = logits.shape[0]
+        pairs = reshape(transpose(reshape(logits, (h, n, K, n, K)), (1, 3, 2, 4, 0)),
+                        (n, n, K * K, h))
+        pred = transpose(self.to_predicates(pairs), (3, 0, 1, 2))
+        rel = reshape(self.to_relatedness(pairs), (n, n, K * K))
         return pred, rel
 
     def reduce_pairs(self, pred: Tensor, rel: Tensor, mode: str, tau: float = None,
@@ -123,10 +116,8 @@ class RelationHead:
                 n: int, K: int, mode: str, tau: float = None,
                 rng: np.random.Generator = None, hard: bool = False) -> RelationPrediction:
         logits = self.attention_logits(sub, obj, sub_box, obj_box)
-        pred_full, rel_full = self.project_heads(logits)
-        pred_grp, rel_grp = self.group_pairs(pred_full, rel_full, n, K)
-        pred, rel, weights = self.reduce_pairs(pred_grp, rel_grp, mode, tau=tau,
-                                               rng=rng, hard=hard)
+        pred, rel, weights = self.reduce_pairs(*self.group_pairs(logits, n, K), mode,
+                                               tau=tau, rng=rng, hard=hard)
         scores = final_scores(pred, rel)
         return RelationPrediction(predicate_logits=pred, relatedness_logits=rel,
                                   scores=scores, pair_weights=weights)

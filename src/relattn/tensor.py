@@ -515,16 +515,13 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 
 
 def linear(x, weight, bias=None) -> Tensor:
-    """Affine map over the last axis: x @ weight + bias."""
+    """Affine map over the last axis of a 2-d or wider x: x @ weight + bias."""
     x, weight = _coerce(x), _coerce(weight)
     if weight.ndim != 2:
         raise DimensionError(f"linear weight must be 2-d, got {weight.shape}")
     if x.data.shape[-1] != weight.data.shape[0]:
         raise DimensionError(
             f"linear input width {x.data.shape[-1]} != weight rows {weight.data.shape[0]}")
-    flat = x.ndim == 1
-    if flat:
-        x = reshape(x, (1, x.data.shape[0]))
     out = matmul(x, weight)
     if bias is not None:
         bias = _coerce(bias)
@@ -532,8 +529,6 @@ def linear(x, weight, bias=None) -> Tensor:
             raise DimensionError(
                 f"linear bias shape {bias.data.shape} != ({weight.data.shape[1]},)")
         out = add(out, bias)
-    if flat:
-        out = reshape(out, (weight.data.shape[1],))
     return out
 
 

@@ -57,14 +57,15 @@ def resolve_config(cfg: RunConfig, ds: Dataset) -> RunConfig:
 
 class VolumeCache:
     """Per-scene feature volumes, recomputed deterministically and cached
-    up to a memory budget."""
+    up to BUDGET_BYTES."""
 
-    def __init__(self, ds: Dataset, cfg: RunConfig, budget_bytes: int = 256_000_000):
+    BUDGET_BYTES = 256_000_000
+
+    def __init__(self, ds: Dataset, cfg: RunConfig):
         self.ds = ds
         self.cfg = cfg
         self.signatures = class_signatures(ds.seed, cfg.C, cfg.d)
         self._cache: dict = {}
-        self._budget = budget_bytes
 
     def volume(self, scene: SceneSample) -> np.ndarray:
         key = (scene.split, scene.index)
@@ -74,7 +75,7 @@ class VolumeCache:
         vol = scene_volume(self.ds.seed, scene, self.signatures,
                            self.cfg.feature_noise_std)
         used = sum(v.nbytes for v in self._cache.values())
-        if used + vol.nbytes <= self._budget:
+        if used + vol.nbytes <= self.BUDGET_BYTES:
             self._cache[key] = vol
         return vol
 

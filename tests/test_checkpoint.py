@@ -1,9 +1,13 @@
 """Binary checkpoint format: round trips and corruption detection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from relattn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from relattn.config import RunConfig
+from relattn.model import RelationModel
 
 
 @pytest.fixture
@@ -85,3 +89,25 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+
+class TestParameterManifest:
+    """A checkpoint stores parameters by name, in registration order, so a
+    renamed, reshaped or reordered parameter breaks every saved model. The
+    digests pin the manifest of one "name AxBxC" line per parameter."""
+
+    DESK = dict(K=2, d=32, L_d=1, h_G=4, d_G=8, h_R=4, d_R=8, h_A=8, d_A=8)
+
+    @pytest.mark.parametrize("overrides, count, values, digest", [
+        (DESK, 70, 44_547,
+         "eb3b33f3e6f92f62586308cb9385feb74ce51ed11b0125e49fe3543401331529"),
+        ({}, 70, 6_875_707,
+         "22db9aaa8591fcd6ca8c4dbcbf53aed70a709d9e48a053cc53163d1992f595df"),
+    ], ids=["desk", "paper"])
+    def test_manifest_is_pinned(self, overrides, count, values, digest):
+        model = RelationModel(RunConfig(C=8, P=10, **overrides), np.random.default_rng(0))
+        params = model.registry.parameters()
+        manifest = "\n".join(f"{p.name} {'x'.join(map(str, p.data.shape))}" for p in params)
+        assert len(params) == count
+        assert sum(p.data.size for p in params) == values
+        assert hashlib.sha256(manifest.encode()).hexdigest() == digest

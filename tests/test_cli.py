@@ -127,6 +127,48 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 1
 
+    @pytest.mark.parametrize("k", ["0", "-5"])
+    def test_eval_rejects_nonpositive_k(self, pipeline, tmp_path, capsys, k):
+        """A K below 1 is refused before the checkpoint is read: the
+        checkpoint path here does not exist, which would be a runtime
+        failure (exit 2) if it were loaded first."""
+        _, _, data_dir, _ = pipeline
+        code = main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                     "--data", str(data_dir), "--k", "20", k,
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_dataset_meta_without_classes(self, pipeline, tmp_path, capsys):
+        _, cfg_path, data_dir, _ = pipeline
+        bad_dir = tmp_path / "data"
+        bad_dir.mkdir()
+        for split in ("train", "test"):
+            raw = json.loads((data_dir / f"{split}.json").read_text())
+            del raw["meta"]["C"]
+            (bad_dir / f"{split}.json").write_text(json.dumps(raw))
+        code = main(["train", "--config", str(cfg_path), "--data", str(bad_dir),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_config_that_is_a_list(self, pipeline, tmp_path, capsys):
+        _, _, data_dir, _ = pipeline
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps([{"C": 3, "P": 2}]))
+        code = main(["train", "--config", str(bad), "--data", str(data_dir),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_spec_that_is_a_list(self, tmp_path, capsys):
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps([4, 3, 2]))
+        assert main(["gen-data", "--spec", str(bad),
+                     "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_scene_index_out_of_range(self, pipeline, tmp_path, capsys):
         _, _, data_dir, run_dir = pipeline
         code = main(["sample-points", "--checkpoint",

@@ -14,7 +14,7 @@ from relattn.decoder import (
 )
 from relattn.features import build_positional_embeddings
 from relattn.params import ParameterRegistry
-from relattn.tensor import Tensor
+from relattn.tensor import Tensor, level_lerp, point_sample
 
 
 def detections():
@@ -60,6 +60,33 @@ class TestInitialPoints:
         pts = Tensor(np.array([[0.3, 0.7, 0.13]]), requires_grad=True)
         tsum(snap_scale(pts)).backward()
         np.testing.assert_allclose(pts.grad, [[1.0, 1.0, 0.0]])
+
+
+class TestInitState:
+    def test_box_embedding_projects_both_corner_codes(self):
+        """Each entity's box embedding is box_proj of [code(top-left) +
+        corner 0, code(bottom-right) + corner 1] plus the role embedding,
+        where code(c) samples the sinusoid grid and the scale table at c,
+        one corner at a time here."""
+        rng = np.random.default_rng(69)
+        reg, stack, sub, obj = make_stack()
+        vol = Tensor(rng.standard_normal((5, 6, 6, 8)))
+        pe = build_positional_embeddings(vol, Tensor(rng.standard_normal((5, 8))))
+        state, _ = stack.init_state(detections(), vol, pe, sub, obj)
+        w = reg.get("decoder.box_proj.weight").data
+        b = reg.get("decoder.box_proj.bias").data
+        corner = reg.get("decoder.corner_embeds").data
+        role = reg.get("decoder.role_embeds").data
+        for i, det in enumerate(detections()):
+            x0, y0, x1, y1 = det.box
+            codes = []
+            for k, (x, y) in enumerate(((x0, y0), (x1, y1))):
+                c = Tensor(np.array([x, y, det.scale_level / 4.0]))
+                code = point_sample(pe.grid, c).data + level_lerp(pe.scale, c).data
+                codes.append(code + corner[k])
+            box = np.concatenate(codes) @ w + b
+            np.testing.assert_allclose(state.sub_box.data[i], box + role[0], atol=1e-12)
+            np.testing.assert_allclose(state.obj_box.data[i], box + role[1], atol=1e-12)
 
 
 class TestGca:
@@ -124,6 +151,51 @@ class TestRca:
         assert not np.allclose(out.sub.data, state.sub.data)
         assert not np.allclose(out.obj.data, state.obj.data)
 
+    def test_matches_numpy_reference(self):
+        """Each role reads the other role's values and updates through its
+        own output, feed-forward and norm parameters, looked up by name and
+        compared with a plain numpy evaluation."""
+        n, K, d, h, dh = 3, 2, 8, 2, 4
+        rng = np.random.default_rng(74)
+        reg = ParameterRegistry()
+        layer = RcaLayer(reg, "r", d=d, heads=h, head_dim=dh, rng=rng)
+        for p in reg.parameters():
+            p.data[:] = 0.5 * rng.standard_normal(p.data.shape)
+        sub, obj = rng.standard_normal((2, n, K, d))
+        sub_box, obj_box = rng.standard_normal((2, n, d))
+        out = layer(DecoderState(Tensor(sub), Tensor(obj), Tensor(sub_box), Tensor(obj_box)))
+
+        def w(name):
+            return reg.get(f"r.{name}").data
+
+        def lin(x, name):
+            return x @ w(f"{name}.weight") + w(f"{name}.bias")
+
+        def norm(x, name):
+            c = x - x.mean(-1, keepdims=True)
+            scaled = c / np.sqrt((c * c).mean(-1, keepdims=True) + 1e-5)
+            return scaled * w(f"ln.{name}.gain") + w(f"ln.{name}.shift")
+
+        def split(x):  # N x h*dh -> h x N x dh
+            return x.reshape(-1, h, dh).transpose(1, 0, 2)
+
+        def softmax(x, axis):
+            e = np.exp(x - x.max(axis, keepdims=True))
+            return e / e.sum(axis, keepdims=True)
+
+        q_in = (sub + sub_box[:, None]).reshape(-1, d)
+        k_in = (obj + obj_box[:, None]).reshape(-1, d)
+        logits = split(lin(q_in, "q")) @ split(lin(k_in, "k")).transpose(0, 2, 1) / np.sqrt(dh)
+        reads = {"sub": (softmax(logits, -1), lin(k_in, "v_obj")),
+                 "obj": (softmax(logits, 1).transpose(0, 2, 1), lin(q_in, "v_sub"))}
+        for role, x, got in (("sub", sub, out.sub), ("obj", obj, out.obj)):
+            weights, values = reads[role]
+            ctx = (weights @ split(values)).transpose(1, 0, 2).reshape(-1, h * dh)
+            x = norm(x.reshape(-1, d) + lin(ctx, f"out_{role}"), f"attn_{role}")
+            hidden = np.maximum(lin(x, f"ffn_{role}.hidden"), 0.0)
+            x = norm(x + lin(hidden, f"ffn_{role}.out"), f"ffn_{role}")
+            np.testing.assert_allclose(got.data, x.reshape(n, K, d), rtol=1e-10, atol=1e-12)
+
     def test_information_crosses_roles(self):
         """Perturbing the object states changes the subject update."""
         layer, state = self.make()
@@ -186,17 +258,27 @@ class TestDecode:
 
     def test_mean_trajectory_accumulates_unclamped(self):
         """The recorded mean path is the running sum of offset means on top
-        of the initial points, without any clamping."""
+        of the initial points, without any clamping. Each layer's means
+        come from that layer's sampler at the state the layer reads; a
+        one-layer stack from the same seed shares layer 0, so its output
+        is the state layer 1 reads."""
         rng = np.random.default_rng(78)
         _, stack, sub, obj = make_stack(layers=2)
+        _, first, _, _ = make_stack(layers=1)
         vol, pe = volume_and_pe(rng)
         res = stack.decode(detections(), vol, pe, sub, obj, mode="train",
                            rng=np.random.default_rng(1), m=3)
-        p0 = initial_points(detections()).reshape(3, 1, 3)
-        want = p0 + res.mu_sub[0].data
-        np.testing.assert_allclose(res.mean_sub[0].data, want, atol=1e-12)
-        want2 = want + res.mu_sub[1].data
-        np.testing.assert_allclose(res.mean_sub[1].data, want2, atol=1e-12)
+        mid = first.decode(detections(), vol, pe, sub, obj, mode="train",
+                           rng=np.random.default_rng(1), m=3).state
+        init, p0 = stack.init_state(detections(), vol, pe, sub, obj)
+        for r, means in enumerate((res.mean_sub, res.mean_obj)):
+            reads = [((s.sub, s.sub_box), (s.obj, s.obj_box))[r]
+                     for s in (init, mid)]
+            want = p0.reshape(3, 1, 3)
+            for layer, (x, box) in enumerate(reads):
+                want = want + stack.samplers[layer][r](x, box).mu.data
+                np.testing.assert_allclose(means[layer].data, want,
+                                           atol=1e-12)
 
     def test_nearest_scale_option_changes_sampling(self):
         rng = np.random.default_rng(79)

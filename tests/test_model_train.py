@@ -15,7 +15,7 @@ from relattn.data import (
     generate_dataset,
     save_dataset,
 )
-from relattn.evaluate import evaluate, load_model, metric_value
+from relattn.evaluate import evaluate, evaluate_dataset, load_model, metric_value
 from relattn.features import class_signatures, scene_volume
 from relattn.losses import GroundTruthRelations, predicate_gammas
 from relattn.model import RelationModel
@@ -139,6 +139,54 @@ class TestGradientCoverage:
             sum(breakdown[k] for k in breakdown if k != "total"), rtol=1e-12)
 
 
+class TestVisualGenomeSize:
+    def test_forward_and_loss_at_fifty_predicates(self):
+        """One training forward, the loss and its backward, and one
+        inference forward at P=50 and n=25 entities, d=32: the scale where
+        quadratic work over entity pairs shows. No wall-clock bound."""
+        spec = GenSpec(num_scenes=1, C=20, P=50, entities_min=25, entities_max=25,
+                       zipf_exponent=1.0, seed=9, test_scenes=1)
+        train_ds, _ = generate_dataset(spec)
+        scene = train_ds.scenes[0]
+        n, P = 25, 50
+        assert len(scene.entities) == n and scene.triplets
+        cfg = resolve_config(tiny_config(C=None, P=None, K=2, d=32, h_G=4, d_G=8,
+                                         h_R=4, d_R=8, h_A=8, d_A=8), train_ds)
+        rng = np.random.default_rng(13)
+        model = RelationModel(cfg, rng)
+        sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
+        volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
+        out = model.forward(scene, volume, "train", rng=rng, m=4, tau=1.0)
+        pred = out.prediction
+        assert pred.predicate_logits.shape == (P, n, n)
+        assert pred.relatedness_logits.shape == (n, n)
+        assert pred.pair_weights.shape == (P, n, n, cfg.K ** 2)
+        for name, arr in (("logits", pred.predicate_logits.data),
+                          ("relatedness", pred.relatedness_logits.data),
+                          ("scores", pred.scores.data)):
+            assert np.isfinite(arr).all(), name
+        np.testing.assert_array_equal(np.diagonal(pred.scores.data, axis1=1, axis2=2), 0.0)
+        for means in (out.decode.mean_sub, out.decode.mean_obj):
+            assert [m.shape for m in means] == [(n, cfg.K, 3)] * cfg.L_d
+
+        gt = GroundTruthRelations.from_triplets(scene.triplets, n, P)
+        gammas = predicate_gammas(train_ds.priors, cfg.gamma_base)
+        boxes = np.array([e.box for e in scene.entities], dtype=np.float64)
+        total, breakdown, state, _ = training_loss(
+            out, gt, cfg, gammas, PglaState.create(train_ds.priors), boxes, rng)
+        assert all(np.isfinite(v) for v in breakdown.values())
+        assert state.confusion.shape == (P, P)
+        model.registry.zero_grad()
+        total.backward()
+        for p in model.registry.parameters():
+            assert p.tensor.grad is not None and np.isfinite(p.tensor.grad).all(), p.name
+
+        with no_grad():
+            scores = model.forward(scene, volume, "infer").prediction.scores.data
+        assert scores.shape == (P, n, n) and np.isfinite(scores).all()
+        np.testing.assert_array_equal(np.diagonal(scores, axis1=1, axis2=2), 0.0)
+
+
 class TestResolveConfig:
     def test_fills_sizes_from_dataset(self, tiny_data):
         _, train_ds, _ = tiny_data
@@ -222,6 +270,14 @@ class TestTraining:
                 train(tiny_config(), data_dir, str(tmp_path / "out"))
         assert f"parameter {poisoned[0]} " in str(err.value)
         assert "iteration 2" in str(err.value)
+
+    def test_evaluate_dataset_rejects_nonpositive_k(self, tiny_data):
+        _, train_ds, test_ds = tiny_data
+        model = RelationModel(resolve_config(tiny_config(), train_ds),
+                              np.random.default_rng(0))
+        for ks in ((0,), (20, -5)):
+            with pytest.raises(ValueError):
+                evaluate_dataset(model, test_ds, ks=ks)
 
     def test_relationless_split_is_rejected(self, tiny_data, tmp_path):
         _, train_ds, _ = tiny_data

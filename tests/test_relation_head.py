@@ -76,26 +76,32 @@ class TestAttentionLogits:
 
 class TestGrouping:
     def test_group_pairs_matches_index_arithmetic(self):
-        """Entry (p, i, j, k_s * K + k_o) must equal the state-level entry
-        at row i * K + k_s, column j * K + k_o."""
+        """Entry (p, i, j, k_s * K + k_o) must equal predicate p's linear
+        map of the head logits at row i * K + k_s, column j * K + k_o, and
+        the relatedness entry (i, j, k_s * K + k_o) likewise."""
         rng = np.random.default_rng(83)
         n, K, P = 3, 2, 4
-        pred = rng.standard_normal((P, n * K, n * K))
-        rel = rng.standard_normal((n * K, n * K))
-        g_pred, g_rel = RelationHead.group_pairs(Tensor(pred), Tensor(rel),
-                                                 n, K)
+        _, head = make_head(P=P)
+        for lin in (head.to_predicates, head.to_relatedness):
+            lin.bias.data[:] = rng.standard_normal(lin.bias.shape)
+        logits = rng.standard_normal((head.heads, n * K, n * K))
+        g_pred, g_rel = head.group_pairs(Tensor(logits), n, K)
         assert g_pred.shape == (P, n, n, K * K)
         assert g_rel.shape == (n, n, K * K)
+        w_pred, b_pred = head.to_predicates.weight.data, head.to_predicates.bias.data
+        w_rel, b_rel = head.to_relatedness.weight.data, head.to_relatedness.bias.data
         for i in range(n):
             for j in range(n):
                 for ks in range(K):
                     for ko in range(K):
                         slot = ks * K + ko
-                        np.testing.assert_array_equal(
+                        heads = logits[:, i * K + ks, j * K + ko]
+                        np.testing.assert_allclose(
                             g_pred.data[:, i, j, slot],
-                            pred[:, i * K + ks, j * K + ko])
-                        assert g_rel.data[i, j, slot] == rel[i * K + ks,
-                                                             j * K + ko]
+                            heads @ w_pred + b_pred, rtol=1e-12, atol=1e-12)
+                        np.testing.assert_allclose(
+                            g_rel.data[i, j, slot], heads @ w_rel[:, 0] + b_rel[0],
+                            rtol=1e-12, atol=1e-12)
 
 
 class TestReduce:

@@ -158,6 +158,10 @@ class TestErrors:
         with pytest.raises(DimensionError):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
+    def test_linear_rejects_one_dimensional_input(self):
+        with pytest.raises(DimensionError):
+            linear(Tensor(np.ones(3)), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
+
     def test_concat_rejects_mismatched_offaxis(self):
         with pytest.raises(DimensionError):
             concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1)
