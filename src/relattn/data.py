@@ -368,6 +368,8 @@ def load_dataset(path) -> Dataset:
         raise DatasetError("dataset meta must hold integer C, P and seed")
     C, P = meta["C"], meta["P"]
     split = meta.get("split", "train")
+    if not isinstance(raw["scenes"], list):
+        raise DatasetError("dataset scenes must be a list")
     scenes = []
     for i, rec in enumerate(raw["scenes"]):
         try:
@@ -390,5 +392,8 @@ def load_dataset(path) -> Dataset:
         raise DatasetError(f"priors must be {P} positive values")
     if abs(priors.sum() - 1.0) > 1e-9:
         raise DatasetError("priors must sum to 1")
-    seen = {tuple(int(v) for v in t) for t in raw["seen_triples"]}
+    try:
+        seen = {tuple(int(v) for v in t) for t in raw["seen_triples"]}
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"seen_triples: {exc}") from exc
     return Dataset(scenes, priors, seen, meta)

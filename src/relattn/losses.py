@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, exp, mul, relu, sigmoid, softplus, sub, \
+from .tensor import Tensor, add, concat, exp, mul, relu, sigmoid, softplus, sub, \
     tmax, tsum
 
 
@@ -55,19 +55,20 @@ def predicate_gammas(priors: np.ndarray, gamma_base: float) -> np.ndarray:
     return gamma_base * (priors - lo) / (hi - lo)
 
 
-def _focal_terms(logits: Tensor, gammas: np.ndarray) -> tuple:
-    """Stable per-entry focal cross-entropy pieces.
+def _focal_sum(logits: Tensor, gammas: np.ndarray, pos_weight: np.ndarray,
+               neg_weight: np.ndarray, count: int) -> Tensor:
+    """Weighted focal cross-entropy summed over every entry, over count.
 
     positive: (1 - sigmoid(x))^g * -log sigmoid(x)  = exp(-g*sp(x)) * sp(-x)
     negative: sigmoid(x)^g * -log(1 - sigmoid(x))   = exp(-g*sp(-x)) * sp(x)
     with sp = softplus, so no term ever sees a saturated log.
     """
-    g = Tensor(gammas)
     sp_pos = softplus(logits)
     sp_neg = softplus(mul(logits, -1.0))
-    pos = mul(exp(mul(g, mul(sp_pos, -1.0))), sp_neg)
-    neg = mul(exp(mul(g, mul(sp_neg, -1.0))), sp_pos)
-    return pos, neg
+    pos = mul(exp(mul(sp_pos, -gammas)), sp_neg)
+    neg = mul(exp(mul(sp_neg, -gammas)), sp_pos)
+    total = add(tsum(mul(pos, Tensor(pos_weight))), tsum(mul(neg, Tensor(neg_weight))))
+    return mul(total, 1.0 / count)
 
 
 def focal_bce(logits: Tensor, gt: GroundTruthRelations, alpha: float,
@@ -81,12 +82,8 @@ def focal_bce(logits: Tensor, gt: GroundTruthRelations, alpha: float,
     if gt.num_positive == 0:
         return Tensor(0.0), True
     off = offdiagonal(n)[None, :, :]
-    pos_mask = gt.targets * off
-    neg_mask = (1.0 - gt.targets) * off
-    pos, neg = _focal_terms(logits, gammas.reshape(P, 1, 1))
-    total = add(tsum(mul(pos, Tensor(alpha * pos_mask))),
-                tsum(mul(neg, Tensor((1.0 - alpha) * neg_mask))))
-    return mul(total, 1.0 / gt.num_positive), False
+    return _focal_sum(logits, gammas.reshape(P, 1, 1), alpha * gt.targets * off,
+                      (1.0 - alpha) * (1.0 - gt.targets) * off, gt.num_positive), False
 
 
 def mask_loss(rel_logits: Tensor, gt: GroundTruthRelations, alpha: float,
@@ -104,11 +101,8 @@ def mask_loss(rel_logits: Tensor, gt: GroundTruthRelations, alpha: float,
     chosen = rng.choice(neg_flat, size=quota, replace=False) if quota else np.array([], dtype=np.intp)
     neg_mask = np.zeros(n * n, dtype=np.float64)
     neg_mask[chosen] = 1.0
-    neg_mask = neg_mask.reshape(n, n)
-    pos, neg = _focal_terms(rel_logits, np.asarray(gamma, dtype=np.float64))
-    total = add(tsum(mul(pos, Tensor(alpha * pos_mask))),
-                tsum(mul(neg, Tensor((1.0 - alpha) * neg_mask))))
-    return mul(total, 1.0 / n_pos), False
+    return _focal_sum(rel_logits, np.asarray(gamma, dtype=np.float64), alpha * pos_mask,
+                      (1.0 - alpha) * neg_mask.reshape(n, n), n_pos), False
 
 
 def margin_ranking_loss(logits: Tensor, gt: GroundTruthRelations) -> tuple:
@@ -139,19 +133,19 @@ def union_enclosing_boxes(triplets: list, boxes: np.ndarray) -> tuple:
     """Per entity, the enclosing box of the subject-object union boxes of
     every triplet the entity participates in. Returns (n x 4 array, n mask)."""
     n = boxes.shape[0]
+    trip = np.asarray(triplets, dtype=np.intp).reshape(-1, 3)
+    sub_box, obj_box = boxes[trip[:, 0]], boxes[trip[:, 2]]
+    union = np.concatenate([np.minimum(sub_box[:, :2], obj_box[:, :2]),
+                            np.maximum(sub_box[:, 2:], obj_box[:, 2:])], axis=1)
+    ents = np.concatenate([trip[:, 0], trip[:, 2]])
+    unions = np.concatenate([union, union])
     enc = np.empty((n, 4), dtype=np.float64)
     enc[:, :2] = np.inf
     enc[:, 2:] = -np.inf
+    np.minimum.at(enc[:, :2], ents, unions[:, :2])
+    np.maximum.at(enc[:, 2:], ents, unions[:, 2:])
     involved = np.zeros(n, dtype=bool)
-    for s, _p, o in triplets:
-        union = np.array([min(boxes[s, 0], boxes[o, 0]), min(boxes[s, 1], boxes[o, 1]),
-                          max(boxes[s, 2], boxes[o, 2]), max(boxes[s, 3], boxes[o, 3])])
-        for e in (s, o):
-            involved[e] = True
-            enc[e, 0] = min(enc[e, 0], union[0])
-            enc[e, 1] = min(enc[e, 1], union[1])
-            enc[e, 2] = max(enc[e, 2], union[2])
-            enc[e, 3] = max(enc[e, 3], union[3])
+    involved[ents] = True
     enc[~involved] = 0.0
     return enc, involved
 
@@ -160,26 +154,19 @@ def rep_point_margin_loss(mean_points: list, triplets: list, boxes: np.ndarray) 
     """Keep accumulated offset means spatially near each entity's
     relations: hinge on how far the x and y of every (entity, group) mean
     falls outside the entity's enclosing relation box, averaged over
-    contributing coordinates and summed over the provided point sets.
-    The scale coordinate is unconstrained."""
+    contributing coordinates and summed over the provided point sets,
+    which must share one n x K x 3 shape. The scale coordinate is
+    unconstrained."""
     if not triplets or not mean_points:
         return Tensor(0.0), True
+    shapes = {tuple(pts.shape) for pts in mean_points}
+    if len(shapes) != 1:
+        raise ValueError(f"point sets must share one shape, got {sorted(shapes)}")
     enc, involved = union_enclosing_boxes(triplets, boxes)
     if not involved.any():
         return Tensor(0.0), True
-    total = None
-    for pts in mean_points:
-        n, K, _ = pts.shape
-        mask = Tensor(involved.astype(np.float64).reshape(n, 1))
-        count = float(involved.sum() * K * 2)
-        x = pts[:, :, 0]
-        y = pts[:, :, 1]
-        lo_x = Tensor(enc[:, 0:1])
-        lo_y = Tensor(enc[:, 1:2])
-        hi_x = Tensor(enc[:, 2:3])
-        hi_y = Tensor(enc[:, 3:4])
-        hinge = add(add(relu(sub(x, hi_x)), relu(sub(lo_x, x))),
-                    add(relu(sub(y, hi_y)), relu(sub(lo_y, y))))
-        term = mul(tsum(mul(hinge, mask)), 1.0 / count)
-        total = term if total is None else add(total, term)
-    return total, False
+    n, K, _ = shapes.pop()
+    xy = concat(mean_points, axis=1)[:, :, :2]  # n x (sets * K) x 2
+    hinge = add(relu(sub(xy, Tensor(enc[:, None, 2:]))), relu(sub(Tensor(enc[:, None, :2]), xy)))
+    mask = Tensor(involved.astype(np.float64).reshape(n, 1, 1))
+    return mul(tsum(mul(hinge, mask)), 1.0 / float(involved.sum() * K * 2)), False

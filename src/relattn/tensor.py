@@ -165,9 +165,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __pow__(self, p):
-        return power(self, p)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -182,9 +179,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims=False) -> "Tensor":
         return tmax(self, axis=axis, keepdims=keepdims)
@@ -248,17 +242,6 @@ def div(a, b) -> Tensor:
         b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _node(data, (a, b), backward)
-
-
-def power(a, p: float) -> Tensor:
-    a = _coerce(a)
-    p = float(p)
-    data = a.data ** p
-
-    def backward(g):
-        a._accumulate(g * p * a.data ** (p - 1.0))
-
-    return _node(data, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -379,16 +362,6 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
         a._accumulate(np.broadcast_to(g, src_shape))
 
     return _node(data, (a,), backward)
-
-
-def tmean(a, axis=None, keepdims=False) -> Tensor:
-    a = _coerce(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def tmax(a, axis=None, keepdims=False) -> Tensor:
@@ -548,17 +521,25 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale
-    and shift. Composed from primitive ops so the tape differentiates it."""
+    and shift, with a fused backward pass."""
     x, gain, shift = _coerce(x), _coerce(gain), _coerce(shift)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or shift.data.shape != (d,):
         raise DimensionError(
             f"layer_norm gain/shift must have shape ({d},), got {gain.shape} and {shift.shape}")
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    norm = mul(centered, power(add(var, eps), -0.5))
-    return add(mul(norm, gain), shift)
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
+    inv_std = ((centered * centered).sum(axis=-1, keepdims=True) * (1.0 / d) + eps) ** -0.5
+    norm = centered * inv_std
+    data = norm * gain.data + shift.data
+
+    def backward(g):
+        gain._accumulate(_unbroadcast(g * norm, (d,)))
+        shift._accumulate(_unbroadcast(g, (d,)))
+        gn = g * gain.data
+        x._accumulate(inv_std * (gn - gn.mean(axis=-1, keepdims=True)
+                                 - norm * (gn * norm).mean(axis=-1, keepdims=True)))
+
+    return _node(data, (x, gain, shift), backward)
 
 
 # -- sampling helpers ----------------------------------------------------

@@ -99,7 +99,7 @@ def training_loss(output: ForwardOutput, gt: GroundTruthRelations, cfg: RunConfi
                         cfg.neg_ratio, rng)
     margin, _ = margin_ranking_loss(logits, gt)
     rep, _ = rep_point_margin_loss(output.decode.mean_sub + output.decode.mean_obj,
-                                   [tuple(t) for t in gt_triplets_of(gt)], boxes)
+                                   gt_triplets_of(gt), boxes)
     w = cfg.loss_weights
     total = add(add(mul(focal, w["focal"]), mul(mask, w["mask"])),
                 add(mul(margin, w["margin"]), mul(rep, w["rep_point"])))

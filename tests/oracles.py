@@ -191,3 +191,54 @@ def adamw_oracle(weights, grad_steps, lr, lr_mults, lr_scales,
             update = (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
             x[i] = x[i] - step_lr * update - step_lr * weight_decay * x[i]
     return x
+
+
+def union_enclosing_boxes_oracle(triplets, boxes):
+    """Per entity, grow an enclosing box over the subject-object union box
+    of every triplet it takes part in, one triplet at a time. Returns
+    (n x 4 array, n bool mask); entities in no triplet get a zero box."""
+    n = boxes.shape[0]
+    enc = np.empty((n, 4), dtype=np.float64)
+    enc[:, :2] = np.inf
+    enc[:, 2:] = -np.inf
+    involved = np.zeros(n, dtype=bool)
+    for s, _p, o in triplets:
+        union = [min(boxes[s, 0], boxes[o, 0]), min(boxes[s, 1], boxes[o, 1]),
+                 max(boxes[s, 2], boxes[o, 2]), max(boxes[s, 3], boxes[o, 3])]
+        for e in (s, o):
+            involved[e] = True
+            enc[e, 0] = min(enc[e, 0], union[0])
+            enc[e, 1] = min(enc[e, 1], union[1])
+            enc[e, 2] = max(enc[e, 2], union[2])
+            enc[e, 3] = max(enc[e, 3], union[3])
+    enc[~involved] = 0.0
+    return enc, involved
+
+
+def rep_point_margin_oracle(point_sets, triplets, boxes):
+    """The representative-point hinge, one point set and one coordinate
+    at a time: for each involved entity, how far x and y fall outside its
+    enclosing relation box, over the set's involved * K * 2 coordinates,
+    summed over the sets. point_sets: list of (n, K, 3) arrays. Returns
+    (loss, list of gradients with respect to each set)."""
+    enc, involved = union_enclosing_boxes_oracle(triplets, boxes)
+    loss = 0.0
+    grads = []
+    for pts in point_sets:
+        n, K, _ = pts.shape
+        count = float(involved.sum() * K * 2)
+        grad = np.zeros_like(pts)
+        for e in range(n):
+            if not involved[e]:
+                continue
+            for k in range(K):
+                for axis in (0, 1):
+                    v, lo, hi = pts[e, k, axis], enc[e, axis], enc[e, axis + 2]
+                    if v > hi:
+                        loss += (v - hi) / count
+                        grad[e, k, axis] = 1.0 / count
+                    elif v < lo:
+                        loss += (lo - v) / count
+                        grad[e, k, axis] = -1.0 / count
+        grads.append(grad)
+    return loss, grads

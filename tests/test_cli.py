@@ -153,6 +153,20 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("key, value", [("seen_triples", [1]), ("scenes", 5)])
+    def test_malformed_dataset_field(self, pipeline, tmp_path, capsys, key, value):
+        _, cfg_path, data_dir, _ = pipeline
+        bad_dir = tmp_path / "data"
+        bad_dir.mkdir()
+        for split in ("train", "test"):
+            raw = json.loads((data_dir / f"{split}.json").read_text())
+            raw[key] = value
+            (bad_dir / f"{split}.json").write_text(json.dumps(raw))
+        code = main(["train", "--config", str(cfg_path), "--data", str(bad_dir),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_config_that_is_a_list(self, pipeline, tmp_path, capsys):
         _, _, data_dir, _ = pipeline
         bad = tmp_path / "config.json"

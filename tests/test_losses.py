@@ -16,6 +16,8 @@ from relattn.losses import (
 from relattn.tensor import Tensor
 from relattn.gradcheck import check_gradients
 
+from oracles import rep_point_margin_oracle, union_enclosing_boxes_oracle
+
 
 def sig(x):
     return 1.0 / (1.0 + np.exp(-x))
@@ -269,3 +271,39 @@ class TestRepPointMargin:
             lambda t: rep_point_margin_loss([t], triplets, self.boxes())[0],
             pts)
         assert err < 1e-5
+
+    def scene(self):
+        """P=50 predicates over n=25 entities, some in no triplet, and two
+        point sets of K=4 means, many outside their boxes."""
+        rng = np.random.default_rng(97)
+        triplets = [(int(s), int(rng.integers(50)), int(o))
+                    for s, o in rng.integers(25, size=(12, 2)) if s != o]
+        corners = rng.uniform(0.0, 1.0, (25, 2, 2))
+        boxes = np.concatenate([corners.min(axis=1), corners.max(axis=1)], axis=1)
+        points = [rng.uniform(-0.3, 1.3, (25, 4, 3)) for _ in range(2)]
+        return triplets, boxes, points
+
+    def test_union_enclosing_boxes_matches_oracle(self):
+        triplets, boxes, _ = self.scene()
+        enc, involved = union_enclosing_boxes(triplets, boxes)
+        want_enc, want_involved = union_enclosing_boxes_oracle(triplets, boxes)
+        assert not want_involved.all()  # some entities stay unconstrained
+        np.testing.assert_array_equal(involved, want_involved)
+        np.testing.assert_array_equal(enc, want_enc)
+
+    def test_matches_per_set_oracle(self):
+        triplets, boxes, points = self.scene()
+        leaves = [Tensor(p, requires_grad=True) for p in points]
+        loss, skipped = rep_point_margin_loss(leaves, triplets, boxes)
+        loss.backward()
+        want, want_grads = rep_point_margin_oracle(points, triplets, boxes)
+        assert not skipped and want > 0
+        np.testing.assert_allclose(loss.data, want, rtol=0, atol=1e-12)
+        for leaf, g in zip(leaves, want_grads):
+            np.testing.assert_allclose(leaf.grad, g, rtol=0, atol=1e-12)
+
+    def test_mixed_point_set_shapes_raise(self):
+        triplets, boxes, points = self.scene()
+        with pytest.raises(ValueError):
+            rep_point_margin_loss([Tensor(points[0]), Tensor(points[1][:, :2])],
+                                  triplets, boxes)

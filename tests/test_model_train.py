@@ -139,6 +139,44 @@ class TestGradientCoverage:
             sum(breakdown[k] for k in breakdown if k != "total"), rtol=1e-12)
 
 
+def tape_nodes(root) -> int:
+    """Tape nodes, tensors made by a differentiable operation, reachable
+    from root through their parents. Leaves and constants are not
+    counted."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._backward is not None
+        stack.extend(node._parents)
+    return count
+
+
+class TestTapeSize:
+    def test_desk_training_loss_tape_size(self, tiny_data):
+        """One desk-config training step records a fixed number of tape
+        nodes; a change that grows the tape has to update this count."""
+        _, train_ds, _ = tiny_data
+        cfg = resolve_config(RunConfig.from_dict(
+            {"K": 2, "d": 32, "L_d": 1, "h_G": 4, "d_G": 8, "h_R": 4, "d_R": 8,
+             "h_A": 8, "d_A": 8, "learning_rate": 1e-3, "seed": 5}), train_ds)
+        rng = np.random.default_rng(14)
+        model = RelationModel(cfg, rng)
+        scene = train_ds.scenes[0]
+        sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
+        volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
+        out = model.forward(scene, volume, "train", rng=rng, m=3, tau=1.0)
+        gt = GroundTruthRelations.from_triplets(scene.triplets,
+                                                len(scene.entities), cfg.P)
+        gammas = predicate_gammas(train_ds.priors, cfg.gamma_base)
+        boxes = np.array([e.box for e in scene.entities], dtype=np.float64)
+        total, _, _, _ = training_loss(out, gt, cfg, gammas,
+                                       PglaState.create(train_ds.priors), boxes, rng)
+        assert tape_nodes(total) == 260
+
+
 class TestVisualGenomeSize:
     def test_forward_and_loss_at_fifty_predicates(self):
         """One training forward, the loss and its backward, and one
