@@ -70,7 +70,21 @@ class DecodeResult:
 
 class GcaLayer:
     """Multi-head attention of one state over its own sampled point
-    features, with a residual connection and layer norm."""
+    features, with a residual connection and layer norm.
+
+    No per-sample key or value is formed. With x = feats + pe, head j's
+    key weights W_k^j and value weights W_v^j:
+
+    - q_j . (x W_k^j) = (q_j W_k^jT) . x, so each query is mapped back to
+      width d once and scores the raw samples;
+    - sum_m w_m (x_m W_v^j + b_j) = (sum_m w_m x_m) W_v^j + b_j, since the
+      softmax weights sum to one, so the raw samples are pooled first and
+      projected once per head, and ``v.bias`` passes through unchanged.
+
+    ``k`` has no bias: a key bias adds the same logit to every sample of
+    a query and cancels in the softmax. This costs O(h d (dh + m)) per
+    state instead of O(m d h dh), and equals the per-sample form up to
+    rounding."""
 
     def __init__(self, registry: ParameterRegistry, prefix: str, d: int,
                  heads: int, head_dim: int, rng: np.random.Generator):
@@ -85,19 +99,20 @@ class GcaLayer:
     def __call__(self, state: Tensor, box_embed: Tensor, feats: Tensor, pe: Tensor,
                  return_weights: bool = False):
         n, K, d = state.shape
-        m = feats.shape[2]
-        h, dh = self.heads, self.head_dim
+        N, h, dh = n * K, self.heads, self.head_dim
         q_in = add(state, reshape(box_embed, (n, 1, d)))
-        kv_in = add(feats, pe)
-        q = reshape(self.wq(q_in), (n, K, h, 1, dh))
-        k = transpose(reshape(self.wk(kv_in), (n, K, m, h, dh)), (0, 1, 3, 2, 4))
-        v = transpose(reshape(self.wv(kv_in), (n, K, m, h, dh)), (0, 1, 3, 2, 4))
-        scores = matmul(q, swap_last(k)) * (1.0 / math.sqrt(dh))  # n,K,h,1,m
+        x = reshape(add(feats, pe), (N, feats.shape[2], d))  # N,m,d
+        q = transpose(reshape(self.wq(q_in), (N, h, dh)), (1, 0, 2))  # h,N,dh
+        wk = transpose(reshape(self.wk.weight, (d, h, dh)), (1, 2, 0))  # h,dh,d
+        q_key = transpose(matmul(q, wk), (1, 0, 2))  # N,h,d
+        scores = matmul(q_key, swap_last(x)) * (1.0 / math.sqrt(dh))  # N,h,m
         weights = softmax(scores, axis=-1)
-        ctx = reshape(matmul(weights, v), (n, K, h * dh))
-        out = layer_norm(add(state, self.out(ctx)), *self.ln)
+        pooled = transpose(matmul(weights, x), (1, 0, 2))  # h,N,d
+        wv = transpose(reshape(self.wv.weight, (d, h, dh)), (1, 0, 2))  # h,d,dh
+        ctx = reshape(transpose(matmul(pooled, wv), (1, 0, 2)), (n, K, h * dh))
+        out = layer_norm(add(state, self.out(add(ctx, self.wv.bias))), *self.ln)
         if return_weights:
-            return out, reshape(weights, (n, K, h, m))
+            return out, reshape(weights, (n, K, h, -1))
         return out
 
 

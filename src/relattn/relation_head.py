@@ -81,11 +81,13 @@ class RelationHead:
         """Regroup the h x nK x nK state-level logits by entity pair, with
         entry (i, j, k_s * K + k_o) taken from row i * K + k_s and column
         j * K + k_o, and map the head axis linearly to per-predicate logits
-        (P x n x n x K^2) and relatedness logits (n x n x K^2)."""
+        (P x n x n x K^2) and relatedness logits (n x n x K^2). The pairs
+        are flattened to one (n^2 K^2) x h matrix first, so each map is one
+        matrix product rather than n^2 small ones."""
         h = logits.shape[0]
         pairs = reshape(transpose(reshape(logits, (h, n, K, n, K)), (1, 3, 2, 4, 0)),
-                        (n, n, K * K, h))
-        pred = transpose(self.to_predicates(pairs), (3, 0, 1, 2))
+                        (n * n * K * K, h))
+        pred = transpose(reshape(self.to_predicates(pairs), (n, n, K * K, -1)), (3, 0, 1, 2))
         rel = reshape(self.to_relatedness(pairs), (n, n, K * K))
         return pred, rel
 

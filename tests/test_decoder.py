@@ -13,8 +13,9 @@ from relattn.decoder import (
     snap_scale,
 )
 from relattn.features import build_positional_embeddings
+from relattn.gradcheck import check_gradients, check_parameter_gradients
 from relattn.params import ParameterRegistry
-from relattn.tensor import Tensor, level_lerp, point_sample
+from relattn.tensor import Tensor, level_lerp, mul, point_sample, tsum
 
 
 def detections():
@@ -56,7 +57,6 @@ class TestInitialPoints:
         np.testing.assert_allclose(snapped[:, 2], [0.25, 1.0])
 
     def test_snap_scale_blocks_scale_gradient(self):
-        from relattn.tensor import tsum
         pts = Tensor(np.array([[0.3, 0.7, 0.13]]), requires_grad=True)
         tsum(snap_scale(pts)).backward()
         np.testing.assert_allclose(pts.grad, [[1.0, 1.0, 0.0]])
@@ -118,6 +118,56 @@ class TestGca:
         np.testing.assert_array_equal(a, b)
         c = layer(Tensor(base + 0.5), box, feats, pe).data
         assert not np.allclose(a, c)
+
+    def make_random(self, seed, n=3, K=2, m=5, d=8):
+        """A layer with every parameter drawn at random, v.bias and the
+        norm shift included, and random inputs."""
+        rng = np.random.default_rng(seed)
+        reg = ParameterRegistry()
+        layer = GcaLayer(reg, "g", d=d, heads=2, head_dim=4, rng=rng)
+        for p in reg.parameters():
+            p.data[...] = rng.normal(0.0, 0.3, p.data.shape)
+        inputs = (Tensor(rng.standard_normal((n, K, d))), Tensor(rng.standard_normal((n, d))),
+                  Tensor(rng.standard_normal((n, K, m, d))),
+                  Tensor(rng.standard_normal((n, K, m, d))))
+        return reg, layer, inputs
+
+    def test_matches_unfolded_numpy_reference(self):
+        """Projecting a key and a value for every sample, splitting heads,
+        attending and projecting out gives the layer's output and weights."""
+        reg, layer, (state, box, feats, pe) = self.make_random(74)
+        out, weights = layer(state, box, feats, pe, return_weights=True)
+        p = {name: reg.get(f"g.{name}").data for name in
+             ("q.weight", "q.bias", "k.weight", "v.weight", "v.bias",
+              "out.weight", "out.bias", "ln.gain", "ln.shift")}
+        n, K, m, d = feats.shape
+        h, dh = 2, 4
+        x = feats.data + pe.data
+        q = ((state.data + box.data[:, None, :]) @ p["q.weight"] + p["q.bias"]).reshape(n, K, h, dh)
+        k = (x @ p["k.weight"]).reshape(n, K, m, h, dh)
+        v = (x @ p["v.weight"] + p["v.bias"]).reshape(n, K, m, h, dh)
+        scores = np.einsum("nkhc,nkmhc->nkhm", q, k) / np.sqrt(dh)
+        w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        w /= w.sum(axis=-1, keepdims=True)
+        ctx = np.einsum("nkhm,nkmhc->nkhc", w, v).reshape(n, K, h * dh)
+        y = state.data + ctx @ p["out.weight"] + p["out.bias"]
+        y = (y - y.mean(axis=-1, keepdims=True)) / np.sqrt(y.var(axis=-1, keepdims=True) + 1e-5)
+        np.testing.assert_allclose(weights.data, w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, y * p["ln.gain"] + p["ln.shift"], rtol=0, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        """Every parameter, k.weight and v.bias among them, and the
+        feats and state inputs against central differences."""
+        reg, layer, (state, box, feats, pe) = self.make_random(75, n=2, m=3)
+        wts = Tensor(np.random.default_rng(76).standard_normal(state.shape))
+
+        def loss(s=state, f=feats):
+            return tsum(mul(layer(s, box, f, pe), wts))
+
+        for p in reg.parameters():
+            assert check_parameter_gradients(loss, p.tensor) < 1e-6, p.name
+        assert check_gradients(lambda f: loss(f=f), feats) < 1e-6
+        assert check_gradients(lambda s: loss(s=s), state) < 1e-6
 
 
 class TestRca:

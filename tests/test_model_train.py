@@ -174,7 +174,7 @@ class TestTapeSize:
         boxes = np.array([e.box for e in scene.entities], dtype=np.float64)
         total, _, _, _ = training_loss(out, gt, cfg, gammas,
                                        PglaState.create(train_ds.priors), boxes, rng)
-        assert tape_nodes(total) == 260
+        assert tape_nodes(total) == 271
 
 
 class TestVisualGenomeSize:
