@@ -591,19 +591,39 @@ def gumbel_softmax(logits, tau: float, rng: np.random.Generator = None,
 # -- feature volume sampling ---------------------------------------------
 
 
+def _points(coords: Tensor) -> np.ndarray:
+    """The coordinates as an n x 3 array of (x, y, s) points. Raises on a
+    last axis other than 3 and on NaN, which has no grid cell."""
+    if coords.data.shape[-1] != 3:
+        raise DimensionError(f"coords must end in 3 (x, y, s), got {coords.shape}")
+    pts = coords.data.reshape(-1, 3)
+    if np.isnan(pts).any():
+        raise DomainError("coords contain NaN")
+    return pts
+
+
 def _grid_cells(pts: np.ndarray, sizes: np.ndarray) -> tuple:
     """Lower grid index, fraction and in-range mask of points on grids of
     the given sizes, one size per column. Each coordinate u maps to the
     continuous index u * (size - 1) and clamps to the border; the lower
     index stops at size - 2, so a point on the far border has fraction 1.
     The mask is 1 where the raw coordinate lies in [0, 1]."""
-    cont = pts * (sizes - 1.0)
+    # Clipping to [-1, 2] first moves no finite point to another cell or
+    # side of the border, and keeps inf * 0 from making NaN on a grid
+    # of size 1.
+    cont = np.clip(pts, -1.0, 2.0) * (sizes - 1.0)
     cont_cl = np.clip(cont, 0.0, sizes - 1.0)
     lo = np.floor(cont_cl).astype(np.intp)
     lo = np.minimum(lo, (sizes - 2).clip(min=0).astype(np.intp))
     frac = cont_cl - lo
     inside = ((cont >= 0.0) & (cont <= sizes - 1.0)).astype(pts.dtype)
     return lo, frac, inside
+
+
+# Elements per block of `point_sample` (256 KB of float64). A block of
+# about _BLOCK // d points is gathered and blended corner by corner while
+# its output rows and its corner buffer stay in cache.
+_BLOCK = 32_768
 
 
 def point_sample(volume, coords) -> Tensor:
@@ -613,20 +633,23 @@ def point_sample(volume, coords) -> Tensor:
     ordered (x, y, s). x spans the W axis, y the H axis, s the scale
     axis; each coordinate maps to a continuous index u * (size - 1) and
     the eight surrounding corners blend trilinearly. Coordinates outside
-    [0,1] clamp to the border. Returns [... x d] features.
+    [0,1], infinities included, clamp to the border; NaN raises
+    DomainError. Returns [... x d] features.
 
-    The corners are gathered and blended one after another into one
-    n x d buffer, in the order of summing an 8 x n x d stack over its
-    first axis, without building the stack.
+    The points are walked in blocks of B = max(2, _BLOCK // d), the last
+    block taking a lone remaining point. Each block gathers its eight
+    corners one after another through one block-sized buffer, weights
+    them and adds them into its rows of the output, in the order of
+    summing an 8 x n x d stack over its first axis, without building the
+    stack. Every output element sees the same operations in the same
+    order whatever the block size, so the result is the same to the bit.
     """
     volume, coords = _coerce(volume), _coerce(coords)
     if volume.ndim != 4:
         raise DimensionError(f"volume must be S x H x W x d, got {volume.shape}")
-    if coords.data.shape[-1] != 3:
-        raise DimensionError(f"coords must end in 3 (x, y, s), got {coords.shape}")
+    pts = _points(coords)
     S, H, W, d = volume.data.shape
     lead = coords.data.shape[:-1]
-    pts = coords.data.reshape(-1, 3)
     n = pts.shape[0]
 
     lo, frac, inside = _grid_cells(pts, np.array([W, H, S], dtype=np.float64))
@@ -649,19 +672,26 @@ def point_sample(volume, coords) -> Tensor:
     weights = np.stack(corner_w, axis=0)  # 8 x n
     lin = np.stack(corner_lin, axis=0)  # 8 x n flat voxel indices
     flat = volume.data.reshape(-1, d)
+    # No block holds a single row unless n is 1: given one row, numpy's
+    # einsum (coordinate backward) sums a row longer than its 8,192-element
+    # buffer in one piece; given more, in buffer-sized pieces.
+    rows = max(2, _BLOCK // max(d, 1))
+    cuts = [*range(0, n - 1, rows), n] if n > 1 else [0, n]
+    blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    width = max(b.stop - b.start for b in blocks)
 
-    def gather(k: int, out: np.ndarray) -> np.ndarray:
-        # Indices are in range; mode="clip" lets take write into `out`
-        # without an intermediate buffer.
-        return np.take(flat, lin[k], axis=0, out=out, mode="clip")
-
-    out_flat = gather(0, np.empty((n, d), dtype=flat.dtype))
-    out_flat *= weights[0][:, None]
-    corner = np.empty_like(out_flat)
-    for k in range(1, 8):
-        gather(k, corner)
-        corner *= weights[k][:, None]
-        out_flat += corner
+    # Indices are in range; mode="clip" lets take write into `out` without
+    # an intermediate buffer.
+    out_flat = np.empty((n, d), dtype=flat.dtype)
+    corner = np.empty((width, d), dtype=flat.dtype)
+    for b in blocks:
+        out_b, corner_b = out_flat[b], corner[: b.stop - b.start]
+        np.take(flat, lin[0, b], axis=0, out=out_b, mode="clip")
+        out_b *= weights[0, b, None]
+        for k in range(1, 8):
+            np.take(flat, lin[k, b], axis=0, out=corner_b, mode="clip")
+            corner_b *= weights[k, b, None]
+            out_b += corner_b
     data = out_flat.reshape(lead + (d,))
 
     def backward(g):
@@ -677,9 +707,16 @@ def point_sample(volume, coords) -> Tensor:
         if coords.requires_grad:
             # d/du of trilinear interpolation: the corner-difference form
             # along each axis, scaled by (size - 1), zeroed where the raw
-            # coordinate fell outside [0, 1] (border clamp).
-            buf = np.empty((n, d), dtype=flat.dtype)
-            gcorner = [np.einsum("nd,nd->n", gf, gather(k, buf)) for k in range(8)]
+            # coordinate fell outside [0, 1] (border clamp). The row dot
+            # products g . corner are taken per block; each row's sum runs
+            # the same way in a block as in one call over all n rows.
+            gcorner = np.empty((8, n), dtype=np.result_type(gf, flat))
+            buf = np.empty((width, d), dtype=flat.dtype)
+            for b in blocks:
+                buf_b = buf[: b.stop - b.start]
+                for k in range(8):
+                    np.take(flat, lin[k, b], axis=0, out=buf_b, mode="clip")
+                    gcorner[k, b] = np.einsum("nd,nd->n", gf[b], buf_b)
             ws0, ws1 = 1.0 - fs, fs
             wy0, wy1 = 1.0 - fy, fy
             wx0, wx1 = 1.0 - fx, fx
@@ -711,11 +748,9 @@ def level_lerp(table, coords) -> Tensor:
     table, coords = _coerce(table), _coerce(coords)
     if table.ndim != 2:
         raise DimensionError(f"table must be S x d, got {table.shape}")
-    if coords.data.shape[-1] != 3:
-        raise DimensionError(f"coords must end in 3 (x, y, s), got {coords.shape}")
     S, d = table.data.shape
     lead = coords.data.shape[:-1]
-    s = coords.data.reshape(-1, 3)[:, 2:]
+    s = _points(coords)[:, 2:]
     n = s.shape[0]
     lo, frac, inside = _grid_cells(s, np.array([S], dtype=np.float64))
     s0, fs = lo[:, 0], frac[:, 0]

@@ -2,9 +2,12 @@
 scale-axis interpolation, and the fold of the positional code into the
 feature volume."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from relattn import tensor
 from relattn.tensor import Tensor, add, level_lerp, mul, point_sample, reshape, tsum
 from relattn.gradcheck import check_gradients
 
@@ -100,6 +103,41 @@ class TestForward:
                             Tensor(np.array([[1.5, 1.0, 3.0]]))).data[0]
         np.testing.assert_array_equal(high, volume[-1, -1, -1])
 
+    def test_infinite_coordinates_clamp_to_border(self):
+        """±inf clamps like any point outside [0, 1], with a zero
+        gradient on that axis and no warning, also on a grid of size 1."""
+        rng = np.random.default_rng(32)
+        for shape in ((2, 3, 3, 4), (1, 3, 1, 4)):
+            volume = rng.standard_normal(shape)
+            coords = Tensor(np.array([[-np.inf, -np.inf, -np.inf],
+                                      [np.inf, np.inf, np.inf],
+                                      [0.5, np.inf, 0.5]]), requires_grad=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = point_sample(Tensor(volume), coords)
+                tsum(out).backward()
+                table = Tensor(volume[:, 0, 0])
+                lerp = level_lerp(table, Tensor(coords.data[:2])).data
+            np.testing.assert_array_equal(out.data[0], volume[0, 0, 0])
+            np.testing.assert_array_equal(out.data[1], volume[-1, -1, -1])
+            np.testing.assert_array_equal(out.data[2], point_sample(
+                Tensor(volume), Tensor(np.array([0.5, 1.0, 0.5]))).data)
+            np.testing.assert_array_equal(lerp, volume[[0, -1], 0, 0])
+            assert np.all(coords.grad[:2] == 0.0) and coords.grad[2, 1] == 0.0
+
+    def test_nan_coordinates_raise(self):
+        """NaN has no grid cell: both samplers refuse it before sampling,
+        whichever axis it sits on."""
+        volume = Tensor(np.zeros((2, 3, 3, 4)))
+        table = Tensor(np.zeros((2, 4)))
+        for axis in range(3):
+            pts = np.full((5, 2, 3), 0.5)
+            pts[3, 1, axis] = np.nan
+            with pytest.raises(ValueError, match="NaN"):
+                point_sample(volume, Tensor(pts))
+            with pytest.raises(ValueError, match="NaN"):
+                level_lerp(table, Tensor(pts))
+
     def test_batched_coordinate_shapes(self):
         """Leading coordinate axes carry through to the output."""
         rng = np.random.default_rng(23)
@@ -167,6 +205,67 @@ class TestCornerBlend:
             assert np.array_equal(out.data, want)
             assert np.array_equal(vol_t.grad, want_vgrad)
             assert np.array_equal(pts_t.grad, want_cgrad)
+
+
+def block_rows(d):
+    """Points per block of `point_sample` at width d."""
+    return max(2, tensor._BLOCK // d)
+
+
+class TestBlocks:
+    """`point_sample` walks the points in blocks of B rows; every block
+    edge gives the same bits as the stacked formula."""
+
+    @pytest.mark.parametrize("d", [3, 256, tensor._BLOCK + 5])
+    def test_bit_identical_at_block_edges(self, d):
+        """Forward, volume gradient and coordinate gradient at point counts
+        around one and three blocks. 3 and 256 are a width that does not
+        divide _BLOCK and the paper width; a width above _BLOCK makes
+        every block two rows."""
+        B = block_rows(d)
+        rng = np.random.default_rng(33)
+        S, H, W = 3, 4, 5
+        volume = rng.standard_normal((S, H, W, d))
+        for n in sorted({0, 1, B - 1, B, B + 1, 3 * B + 7}):
+            pts = lattice_and_stray_points(rng, S, H, W, n)
+            g = rng.standard_normal((n, d))
+            vol_t = Tensor(volume, requires_grad=True)
+            pts_t = Tensor(pts, requires_grad=True)
+            out = point_sample(vol_t, pts_t)
+            out.backward(g)
+            want, want_vgrad, want_cgrad = stacked_point_sample(volume, pts, g)
+            assert np.array_equal(out.data, want), n
+            assert np.array_equal(vol_t.grad, want_vgrad), n
+            assert np.array_equal(pts_t.grad, want_cgrad), n
+
+    @pytest.mark.parametrize("d", [2, 3, 256, 8193, tensor._BLOCK + 5])
+    def test_row_dot_products_same_in_blocks(self, d):
+        """The coordinate backward takes einsum("nd,nd->n") one block of
+        rows at a time; on this numpy each row's sum does not depend on
+        the rows beside it, in blocks of two rows or more. Rows longer
+        than einsum's 8,192-element buffer are why a lone last row joins
+        the block before it."""
+        B = block_rows(d)
+        rng = np.random.default_rng(34)
+        n = 3 * B + 7 if d < tensor._BLOCK else 7
+        a, b = rng.standard_normal((2, n, d))
+        whole = np.einsum("nd,nd->n", a, b)
+        for rows in sorted({2, 3, B}):
+            cuts = [*range(0, n - 1, rows), n]
+            parts = [np.einsum("nd,nd->n", a[i:j], b[i:j]) for i, j in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(parts), whole), rows
+
+    def test_paper_width_matches_corner_oracle(self):
+        """At d = 256 over more than three blocks the blend agrees with the
+        eight-corner oracle to criterion 1's tolerance."""
+        rng = np.random.default_rng(35)
+        d = 256
+        n = 3 * block_rows(d) + 7
+        volume = rng.standard_normal((5, 6, 7, d))
+        coords = rng.uniform(-0.1, 1.1, (n, 3))
+        got = point_sample(Tensor(volume), Tensor(coords)).data
+        want = np.stack([trilinear_oracle(volume, c) for c in coords])
+        assert np.abs(got - want).max() < 1e-12
 
 
 class TestLevelLerp:
