@@ -8,15 +8,17 @@ unreadable checkpoints mid-run).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+
+import numpy as np
 
 from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig
 from .data import DatasetError, GenSpec, GenerationError, generate_dataset, load_dataset, \
     save_dataset
+from .evalkit import write_csv
 from .evaluate import DEFAULT_KS, evaluate, load_model
 from .features import class_signatures, scene_volume
 from .tensor import no_grad
@@ -108,21 +110,12 @@ def _cmd_sample_points(args) -> int:
     signatures = class_signatures(ds.seed, cfg.C, cfg.d)
     volume = scene_volume(ds.seed, scene, signatures, cfg.feature_noise_std)
     with no_grad():
-        output = model.forward(scene, volume, "infer", collect_points=True)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("entity", "group", "layer", "role", "x", "y", "z"))
-        for role, layers in (("subject", output.decode.points_sub),
-                             ("object", output.decode.points_obj)):
-            for layer_idx, pts in enumerate(layers):
-                n, K, m, _ = pts.shape
-                for e in range(n):
-                    for g in range(K):
-                        for t in range(m):
-                            writer.writerow((e, g, layer_idx, role,
-                                             repr(float(pts[e, g, t, 0])),
-                                             repr(float(pts[e, g, t, 1])),
-                                             repr(float(pts[e, g, t, 2]))))
+        decode = model.forward(scene, volume, "infer").decode
+    rows = ((e, g, layer, role, *pts[e, g, t])
+            for role, layers in (("subject", decode.points_sub), ("object", decode.points_obj))
+            for layer, pts in enumerate(layers)
+            for e, g, t in np.ndindex(pts.shape[:3]))
+    write_csv(args.out, ("entity", "group", "layer", "role", "x", "y", "z"), rows)
     print(f"points for scene {args.scene} written to {args.out}")
     return 0
 

@@ -12,6 +12,19 @@ class ConfigError(ValueError):
     """The configuration is internally inconsistent."""
 
 
+def read_json(path, error: type, what: str):
+    """The JSON value in the file at path. A file that cannot be opened or
+    parsed raises ``error``, the caller's input error type, naming what
+    the file holds."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid {what} JSON: {exc}") from exc
+
+
 # JSON keys that do not match a field name 1:1.
 _KEY_ALIASES = {"lambda": "lam"}
 
@@ -115,5 +128,4 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, ConfigError, "configuration"))

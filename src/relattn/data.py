@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_json
+
 
 class DatasetError(ValueError):
     """A dataset file is malformed."""
@@ -185,8 +187,7 @@ class GenSpec:
 
     @classmethod
     def from_json(cls, path) -> "GenSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, GenerationError, "generator spec"))
 
 
 def zipf_masses(P: int, exponent: float) -> np.ndarray:
@@ -350,13 +351,7 @@ def save_dataset(path, ds: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise DatasetError(f"cannot read dataset: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"invalid dataset JSON: {exc}") from exc
+    raw = read_json(path, DatasetError, "dataset")
     if not isinstance(raw, dict):
         raise DatasetError("dataset JSON must be an object")
     for key in ("scenes", "priors", "seen_triples", "meta"):

@@ -1,12 +1,14 @@
-"""Entity decoder: queries and keys refined by two attention stages.
+"""Entity decoder: subject and object states refined by two attention stages.
 
-Each detected entity carries K subject-role states (queries) and K
-object-role states (keys), seeded from class-specific embeddings plus the
-feature volume at the box center. Every layer (1) predicts stochastic
-representative points per state, (2) pools sampled point features into
-each state with multi-head attention over its own samples, and (3) lets
-all subject states attend over all object states (and transposed for the
-object side) so both roles see scene-level context.
+Each detected entity carries K subject-role states and K object-role
+states, seeded from class-specific embeddings plus the feature volume at
+the box center. Every layer (1) predicts stochastic representative points
+per state, (2) pools sampled point features into each state with
+multi-head attention over its own samples, and (3) lets all subject states
+attend over all object states (and transposed for the object side) so both
+roles see scene-level context. Every block reads a state's query: the
+state plus its entity's box embedding for that role, formed once per state
+by ``queries``.
 """
 
 from __future__ import annotations
@@ -51,17 +53,16 @@ def norm_params(registry: ParameterRegistry, prefix: str, d: int) -> tuple:
             registry.add(f"{prefix}.shift", np.zeros(d)))
 
 
-@dataclass
-class DecoderState:
-    sub: Tensor      # n x K x d subject-role states
-    obj: Tensor      # n x K x d object-role states
-    sub_box: Tensor  # n x d subject box embeddings
-    obj_box: Tensor  # n x d object box embeddings
+def queries(states: tuple, boxes: tuple) -> tuple:
+    """Each role's states plus its box embedding: the (subject, object)
+    queries that the sampler, GCA, RCA and the relation head read. This is
+    the one place where a state meets its box embedding."""
+    return tuple(add(x, box) for x, box in zip(states, boxes))
 
 
 @dataclass
 class DecodeResult:
-    state: DecoderState
+    queries: tuple  # final (subject, object) queries, each n x K x d
     mean_sub: list = field(default_factory=list)    # per layer, n x K x 3: accumulated
     mean_obj: list = field(default_factory=list)    # unclamped offset means
     points_sub: list = field(default_factory=list)  # per layer, n x K x m x 3 arrays
@@ -69,8 +70,9 @@ class DecodeResult:
 
 
 class GcaLayer:
-    """Multi-head attention of one state over its own sampled point
-    features, with a residual connection and layer norm.
+    """Multi-head attention of one state's query over the state's own
+    sampled point features, with a residual connection on the state and
+    layer norm.
 
     No per-sample key or value is formed. With x = feats + pe, head j's
     key weights W_k^j and value weights W_v^j:
@@ -89,20 +91,19 @@ class GcaLayer:
     def __init__(self, registry: ParameterRegistry, prefix: str, d: int,
                  heads: int, head_dim: int, rng: np.random.Generator):
         width = heads * head_dim
-        self.heads, self.head_dim, self.d = heads, head_dim, d
+        self.heads, self.head_dim = heads, head_dim
         self.wq = LinearParams(registry, f"{prefix}.q", d, width, rng)
         self.wk = LinearParams(registry, f"{prefix}.k", d, width, rng, bias=False)
         self.wv = LinearParams(registry, f"{prefix}.v", d, width, rng)
         self.out = LinearParams(registry, f"{prefix}.out", width, d, rng)
         self.ln = norm_params(registry, f"{prefix}.ln", d)
 
-    def __call__(self, state: Tensor, box_embed: Tensor, feats: Tensor, pe: Tensor,
+    def __call__(self, state: Tensor, query: Tensor, feats: Tensor, pe: Tensor,
                  return_weights: bool = False):
         n, K, d = state.shape
         N, h, dh = n * K, self.heads, self.head_dim
-        q_in = add(state, reshape(box_embed, (n, 1, d)))
         x = reshape(add(feats, pe), (N, feats.shape[2], d))  # N,m,d
-        q = transpose(reshape(self.wq(q_in), (N, h, dh)), (1, 0, 2))  # h,N,dh
+        q = transpose(reshape(self.wq(query), (N, h, dh)), (1, 0, 2))  # h,N,dh
         wk = transpose(reshape(self.wk.weight, (d, h, dh)), (1, 2, 0))  # h,dh,d
         q_key = transpose(matmul(q, wk), (1, 0, 2))  # N,h,d
         scores = matmul(q_key, swap_last(x)) * (1.0 / math.sqrt(dh))  # N,h,m
@@ -121,14 +122,14 @@ class RcaLayer:
 
     One logit matrix feeds two reductions: softmax over keys updates the
     subject states from object values, softmax over queries updates the
-    object states from subject values. Both sides get a post-norm residual
-    and a feed-forward block.
+    object states from subject values. Logits and values are read from the
+    queries; both states get a post-norm residual and a feed-forward block.
     """
 
     def __init__(self, registry: ParameterRegistry, prefix: str, d: int,
                  heads: int, head_dim: int, rng: np.random.Generator):
         width = heads * head_dim
-        self.heads, self.head_dim, self.d = heads, head_dim, d
+        self.heads, self.head_dim = heads, head_dim
         self.wq = LinearParams(registry, f"{prefix}.q", d, width, rng)
         self.wk = LinearParams(registry, f"{prefix}.k", d, width, rng)
         # Per-role blocks, indexed (subject, object).
@@ -143,12 +144,10 @@ class RcaLayer:
     def _split_heads(self, x: Tensor, N: int) -> Tensor:
         return transpose(reshape(x, (N, self.heads, self.head_dim)), (1, 0, 2))
 
-    def __call__(self, state: DecoderState, return_weights: bool = False):
-        n, K, d = state.sub.shape
+    def __call__(self, states: tuple, queries: tuple, return_weights: bool = False):
+        n, K, d = states[0].shape
         N = n * K
-        states = (state.sub, state.obj)
-        inputs = [reshape(add(x, reshape(box, (n, 1, d))), (N, d))
-                  for x, box in zip(states, (state.sub_box, state.obj_box))]
+        inputs = [reshape(q, (N, d)) for q in queries]
         q = self._split_heads(self.wq(inputs[0]), N)
         k = self._split_heads(self.wk(inputs[1]), N)
         logits = matmul(q, swap_last(k)) * (1.0 / math.sqrt(self.head_dim))  # h,N,N
@@ -167,10 +166,9 @@ class RcaLayer:
             ffn_hidden, ffn_out = self.ffn[r]
             x = layer_norm(add(x, ffn_out(relu(ffn_hidden(x)))), *self.ln_ffn[r])
             updated.append(reshape(x, (n, K, d)))
-        new_state = DecoderState(*updated, sub_box=state.sub_box, obj_box=state.obj_box)
         if return_weights:
-            return new_state, (over_keys, over_queries)
-        return new_state
+            return tuple(updated), (over_keys, over_queries)
+        return tuple(updated)
 
 
 class DecoderStack:
@@ -180,7 +178,7 @@ class DecoderStack:
     def __init__(self, registry: ParameterRegistry, d: int, K: int, layers: int,
                  h_G: int, d_G: int, h_R: int, d_R: int, sampler_lr_mult: float,
                  rng: np.random.Generator):
-        self.d, self.K, self.layers = d, K, layers
+        self.d, self.layers = d, layers
         self.box_proj = LinearParams(registry, "decoder.box_proj", 2 * d, d, rng)
         self.corner_embeds = registry.add("decoder.corner_embeds",
                                           rng.normal(0.0, 0.02, size=(2, d)))
@@ -200,8 +198,10 @@ class DecoderStack:
 
     def init_state(self, detections: list, volume: Tensor, pe: PositionalEmbeddings,
                    sub_embeds: Tensor, obj_embeds: Tensor) -> tuple:
-        """Initial states from class embeddings + center features, and box
-        embeddings from positional codes at the two box corners."""
+        """Initial (subject, object) states from class embeddings + center
+        features, and (subject, object) box embeddings, each n x 1 x d, from
+        positional codes at the two box corners. Also returns the n x 3
+        initial points."""
         n, d = len(detections), self.d
         classes = np.array([det.class_label for det in detections], dtype=np.intp)
         p0 = initial_points(detections)
@@ -214,35 +214,33 @@ class DecoderStack:
             [xy.transpose(1, 0, 2), np.broadcast_to(p0[:, 2:], (2, n, 1))], axis=-1))
         codes = add(add(point_sample(pe.grid, corners), level_lerp(pe.scale, corners)),
                     reshape(self.corner_embeds, (2, 1, d)))
-        box = self.box_proj(reshape(transpose(codes, (1, 0, 2)), (n, 2 * d)))
-        state = DecoderState(sub=sub, obj=obj,
-                             sub_box=add(box, self.role_embeds[0]),
-                             obj_box=add(box, self.role_embeds[1]))
-        return state, p0
+        box = reshape(self.box_proj(reshape(transpose(codes, (1, 0, 2)), (n, 2 * d))),
+                      (n, 1, d))
+        boxes = tuple(add(box, self.role_embeds[r]) for r in range(len(ROLES)))
+        return (sub, obj), boxes, p0
 
     def decode(self, detections: list, volume: Tensor, pe: PositionalEmbeddings,
                sub_embeds: Tensor, obj_embeds: Tensor, mode: str,
                rng: np.random.Generator = None, m: int = None,
                range_mult: int = 3, step_mult: int = 1,
-               scale_interpolation: str = "trilinear",
-               collect_points: bool = False) -> DecodeResult:
+               scale_interpolation: str = "trilinear") -> DecodeResult:
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown decode mode {mode!r}")
         if mode == "train" and (m is None or rng is None):
             raise ValueError("train-mode decoding needs a sample count m and an rng")
-        state, p0 = self.init_state(detections, volume, pe, sub_embeds, obj_embeds)
+        states, boxes, p0 = self.init_state(detections, volume, pe, sub_embeds, obj_embeds)
+        qs = queries(states, boxes)
         n = len(detections)
-        result = DecodeResult(state=state)
+        result = DecodeResult(queries=qs)
         points = [Tensor(p0.reshape(n, 1, 1, 3))] * 2
         means = [Tensor(p0.reshape(n, 1, 3))] * 2
         mean_lists = (result.mean_sub, result.mean_obj)
         point_lists = (result.points_sub, result.points_obj)
 
         for layer in range(self.layers):
-            boxes = (state.sub_box, state.obj_box)
             updated = []
-            for r, x in enumerate((state.sub, state.obj)):
-                dist = self.samplers[layer][r](x, boxes[r])
+            for r, (x, q) in enumerate(zip(states, qs)):
+                dist = self.samplers[layer][r](q)
                 if mode == "train":
                     offsets = draw_offsets(dist, m, rng)
                 else:
@@ -250,15 +248,14 @@ class DecoderStack:
                 points[r] = accumulate_points(points[r], offsets)
                 means[r] = add(means[r], dist.mu)
                 mean_lists[r].append(means[r])
-                if collect_points:
-                    point_lists[r].append(np.array(points[r].data, copy=True))
+                point_lists[r].append(points[r].data)
                 coords = snap_scale(points[r]) if scale_interpolation == "nearest" else points[r]
                 # Features plus positional code in one sample of the folded
                 # volume; the scale embedding is interpolated along s alone.
                 feats = point_sample(pe.folded, coords)
-                updated.append(self.gca[layer][r](x, boxes[r], feats,
-                                                  level_lerp(pe.scale, coords)))
-            state = self.rca[layer](DecoderState(*updated, *boxes))
+                updated.append(self.gca[layer][r](x, q, feats, level_lerp(pe.scale, coords)))
+            states = self.rca[layer](updated, queries(updated, boxes))
+            qs = queries(states, boxes)
 
-        result.state = state
+        result.queries = qs
         return result

@@ -105,14 +105,21 @@ def format_value(v) -> str:
     return repr(float(v))
 
 
-def write_metrics_csv(path, rows: list) -> None:
-    """Rows are (split, task, metric, k, predicate, value) tuples; floats
-    are serialized with full round-trip precision so identical runs give
-    byte-identical files."""
+def write_csv(path, columns, rows) -> None:
+    """A header row, then one line per row. Floats and None are written
+    through ``format_value``, floats with full round-trip precision, so
+    identical runs give byte-identical files; other cells as they are."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRIC_COLUMNS)
-        for split, task, metric, k, predicate, value in rows:
-            writer.writerow([split, task, metric, k,
-                             "" if predicate is None else predicate,
-                             format_value(value)])
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([format_value(v) if v is None or isinstance(v, (float, np.floating))
+                             else v for v in row])
+
+
+def write_metrics_csv(path, rows: list) -> None:
+    """Rows are (split, task, metric, k, predicate, value) tuples. The
+    predicate cell of an aggregate row (predicate None) is left empty."""
+    write_csv(path, METRIC_COLUMNS,
+              ((split, task, metric, k, "" if predicate is None else predicate, value)
+               for split, task, metric, k, predicate, value in rows))

@@ -43,25 +43,22 @@ class RelationModel:
                                  head_dim=config.d_A, num_predicates=config.P, rng=rng)
 
     def forward(self, scene: SceneSample, volume: np.ndarray, mode: str,
-                rng: np.random.Generator = None, m: int = None, tau: float = None,
-                collect_points: bool = False) -> ForwardOutput:
+                rng: np.random.Generator = None, m: int = None,
+                tau: float = None) -> ForwardOutput:
         cfg = self.config
-        n = len(scene.entities)
-        if n == 0:
+        if not scene.entities:
             empty = RelationPrediction(
                 predicate_logits=Tensor(np.zeros((cfg.P, 0, 0))),
                 relatedness_logits=Tensor(np.zeros((0, 0))),
                 scores=Tensor(np.zeros((cfg.P, 0, 0))))
-            return ForwardOutput(prediction=empty, decode=DecodeResult(state=None))
+            return ForwardOutput(prediction=empty, decode=DecodeResult(queries=None))
         volume = Tensor(volume)
         pe = build_positional_embeddings(volume, self.scale_embeds)
         decode = self.decoder.decode(
             scene.entities, volume, pe, self.sub_embeds, self.obj_embeds,
             mode=mode, rng=rng, m=m,
             range_mult=cfg.infer_range_mult, step_mult=cfg.infer_step_mult,
-            scale_interpolation=cfg.scale_interpolation, collect_points=collect_points)
-        state = decode.state
-        prediction = self.head.forward(state.sub, state.obj, state.sub_box, state.obj_box,
-                                       n=n, K=cfg.K, mode=mode, tau=tau, rng=rng,
+            scale_interpolation=cfg.scale_interpolation)
+        prediction = self.head.forward(*decode.queries, mode=mode, tau=tau, rng=rng,
                                        hard=cfg.gumbel_hard)
         return ForwardOutput(prediction=prediction, decode=decode)

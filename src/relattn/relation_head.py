@@ -1,6 +1,6 @@
-"""Relationship prediction from decoded entity states.
+"""Relationship prediction from decoded entity queries.
 
-Attention logits between every subject state and every object state are
+Attention logits between every subject query and every object query are
 the relationship signal itself: per-head logits are projected linearly
 into per-predicate logits and a single relatedness logit, then the K x K
 state-pair combinations for each ordered entity pair collapse to one
@@ -18,8 +18,8 @@ import numpy as np
 from .config import ConfigError
 from .losses import offdiagonal
 from .params import LinearParams, ParameterRegistry
-from .tensor import Tensor, add, gumbel_softmax, matmul, mul, reshape, sigmoid, sqrt, \
-    swap_last, tmax, transpose, tsum
+from .tensor import Tensor, add, gumbel_softmax, matmul, mul, no_grad, reshape, sigmoid, \
+    sqrt, swap_last, tmax, transpose, tsum
 
 TAU_START = 10.0
 TAU_END = 0.5
@@ -41,7 +41,7 @@ def annealing_temperature(iteration: int, total_iterations: int) -> float:
 class RelationPrediction:
     predicate_logits: Tensor   # P x n x n
     relatedness_logits: Tensor  # n x n
-    scores: Tensor             # P x n x n, diagonal zeroed
+    scores: Tensor             # P x n x n, diagonal zeroed, off the tape
     pair_weights: Tensor | None = None  # P x n x n x K^2, training only
 
 
@@ -55,7 +55,7 @@ def final_scores(predicate_logits: Tensor, relatedness_logits: Tensor) -> Tensor
 class RelationHead:
     def __init__(self, registry: ParameterRegistry, d: int, heads: int, head_dim: int,
                  num_predicates: int, rng: np.random.Generator, prefix: str = "head"):
-        self.heads, self.head_dim, self.d = heads, head_dim, d
+        self.heads, self.head_dim = heads, head_dim
         width = heads * head_dim
         self.wq = LinearParams(registry, f"{prefix}.q", d, width, rng)
         self.wk = LinearParams(registry, f"{prefix}.k", d, width, rng)
@@ -64,16 +64,14 @@ class RelationHead:
                                           num_predicates, rng)
         self.to_relatedness = LinearParams(registry, f"{prefix}.relatedness", heads, 1, rng)
 
-    def attention_logits(self, sub: Tensor, obj: Tensor, sub_box: Tensor,
-                         obj_box: Tensor) -> Tensor:
-        """Scaled dot-product logits per head between every subject state
-        and every object state, plus a learned per-head bias: h x nK x nK."""
+    def attention_logits(self, sub: Tensor, obj: Tensor) -> Tensor:
+        """Scaled dot-product logits per head between every subject query
+        and every object query (each n x K x d), plus a learned per-head
+        bias: h x nK x nK."""
         n, K, d = sub.shape
-        N = n * K
-        q_in = reshape(add(sub, reshape(sub_box, (n, 1, d))), (N, d))
-        k_in = reshape(add(obj, reshape(obj_box, (n, 1, d))), (N, d))
-        q = transpose(reshape(self.wq(q_in), (N, self.heads, self.head_dim)), (1, 0, 2))
-        k = transpose(reshape(self.wk(k_in), (N, self.heads, self.head_dim)), (1, 0, 2))
+        N, h, dh = n * K, self.heads, self.head_dim
+        q = transpose(reshape(self.wq(reshape(sub, (N, d))), (N, h, dh)), (1, 0, 2))
+        k = transpose(reshape(self.wk(reshape(obj, (N, d))), (N, h, dh)), (1, 0, 2))
         scaled = matmul(q, swap_last(k)) * (1.0 / math.sqrt(self.head_dim))
         return add(scaled, reshape(self.head_bias, (self.heads, 1, 1)))
 
@@ -114,12 +112,15 @@ class RelationHead:
         out_rel = tmax(rel, axis=-1)
         return out_pred, out_rel, weights
 
-    def forward(self, sub: Tensor, obj: Tensor, sub_box: Tensor, obj_box: Tensor,
-                n: int, K: int, mode: str, tau: float = None,
+    def forward(self, sub: Tensor, obj: Tensor, mode: str, tau: float = None,
                 rng: np.random.Generator = None, hard: bool = False) -> RelationPrediction:
-        logits = self.attention_logits(sub, obj, sub_box, obj_box)
+        """Predictions from the n x K x d subject and object queries. The
+        scores are read, never differentiated, so they are not taped."""
+        n, K, _ = sub.shape
+        logits = self.attention_logits(sub, obj)
         pred, rel, weights = self.reduce_pairs(*self.group_pairs(logits, n, K), mode,
                                                tau=tau, rng=rng, hard=hard)
-        scores = final_scores(pred, rel)
+        with no_grad():
+            scores = final_scores(pred, rel)
         return RelationPrediction(predicate_logits=pred, relatedness_logits=rel,
                                   scores=scores, pair_weights=weights)

@@ -29,13 +29,11 @@ class OffsetDistribution:
 
 class GroupOffsetPredictor:
     """Two-layer perceptron applied per representation group: group k sees
-    only slice k of (state + broadcast box embedding) and emits 3 offset
-    means and 3 log-stds."""
+    only slice k of the n x K x d query (state plus box embedding) and emits
+    3 offset means and 3 log-stds."""
 
     def __init__(self, registry: ParameterRegistry, prefix: str, d: int, K: int,
                  rng: np.random.Generator, lr_mult: float = 1.0):
-        self.K = K
-        self.d = d
         self.w1 = registry.add(f"{prefix}.w1", xavier(rng, d, d, shape=(K, d, d)), lr_mult=lr_mult)
         self.b1 = registry.add(f"{prefix}.b1", np.zeros((K, 1, d)), lr_mult=lr_mult)
         # Offsets should start small relative to the unit cube.
@@ -45,10 +43,8 @@ class GroupOffsetPredictor:
         bias[:, :, 3:] = LOG_STD_INIT
         self.b2 = registry.add(f"{prefix}.b2", bias, lr_mult=lr_mult)
 
-    def __call__(self, state: Tensor, box_embed: Tensor) -> OffsetDistribution:
-        n = state.shape[0]
-        x = add(state, reshape(box_embed, (n, 1, self.d)))
-        x = transpose(x, (1, 0, 2))  # K x n x d
+    def __call__(self, query: Tensor) -> OffsetDistribution:
+        x = transpose(query, (1, 0, 2))  # K x n x d
         hidden = relu(add(x @ self.w1, self.b1))
         out = add(hidden @ self.w2, self.b2)  # K x n x 6
         out = transpose(out, (1, 0, 2))  # n x K x 6

@@ -3,7 +3,6 @@ adjustment, CSV logging, and a binary checkpoint at the end."""
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -12,6 +11,7 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .config import ConfigError, RunConfig
 from .data import Dataset, SceneSample, load_dataset
+from .evalkit import write_csv
 from .features import class_signatures, scene_volume
 from .losses import GroundTruthRelations, focal_bce, margin_ranking_loss, mask_loss, \
     predicate_gammas, rep_point_margin_loss
@@ -119,12 +119,12 @@ def gt_triplets_of(gt: GroundTruthRelations) -> list:
 
 
 def train(cfg: RunConfig, data_dir: str, out_dir: str, trace: bool = False) -> TrainResult:
-    os.makedirs(out_dir, exist_ok=True)
     ds = load_dataset(os.path.join(data_dir, "train.json"))
     cfg = resolve_config(cfg, ds)
     scenes = [s for s in ds.scenes if s.triplets]
     if not scenes:
         raise TrainingError("training split has no scenes with relations")
+    os.makedirs(out_dir, exist_ok=True)
 
     model_rng = np.random.default_rng([cfg.seed, 0])
     run_rng = np.random.default_rng([cfg.seed, 1])
@@ -170,20 +170,11 @@ def train(cfg: RunConfig, data_dir: str, out_dir: str, trace: bool = False) -> T
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     save_checkpoint(ckpt_path, model.registry.arrays(), meta={"config": cfg.to_dict()})
     log_path = os.path.join(out_dir, "train_log.csv")
-    _write_csv(log_path, LOG_COLUMNS, log_rows)
+    write_csv(log_path, LOG_COLUMNS, log_rows)
     trace_path = None
     if trace:
         trace_path = os.path.join(out_dir, "pgla_trace.csv")
-        _write_csv(trace_path, TRACE_COLUMNS, trace_rows)
+        write_csv(trace_path, TRACE_COLUMNS, trace_rows)
     return TrainResult(checkpoint_path=ckpt_path, log_path=log_path,
                        trace_path=trace_path, iterations=cfg.iterations,
                        final_losses=breakdown)
-
-
-def _write_csv(path, columns, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                             for v in row])

@@ -21,7 +21,7 @@ import pytest
 from relattn.cli import main as cli_main
 from relattn.config import RunConfig
 from relattn.data import GenSpec, generate_dataset, load_dataset, save_dataset
-from relattn.decoder import DecoderState, GcaLayer, RcaLayer
+from relattn.decoder import GcaLayer, RcaLayer, queries
 from relattn.evaluate import evaluate, metric_value
 from relattn.features import class_signatures, scene_volume
 from relattn.gradcheck import check_gradients, check_parameter_gradients
@@ -160,14 +160,14 @@ def test_criterion_02_gradient_suite():
     n, K, d, m = 2, 2, 8, 3
     registry = ParameterRegistry()
     gca = GcaLayer(registry, "gca", d=d, heads=2, head_dim=4, rng=rng)
-    box = Tensor(rng.standard_normal((n, d)))
+    box = Tensor(rng.standard_normal((n, 1, d)))
     feats = Tensor(rng.standard_normal((n, K, m, d)))
     pe = Tensor(rng.standard_normal((n, K, m, d)))
     state0 = Tensor(rng.standard_normal((n, K, d)))
     wts = Tensor(rng.standard_normal((n, K, d)))
 
     def gca_scalar(x):
-        return tsum(mul(gca(x, box, feats, pe), wts))
+        return tsum(mul(gca(x, add(x, box), feats, pe), wts))
 
     results["gca_input"] = check_gradients(gca_scalar, state0)
     worst_param = 0.0
@@ -180,24 +180,24 @@ def test_criterion_02_gradient_suite():
     results["gca_params"] = worst_param
 
     rca = RcaLayer(registry, "rca", d=d, heads=2, head_dim=4, rng=rng)
-    dstate = DecoderState(sub=Tensor(rng.standard_normal((n, K, d))),
-                          obj=Tensor(rng.standard_normal((n, K, d))),
-                          sub_box=Tensor(rng.standard_normal((n, d))),
-                          obj_box=Tensor(rng.standard_normal((n, d))))
+    sub0 = Tensor(rng.standard_normal((n, K, d)))
+    obj0 = Tensor(rng.standard_normal((n, K, d)))
+    boxes = (Tensor(rng.standard_normal((n, 1, d))), Tensor(rng.standard_normal((n, 1, d))))
     wts2 = Tensor(rng.standard_normal((n, K, d)))
 
     def rca_scalar(x):
-        out = rca(dataclasses.replace(dstate, sub=x))
-        return add(tsum(mul(out.sub, wts2)), tsum(mul(out.obj, wts2)))
+        states = (x, obj0)
+        sub, obj = rca(states, queries(states, boxes))
+        return add(tsum(mul(sub, wts2)), tsum(mul(obj, wts2)))
 
-    results["rca_input"] = check_gradients(rca_scalar, dstate.sub)
+    results["rca_input"] = check_gradients(rca_scalar, sub0)
     worst_param = 0.0
     for name in ("rca.q.weight", "rca.v_sub.weight", "rca.out_obj.weight",
                  "rca.ffn_sub.hidden.weight", "rca.ln.attn_sub.gain"):
         tensor = registry.get(name).tensor
         coords = list(range(0, tensor.data.size, max(1, tensor.data.size // 4)))
         worst_param = max(worst_param, check_parameter_gradients(
-            lambda: rca_scalar(dstate.sub), tensor, coords=coords))
+            lambda: rca_scalar(sub0), tensor, coords=coords))
     results["rca_params"] = worst_param
 
     head = RelationHead(registry, d=d, heads=2, head_dim=4, num_predicates=3,
@@ -205,13 +205,12 @@ def test_criterion_02_gradient_suite():
     wts3 = Tensor(rng.standard_normal((2, n * K, n * K)))
 
     def head_scalar(x):
-        logits = head.attention_logits(x, dstate.obj, dstate.sub_box,
-                                       dstate.obj_box)
+        logits = head.attention_logits(*queries((x, obj0), boxes))
         return tsum(mul(logits, wts3))
 
-    results["attention_logits"] = check_gradients(head_scalar, dstate.sub)
+    results["attention_logits"] = check_gradients(head_scalar, sub0)
     results["attention_bias"] = check_parameter_gradients(
-        lambda: head_scalar(dstate.sub), registry.get("acc_head.bias").tensor)
+        lambda: head_scalar(sub0), registry.get("acc_head.bias").tensor)
 
     results["full_forward"] = _full_forward_gradients()
 
@@ -283,18 +282,19 @@ def test_criterion_03_attention_invariants():
         d = 8
         registry = ParameterRegistry()
         gca = GcaLayer(registry, "g", d=d, heads=2, head_dim=4, rng=rng)
-        _, weights = gca(Tensor(rng.standard_normal((n, K, d))),
-                         Tensor(rng.standard_normal((n, d))),
+        state = Tensor(rng.standard_normal((n, K, d)))
+        box = Tensor(rng.standard_normal((n, 1, d)))
+        _, weights = gca(state, add(state, box),
                          Tensor(rng.standard_normal((n, K, m, d))),
                          Tensor(rng.standard_normal((n, K, m, d))),
                          return_weights=True)
         worst = max(worst, float(np.abs(weights.data.sum(axis=-1) - 1.0).max()))
         rca = RcaLayer(registry, "r", d=d, heads=2, head_dim=4, rng=rng)
-        state = DecoderState(sub=Tensor(rng.standard_normal((n, K, d))),
-                             obj=Tensor(rng.standard_normal((n, K, d))),
-                             sub_box=Tensor(rng.standard_normal((n, d))),
-                             obj_box=Tensor(rng.standard_normal((n, d))))
-        _, (over_keys, over_queries) = rca(state, return_weights=True)
+        states = (Tensor(rng.standard_normal((n, K, d))),
+                  Tensor(rng.standard_normal((n, K, d))))
+        boxes = (Tensor(rng.standard_normal((n, 1, d))), Tensor(rng.standard_normal((n, 1, d))))
+        _, (over_keys, over_queries) = rca(states, queries(states, boxes),
+                                           return_weights=True)
         worst = max(worst, float(np.abs(over_keys.data.sum(axis=-1) - 1.0).max()))
         worst = max(worst, float(np.abs(over_queries.data.sum(axis=1) - 1.0).max()))
     ok = worst < 1e-12
@@ -396,6 +396,7 @@ def test_criterion_06_confusion_properties():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_07_overfit(tmp_path):
     """A small model memorizes sixteen scenes to high training recall."""
     t0 = time.time()
@@ -420,6 +421,7 @@ def test_criterion_07_overfit(tmp_path):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_08_long_tail_direction(tail_runs):
     """Adjustment on beats adjustment off in mean recall across seeds."""
     t0 = time.time()
@@ -443,6 +445,7 @@ def test_criterion_08_long_tail_direction(tail_runs):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_09_lambda_tradeoff(tail_data, tail_runs):
     """Lambda sets how far the performance-guided bias departs from plain
     logit adjustment, in the direction of each predicate's tracked

@@ -126,6 +126,19 @@ class TestExitCodes:
                      "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "out")])
         assert code == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "gen-data"])
+    def test_missing_input_json(self, pipeline, tmp_path, capsys, command):
+        """An absent config or generator spec is a bad input (exit 1),
+        not a runtime failure, and leaves no output directory behind."""
+        _, _, data_dir, _ = pipeline
+        absent = str(tmp_path / "absent.json")
+        args = {"train": ["train", "--config", absent, "--data", str(data_dir)],
+                "gen-data": ["gen-data", "--spec", absent]}[command]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("k", ["0", "-5"])
     def test_eval_rejects_nonpositive_k(self, pipeline, tmp_path, capsys, k):

@@ -6,16 +6,16 @@ import pytest
 from relattn.data import EntityDetection
 from relattn.decoder import (
     DecoderStack,
-    DecoderState,
     GcaLayer,
     RcaLayer,
     initial_points,
+    queries,
     snap_scale,
 )
 from relattn.features import build_positional_embeddings
 from relattn.gradcheck import check_gradients, check_parameter_gradients
 from relattn.params import ParameterRegistry
-from relattn.tensor import Tensor, level_lerp, mul, point_sample, tsum
+from relattn.tensor import Tensor, add, level_lerp, mul, point_sample, tsum
 
 
 def detections():
@@ -72,7 +72,7 @@ class TestInitState:
         reg, stack, sub, obj = make_stack()
         vol = Tensor(rng.standard_normal((5, 6, 6, 8)))
         pe = build_positional_embeddings(vol, Tensor(rng.standard_normal((5, 8))))
-        state, _ = stack.init_state(detections(), vol, pe, sub, obj)
+        _, boxes, _ = stack.init_state(detections(), vol, pe, sub, obj)
         w = reg.get("decoder.box_proj.weight").data
         b = reg.get("decoder.box_proj.bias").data
         corner = reg.get("decoder.corner_embeds").data
@@ -85,8 +85,8 @@ class TestInitState:
                 code = point_sample(pe.grid, c).data + level_lerp(pe.scale, c).data
                 codes.append(code + corner[k])
             box = np.concatenate(codes) @ w + b
-            np.testing.assert_allclose(state.sub_box.data[i], box + role[0], atol=1e-12)
-            np.testing.assert_allclose(state.obj_box.data[i], box + role[1], atol=1e-12)
+            np.testing.assert_allclose(boxes[0].data[i, 0], box + role[0], atol=1e-12)
+            np.testing.assert_allclose(boxes[1].data[i, 0], box + role[1], atol=1e-12)
 
 
 class TestGca:
@@ -96,10 +96,10 @@ class TestGca:
         layer = GcaLayer(reg, "g", d=8, heads=2, head_dim=4, rng=rng)
         n, K, m = 3, 2, 5
         state = Tensor(rng.standard_normal((n, K, 8)))
-        box = Tensor(rng.standard_normal((n, 8)))
+        box = Tensor(rng.standard_normal((n, 1, 8)))
         feats = Tensor(rng.standard_normal((n, K, m, 8)))
         pe = Tensor(rng.standard_normal((n, K, m, 8)))
-        out, w = layer(state, box, feats, pe, return_weights=True)
+        out, w = layer(state, add(state, box), feats, pe, return_weights=True)
         assert out.shape == (n, K, 8)
         assert w.shape == (n, K, 2, m)
         np.testing.assert_allclose(w.data.sum(axis=-1),
@@ -110,24 +110,24 @@ class TestGca:
         reg = ParameterRegistry()
         layer = GcaLayer(reg, "g", d=8, heads=2, head_dim=4, rng=rng)
         base = rng.standard_normal((2, 2, 8))
-        box = Tensor(np.zeros((2, 8)))
         feats = Tensor(rng.standard_normal((2, 2, 4, 8)))
         pe = Tensor(np.zeros((2, 2, 4, 8)))
-        a = layer(Tensor(base), box, feats, pe).data
-        b = layer(Tensor(base), box, feats, pe).data
+        a = layer(Tensor(base), Tensor(base), feats, pe).data
+        b = layer(Tensor(base), Tensor(base), feats, pe).data
         np.testing.assert_array_equal(a, b)
-        c = layer(Tensor(base + 0.5), box, feats, pe).data
+        c = layer(Tensor(base + 0.5), Tensor(base + 0.5), feats, pe).data
         assert not np.allclose(a, c)
 
     def make_random(self, seed, n=3, K=2, m=5, d=8):
         """A layer with every parameter drawn at random, v.bias and the
-        norm shift included, and random inputs."""
+        norm shift included, and random inputs: state, box embedding,
+        features and positional codes."""
         rng = np.random.default_rng(seed)
         reg = ParameterRegistry()
         layer = GcaLayer(reg, "g", d=d, heads=2, head_dim=4, rng=rng)
         for p in reg.parameters():
             p.data[...] = rng.normal(0.0, 0.3, p.data.shape)
-        inputs = (Tensor(rng.standard_normal((n, K, d))), Tensor(rng.standard_normal((n, d))),
+        inputs = (Tensor(rng.standard_normal((n, K, d))), Tensor(rng.standard_normal((n, 1, d))),
                   Tensor(rng.standard_normal((n, K, m, d))),
                   Tensor(rng.standard_normal((n, K, m, d))))
         return reg, layer, inputs
@@ -136,14 +136,14 @@ class TestGca:
         """Projecting a key and a value for every sample, splitting heads,
         attending and projecting out gives the layer's output and weights."""
         reg, layer, (state, box, feats, pe) = self.make_random(74)
-        out, weights = layer(state, box, feats, pe, return_weights=True)
+        out, weights = layer(state, add(state, box), feats, pe, return_weights=True)
         p = {name: reg.get(f"g.{name}").data for name in
              ("q.weight", "q.bias", "k.weight", "v.weight", "v.bias",
               "out.weight", "out.bias", "ln.gain", "ln.shift")}
         n, K, m, d = feats.shape
         h, dh = 2, 4
         x = feats.data + pe.data
-        q = ((state.data + box.data[:, None, :]) @ p["q.weight"] + p["q.bias"]).reshape(n, K, h, dh)
+        q = ((state.data + box.data) @ p["q.weight"] + p["q.bias"]).reshape(n, K, h, dh)
         k = (x @ p["k.weight"]).reshape(n, K, m, h, dh)
         v = (x @ p["v.weight"] + p["v.bias"]).reshape(n, K, m, h, dh)
         scores = np.einsum("nkhc,nkmhc->nkhm", q, k) / np.sqrt(dh)
@@ -162,7 +162,7 @@ class TestGca:
         wts = Tensor(np.random.default_rng(76).standard_normal(state.shape))
 
         def loss(s=state, f=feats):
-            return tsum(mul(layer(s, box, f, pe), wts))
+            return tsum(mul(layer(s, add(s, box), f, pe), wts))
 
         for p in reg.parameters():
             assert check_parameter_gradients(loss, p.tensor) < 1e-6, p.name
@@ -175,18 +175,17 @@ class TestRca:
         rng = np.random.default_rng(seed)
         reg = ParameterRegistry()
         layer = RcaLayer(reg, "r", d=d, heads=2, head_dim=4, rng=rng)
-        state = DecoderState(
-            sub=Tensor(rng.standard_normal((n, K, d))),
-            obj=Tensor(rng.standard_normal((n, K, d))),
-            sub_box=Tensor(rng.standard_normal((n, d))),
-            obj_box=Tensor(rng.standard_normal((n, d))),
-        )
-        return layer, state
+        states = (Tensor(rng.standard_normal((n, K, d))),
+                  Tensor(rng.standard_normal((n, K, d))))
+        boxes = (Tensor(rng.standard_normal((n, 1, d))),
+                 Tensor(rng.standard_normal((n, 1, d))))
+        return layer, states, boxes
 
     def test_attention_normalizations(self):
         """Key-softmax rows and query-softmax columns each sum to one."""
-        layer, state = self.make()
-        _, (over_keys, over_queries) = layer(state, return_weights=True)
+        layer, states, boxes = self.make()
+        _, (over_keys, over_queries) = layer(states, queries(states, boxes),
+                                             return_weights=True)
         N = 3 * 2
         np.testing.assert_allclose(over_keys.data.sum(axis=-1),
                                    np.ones((2, N)), atol=1e-12)
@@ -194,12 +193,12 @@ class TestRca:
                                    np.ones((2, N)), atol=1e-12)
 
     def test_both_sides_update(self):
-        layer, state = self.make()
-        out = layer(state)
-        assert out.sub.shape == state.sub.shape
-        assert out.obj.shape == state.obj.shape
-        assert not np.allclose(out.sub.data, state.sub.data)
-        assert not np.allclose(out.obj.data, state.obj.data)
+        layer, states, boxes = self.make()
+        out = layer(states, queries(states, boxes))
+        assert out[0].shape == states[0].shape
+        assert out[1].shape == states[1].shape
+        assert not np.allclose(out[0].data, states[0].data)
+        assert not np.allclose(out[1].data, states[1].data)
 
     def test_matches_numpy_reference(self):
         """Each role reads the other role's values and updates through its
@@ -212,8 +211,9 @@ class TestRca:
         for p in reg.parameters():
             p.data[:] = 0.5 * rng.standard_normal(p.data.shape)
         sub, obj = rng.standard_normal((2, n, K, d))
-        sub_box, obj_box = rng.standard_normal((2, n, d))
-        out = layer(DecoderState(Tensor(sub), Tensor(obj), Tensor(sub_box), Tensor(obj_box)))
+        sub_box, obj_box = rng.standard_normal((2, n, 1, d))
+        states = (Tensor(sub), Tensor(obj))
+        out = layer(states, queries(states, (Tensor(sub_box), Tensor(obj_box))))
 
         def w(name):
             return reg.get(f"r.{name}").data
@@ -233,12 +233,12 @@ class TestRca:
             e = np.exp(x - x.max(axis, keepdims=True))
             return e / e.sum(axis, keepdims=True)
 
-        q_in = (sub + sub_box[:, None]).reshape(-1, d)
-        k_in = (obj + obj_box[:, None]).reshape(-1, d)
+        q_in = (sub + sub_box).reshape(-1, d)
+        k_in = (obj + obj_box).reshape(-1, d)
         logits = split(lin(q_in, "q")) @ split(lin(k_in, "k")).transpose(0, 2, 1) / np.sqrt(dh)
         reads = {"sub": (softmax(logits, -1), lin(k_in, "v_obj")),
                  "obj": (softmax(logits, 1).transpose(0, 2, 1), lin(q_in, "v_sub"))}
-        for role, x, got in (("sub", sub, out.sub), ("obj", obj, out.obj)):
+        for role, x, got in (("sub", sub, out[0]), ("obj", obj, out[1])):
             weights, values = reads[role]
             ctx = (weights @ split(values)).transpose(1, 0, 2).reshape(-1, h * dh)
             x = norm(x.reshape(-1, d) + lin(ctx, f"out_{role}"), f"attn_{role}")
@@ -248,12 +248,10 @@ class TestRca:
 
     def test_information_crosses_roles(self):
         """Perturbing the object states changes the subject update."""
-        layer, state = self.make()
-        a = layer(state).sub.data
-        bumped = DecoderState(sub=state.sub,
-                              obj=Tensor(state.obj.data + 0.5),
-                              sub_box=state.sub_box, obj_box=state.obj_box)
-        b = layer(bumped).sub.data
+        layer, states, boxes = self.make()
+        a = layer(states, queries(states, boxes))[0].data
+        bumped = (states[0], Tensor(states[1].data + 0.5))
+        b = layer(bumped, queries(bumped, boxes))[0].data
         assert not np.allclose(a, b)
 
 
@@ -266,8 +264,8 @@ class TestDecode:
                          range_mult=1, step_mult=1)
         b = stack.decode(detections(), vol, pe, sub, obj, mode="infer",
                          range_mult=1, step_mult=1)
-        np.testing.assert_array_equal(a.state.sub.data, b.state.sub.data)
-        np.testing.assert_array_equal(a.state.obj.data, b.state.obj.data)
+        np.testing.assert_array_equal(a.queries[0].data, b.queries[0].data)
+        np.testing.assert_array_equal(a.queries[1].data, b.queries[1].data)
 
     def test_train_mode_requires_rng_and_m(self):
         rng = np.random.default_rng(75)
@@ -289,9 +287,9 @@ class TestDecode:
                          range_mult=1, step_mult=1)
         b = stack.decode([dets[i] for i in perm], vol, pe, sub, obj,
                          mode="infer", range_mult=1, step_mult=1)
-        np.testing.assert_allclose(b.state.sub.data, a.state.sub.data[perm],
+        np.testing.assert_allclose(b.queries[0].data, a.queries[0].data[perm],
                                    atol=1e-10)
-        np.testing.assert_allclose(b.state.obj.data, a.state.obj.data[perm],
+        np.testing.assert_allclose(b.queries[1].data, a.queries[1].data[perm],
                                    atol=1e-10)
 
     def test_collected_points_stay_in_unit_cube(self):
@@ -299,8 +297,7 @@ class TestDecode:
         _, stack, sub, obj = make_stack(layers=2)
         vol, pe = volume_and_pe(rng)
         res = stack.decode(detections(), vol, pe, sub, obj, mode="train",
-                           rng=np.random.default_rng(0), m=4,
-                           collect_points=True)
+                           rng=np.random.default_rng(0), m=4)
         assert len(res.points_sub) == 2
         for pts in res.points_sub + res.points_obj:
             assert pts.shape == (3, 2, 4, 3)
@@ -309,9 +306,9 @@ class TestDecode:
     def test_mean_trajectory_accumulates_unclamped(self):
         """The recorded mean path is the running sum of offset means on top
         of the initial points, without any clamping. Each layer's means
-        come from that layer's sampler at the state the layer reads; a
+        come from that layer's sampler at the query the layer reads; a
         one-layer stack from the same seed shares layer 0, so its output
-        is the state layer 1 reads."""
+        queries are the ones layer 1 reads."""
         rng = np.random.default_rng(78)
         _, stack, sub, obj = make_stack(layers=2)
         _, first, _, _ = make_stack(layers=1)
@@ -319,14 +316,14 @@ class TestDecode:
         res = stack.decode(detections(), vol, pe, sub, obj, mode="train",
                            rng=np.random.default_rng(1), m=3)
         mid = first.decode(detections(), vol, pe, sub, obj, mode="train",
-                           rng=np.random.default_rng(1), m=3).state
-        init, p0 = stack.init_state(detections(), vol, pe, sub, obj)
+                           rng=np.random.default_rng(1), m=3).queries
+        states, boxes, p0 = stack.init_state(detections(), vol, pe, sub, obj)
+        init = queries(states, boxes)
         for r, means in enumerate((res.mean_sub, res.mean_obj)):
-            reads = [((s.sub, s.sub_box), (s.obj, s.obj_box))[r]
-                     for s in (init, mid)]
+            reads = [q[r] for q in (init, mid)]
             want = p0.reshape(3, 1, 3)
-            for layer, (x, box) in enumerate(reads):
-                want = want + stack.samplers[layer][r](x, box).mu.data
+            for layer, query in enumerate(reads):
+                want = want + stack.samplers[layer][r](query).mu.data
                 np.testing.assert_allclose(means[layer].data, want,
                                            atol=1e-12)
 
@@ -339,4 +336,4 @@ class TestDecode:
         near = stack.decode(detections(), vol, pe, sub, obj, mode="infer",
                             range_mult=1, step_mult=1,
                             scale_interpolation="nearest")
-        assert not np.allclose(tri.state.sub.data, near.state.sub.data)
+        assert not np.allclose(tri.queries[0].data, near.queries[0].data)

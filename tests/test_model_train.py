@@ -21,6 +21,7 @@ from relattn.losses import GroundTruthRelations, predicate_gammas
 from relattn.model import RelationModel
 from relattn.optim import AdamW
 from relattn.pgla import PglaState
+from relattn import tensor
 from relattn.tensor import no_grad
 from relattn.train import TrainingError, resolve_config, train, training_loss
 
@@ -155,10 +156,9 @@ def tape_nodes(root) -> int:
 
 
 class TestTapeSize:
-    def test_desk_training_loss_tape_size(self, tiny_data):
-        """One desk-config training step records a fixed number of tape
-        nodes; a change that grows the tape has to update this count."""
-        _, train_ds, _ = tiny_data
+    @staticmethod
+    def desk_training_loss(train_ds):
+        """The total loss of one desk-config training step."""
         cfg = resolve_config(RunConfig.from_dict(
             {"K": 2, "d": 32, "L_d": 1, "h_G": 4, "d_G": 8, "h_R": 4, "d_R": 8,
              "h_A": 8, "d_A": 8, "learning_rate": 1e-3, "seed": 5}), train_ds)
@@ -174,7 +174,30 @@ class TestTapeSize:
         boxes = np.array([e.box for e in scene.entities], dtype=np.float64)
         total, _, _, _ = training_loss(out, gt, cfg, gammas,
                                        PglaState.create(train_ds.priors), boxes, rng)
-        assert tape_nodes(total) == 271
+        return total
+
+    def test_desk_training_loss_tape_size(self, tiny_data):
+        """One desk-config training step records a fixed number of tape
+        nodes; a change that grows the tape has to update this count."""
+        _, train_ds, _ = tiny_data
+        assert tape_nodes(self.desk_training_loss(train_ds)) == 262
+
+    def test_every_recorded_node_reaches_the_loss(self, tiny_data, monkeypatch):
+        """Every node that one training step records lies on a path to the
+        loss: a node that backward never visits is wasted work."""
+        _, train_ds, _ = tiny_data
+        recorded = []
+        node = tensor._node
+
+        def counting_node(data, parents, backward):
+            out = node(data, parents, backward)
+            if out._backward is not None:
+                recorded.append(out)
+            return out
+
+        monkeypatch.setattr(tensor, "_node", counting_node)
+        total = self.desk_training_loss(train_ds)
+        assert len(recorded) == tape_nodes(total)
 
 
 class TestVisualGenomeSize:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relattn.config import ConfigError
+from relattn.decoder import queries
 from relattn.params import ParameterRegistry
 from relattn.relation_head import (
     TAU_END,
@@ -23,10 +24,11 @@ def make_head(d=8, heads=4, head_dim=4, P=3, seed=80):
 
 
 def states(rng, n=3, K=2, d=8):
+    """Subject and object states and their box embeddings."""
     return (Tensor(rng.standard_normal((n, K, d))),
             Tensor(rng.standard_normal((n, K, d))),
-            Tensor(rng.standard_normal((n, d))),
-            Tensor(rng.standard_normal((n, d))))
+            Tensor(rng.standard_normal((n, 1, d))),
+            Tensor(rng.standard_normal((n, 1, d))))
 
 
 class TestAnnealing:
@@ -53,10 +55,11 @@ class TestAttentionLogits:
         rng = np.random.default_rng(81)
         _, head = make_head()
         sub, obj, sbox, obox = states(rng)
-        logits = head.attention_logits(sub, obj, sbox, obox)
+        query = queries((sub, obj), (sbox, obox))
+        logits = head.attention_logits(*query)
         assert logits.shape == (4, 6, 6)
         head.head_bias.data[:] = np.array([1.0, -2.0, 0.0, 3.0])
-        shifted = head.attention_logits(sub, obj, sbox, obox)
+        shifted = head.attention_logits(*query)
         want = np.broadcast_to(
             np.array([1.0, -2.0, 0.0, 3.0])[:, None, None], (4, 6, 6))
         np.testing.assert_allclose(shifted.data - logits.data, want,
@@ -68,9 +71,9 @@ class TestAttentionLogits:
         rng = np.random.default_rng(82)
         _, head = make_head()
         sub, obj, sbox, obox = states(rng)
-        base = head.attention_logits(sub, obj, sbox, obox).data
-        doubled = head.attention_logits(Tensor(sub.data * 2), obj,
-                                        Tensor(sbox.data * 2), obox).data
+        base = head.attention_logits(*queries((sub, obj), (sbox, obox))).data
+        doubled = head.attention_logits(*queries((Tensor(sub.data * 2), obj),
+                                                 (Tensor(sbox.data * 2), obox))).data
         np.testing.assert_allclose(doubled, base * 2, rtol=1e-10)
 
 
@@ -175,13 +178,13 @@ class TestScores:
         rng = np.random.default_rng(89)
         _, head = make_head()
         sub, obj, sbox, obox = states(rng)
-        out = head.forward(sub, obj, sbox, obox, n=3, K=2, mode="infer")
+        query = queries((sub, obj), (sbox, obox))
+        out = head.forward(*query, mode="infer")
         assert out.predicate_logits.shape == (3, 3, 3)
         assert out.relatedness_logits.shape == (3, 3)
         assert out.scores.shape == (3, 3, 3)
         assert out.pair_weights is None
-        tr = head.forward(sub, obj, sbox, obox, n=3, K=2, mode="train",
-                          tau=2.0, rng=np.random.default_rng(0))
+        tr = head.forward(*query, mode="train", tau=2.0, rng=np.random.default_rng(0))
         assert tr.pair_weights.shape == (3, 3, 3, 4)
         np.testing.assert_array_equal(np.diagonal(tr.scores.data,
                                                   axis1=1, axis2=2), 0.0)

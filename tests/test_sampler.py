@@ -15,7 +15,7 @@ from relattn.sampler import (
     grid_steps,
     inference_grid_offsets,
 )
-from relattn.tensor import Tensor, tsum, mul
+from relattn.tensor import Tensor, add, tsum, mul
 from relattn.gradcheck import check_parameter_gradients
 
 
@@ -31,8 +31,8 @@ class TestPredictor:
         sits at exp of the log-std bias."""
         _, pred = make_predictor()
         state = Tensor(np.zeros((3, 2, 8)))
-        box = Tensor(np.zeros((3, 8)))
-        dist = pred(state, box)
+        box = Tensor(np.zeros((3, 1, 8)))
+        dist = pred(add(state, box))
         np.testing.assert_allclose(dist.mu.data, np.zeros((3, 2, 3)))
         np.testing.assert_allclose(dist.sigma.data,
                                    np.full((3, 2, 3), np.exp(LOG_STD_INIT)),
@@ -42,8 +42,8 @@ class TestPredictor:
         _, pred = make_predictor()
         rng = np.random.default_rng(61)
         state = Tensor(rng.standard_normal((4, 2, 8)) * 50)
-        box = Tensor(rng.standard_normal((4, 8)) * 50)
-        sigma = pred(state, box).sigma.data
+        box = Tensor(rng.standard_normal((4, 1, 8)) * 50)
+        sigma = pred(add(state, box)).sigma.data
         assert np.all(sigma >= SIGMA_MIN)
         assert np.all(sigma <= SIGMA_MAX)
 
@@ -52,11 +52,11 @@ class TestPredictor:
         _, pred = make_predictor()
         rng = np.random.default_rng(62)
         base = rng.standard_normal((2, 2, 8))
-        box = Tensor(np.zeros((2, 8)))
+        box = Tensor(np.zeros((2, 1, 8)))
         bumped = base.copy()
         bumped[:, 0, :] += 1.0
-        a = pred(Tensor(base), box).mu.data
-        b = pred(Tensor(bumped), box).mu.data
+        a = pred(add(Tensor(base), box)).mu.data
+        b = pred(add(Tensor(bumped), box)).mu.data
         assert not np.allclose(a[:, 0], b[:, 0])
         np.testing.assert_array_equal(a[:, 1], b[:, 1])
 
@@ -64,12 +64,12 @@ class TestPredictor:
         reg, pred = make_predictor(d=4, K=2)
         rng = np.random.default_rng(63)
         state = Tensor(rng.standard_normal((2, 2, 4)))
-        box = Tensor(rng.standard_normal((2, 4)))
+        box = Tensor(rng.standard_normal((2, 1, 4)))
         eps = rng.standard_normal((2, 2, 3, 3))
         w = rng.standard_normal((2, 2, 3, 3))
 
         def loss():
-            dist = pred(state, box)
+            dist = pred(add(state, box))
             return tsum(mul(draw_offsets(dist, 3, eps=eps), Tensor(w)))
 
         for name in ("s.w1", "s.b1", "s.w2", "s.b2"):
