@@ -56,15 +56,25 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[start : start + hlen].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {header.get('format_version')};"
             f" this build reads version {FORMAT_VERSION}")
 
+    meta, params = header.get("meta", {}), header.get("params", [])
+    if not isinstance(meta, dict) or not isinstance(params, list):
+        raise CheckpointError("checkpoint header needs a meta object and a params list")
     state: dict[str, np.ndarray] = {}
     offset = start + hlen
-    for entry in header.get("params", []):
-        shape = tuple(int(s) for s in entry["shape"])
+    for entry in params:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(s) is int and s >= 0 for s in entry["shape"])):
+            raise CheckpointError(f"malformed manifest entry {entry!r}: need a string name"
+                                  " and a list of non-negative integer dimensions")
+        shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(raw):
@@ -75,4 +85,4 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError("trailing bytes after final payload")
-    return header.get("meta", {}), state
+    return meta, state

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 for usage/validation problems (bad arguments,
-malformed configs or datasets), 2 for runtime failures (non-finite loss,
-unreadable checkpoints mid-run).
+an --out that cannot be written, malformed configs or datasets, a dataset
+whose class or predicate count differs from the checkpoint's config), 2 for
+runtime failures (non-finite loss, unreadable or malformed checkpoints).
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import numpy as np
 
 from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig
-from .data import DatasetError, GenSpec, GenerationError, generate_dataset, load_dataset, \
-    save_dataset
+from .data import DatasetError, GenSpec, GenerationError, generate_dataset, save_dataset
 from .evalkit import write_csv
-from .evaluate import DEFAULT_KS, evaluate, load_model
+from .evaluate import DEFAULT_KS, evaluate, load_model, load_split
 from .features import class_signatures, scene_volume
 from .tensor import no_grad
 from .train import TrainingError, train
@@ -90,7 +90,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out file path that cannot be written, before any work."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise _UsageError(f"--out {path} is a directory, not a file path")
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise _UsageError(f"--out {path}: {folder} is not a writable directory")
+
+
 def _cmd_eval(args) -> int:
+    _check_out(args.out)
     rows = evaluate(args.checkpoint, args.data, split=args.split, ks=tuple(args.k),
                     graph_constraint=args.graph_constraint, out_csv=args.out)
     for _split, _task, metric, k, pred, value in rows:
@@ -102,8 +112,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sample_points(args) -> int:
+    _check_out(args.out)
     model, cfg = load_model(args.checkpoint)
-    ds = load_dataset(os.path.join(args.data, f"{args.split}.json"))
+    ds = load_split(cfg, args.data, args.split)
     if not 0 <= args.scene < len(ds.scenes):
         raise _UsageError(f"scene index {args.scene} outside [0, {len(ds.scenes)})")
     scene = ds.scenes[args.scene]

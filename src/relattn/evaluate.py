@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint
 from .config import RunConfig
 from .data import Dataset, load_dataset
 from .evalkit import aggregate_mean_recall, aggregate_recall, per_predicate_mean, \
@@ -15,6 +15,7 @@ from .evalkit import aggregate_mean_recall, aggregate_recall, per_predicate_mean
 from .features import class_signatures, scene_volume
 from .model import RelationModel
 from .tensor import no_grad
+from .train import resolve_config
 
 DEFAULT_KS = (20, 50, 100)
 
@@ -22,10 +23,20 @@ DEFAULT_KS = (20, 50, 100)
 def load_model(checkpoint_path: str) -> tuple:
     """Rebuild the model recorded in a checkpoint. Returns (model, config)."""
     meta, state = load_checkpoint(checkpoint_path)
+    if not isinstance(meta.get("config"), dict):
+        raise CheckpointError(f"checkpoint {checkpoint_path} records no run configuration")
     cfg = RunConfig.from_dict(meta["config"])
     model = RelationModel(cfg, np.random.default_rng([cfg.seed, 0]))
     model.registry.load_state_dict(state)
     return model, cfg
+
+
+def load_split(cfg: RunConfig, data_dir: str, split: str) -> Dataset:
+    """Load a split of a dataset directory; raises ConfigError when its
+    class or predicate count differs from the model's config."""
+    ds = load_dataset(os.path.join(data_dir, f"{split}.json"))
+    resolve_config(cfg, ds)
+    return ds
 
 
 def check_ks(ks) -> None:
@@ -79,8 +90,8 @@ def evaluate_dataset(model: RelationModel, ds: Dataset, ks=DEFAULT_KS,
 def evaluate(checkpoint_path: str, data_dir: str, split: str = "test", ks=DEFAULT_KS,
              graph_constraint: bool = False, out_csv: str | None = None) -> list:
     check_ks(ks)
-    model, _cfg = load_model(checkpoint_path)
-    ds = load_dataset(os.path.join(data_dir, f"{split}.json"))
+    model, cfg = load_model(checkpoint_path)
+    ds = load_split(cfg, data_dir, split)
     rows = evaluate_dataset(model, ds, ks=ks, graph_constraint=graph_constraint)
     if out_csv:
         write_metrics_csv(out_csv, rows)

@@ -77,7 +77,6 @@ class PositionalEmbeddings:
 def build_positional_embeddings(volume, scale_embeds) -> PositionalEmbeddings:
     """Factored positional code for a 5 x H x W x d feature volume, with
     the cached sinusoid grid folded into the volume once per forward."""
-    scale_embeds = scale_embeds if isinstance(scale_embeds, Tensor) else Tensor(scale_embeds)
     if volume.ndim != 4 or volume.shape[0] != SCALE_LEVELS:
         raise ConfigError(f"feature volume must be {SCALE_LEVELS} x H x W x d, got {volume.shape}")
     _, H, W, d = volume.shape

@@ -43,12 +43,6 @@ class ParameterRegistry:
         self._params[name] = p
         return p.tensor
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def get(self, name: str) -> Parameter:
         return self._params[name]
 

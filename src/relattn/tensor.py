@@ -58,8 +58,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
@@ -76,22 +74,9 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_err()
-
-    def _item_err(self):
-        raise DimensionError(f"item() requires a single-element tensor, got shape {self.shape}")
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- autodiff ------------------------------------------------------------
 
@@ -143,45 +128,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, *shape)
-
-    def transpose(self, *axes) -> "Tensor":
-        return transpose(self, *axes)
-
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims=False) -> "Tensor":
-        return tmax(self, axis=axis, keepdims=keepdims)
 
 
 def _coerce(x) -> Tensor:
@@ -280,8 +234,6 @@ def transpose(a, *axes) -> Tensor:
     a = _coerce(a)
     if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
         axes = tuple(axes[0])
-    if not axes:
-        axes = tuple(range(a.ndim))[::-1]
     inv = np.argsort(axes)
     data = a.data.transpose(axes)
 

@@ -1,11 +1,13 @@
 """Binary checkpoint format: round trips and corruption detection."""
 
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
 
-from relattn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from relattn.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from relattn.config import RunConfig
 from relattn.model import RelationModel
 
@@ -89,6 +91,31 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    @pytest.mark.parametrize("header, message", [
+        ([1, 2], "not a JSON object"),
+        ({"meta": [1]}, "meta object"),
+        ({"params": {"a": [2]}}, "params list"),
+        ({"params": ["a"]}, "manifest entry"),
+        ({"params": [{"name": "a"}]}, "manifest entry"),
+        ({"params": [{"shape": [2]}]}, "manifest entry"),
+        ({"params": [{"name": 3, "shape": [2]}]}, "manifest entry"),
+        ({"params": [{"name": "a", "shape": 2}]}, "manifest entry"),
+        ({"params": [{"name": "a", "shape": [-2]}]}, "manifest entry"),
+        ({"params": [{"name": "a", "shape": [2.0]}]}, "manifest entry"),
+        ({"params": [{"name": "a", "shape": [True, 2]}]}, "manifest entry"),
+    ], ids=["list-header", "list-meta", "dict-params", "string-entry", "no-shape",
+            "no-name", "int-name", "int-shape", "negative-dim", "float-dim", "bool-dim"])
+    def test_malformed_header(self, tmp_path, header, message):
+        """A header of the right version but the wrong structure is a
+        CheckpointError naming the fault, whatever payload follows."""
+        if isinstance(header, dict):
+            header = dict(header, format_version=1)
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + np.zeros(2).tobytes())
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
 
 
 class TestParameterManifest:

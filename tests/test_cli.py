@@ -3,8 +3,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from relattn.checkpoint import save_checkpoint
 from relattn.cli import main
 
 
@@ -203,3 +205,50 @@ class TestExitCodes:
                      "--scene", "99", "--out", str(tmp_path / "p.csv")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "sample-points"])
+    def test_unwritable_out(self, pipeline, tmp_path, capsys, command):
+        """An --out in a missing directory, or one that is a directory, is
+        refused before the checkpoint is read: the checkpoint path here
+        does not exist, which would be a runtime failure (exit 2) if it
+        were loaded first."""
+        _, _, data_dir, _ = pipeline
+        for out in (tmp_path / "missing" / "out.csv", tmp_path):
+            code = main([command, "--checkpoint", str(tmp_path / "absent.ckpt"),
+                         "--data", str(data_dir), "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--out" in err
+
+    def test_config_less_checkpoint(self, pipeline, tmp_path, capsys):
+        _, _, data_dir, _ = pipeline
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, {"a": np.zeros(2)})
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure:") and err.count("\n") == 1
+        assert "no run configuration" in err
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("eval", "C", 8), ("sample-points", "C", 8), ("eval", "P", 5)])
+    def test_dataset_config_mismatch(self, pipeline, tmp_path, capsys, command,
+                                     field, value):
+        """A split whose class or predicate count differs from the
+        checkpoint's config is a usage error, found before evaluation."""
+        root, _, _, run_dir = pipeline
+        spec = json.loads((root / "spec.json").read_text())
+        spec[field] = value
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["gen-data", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        code = main([command, "--checkpoint", str(run_dir / "model.ckpt"),
+                     "--data", str(tmp_path / "data"), "--out", str(out)])
+        assert code == 1
+        trained = {"C": 3, "P": 2}[field]
+        assert capsys.readouterr().err == \
+            f"error: config {field}={trained} but dataset has {field}={value}\n"
+        assert not out.exists()

@@ -3,6 +3,7 @@ determinism, and checkpoint round trips."""
 
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,11 +273,11 @@ class TestTraining:
         assert os.path.exists(result.trace_path)
         assert result.iterations == 12
         assert np.isfinite(result.final_losses["total"])
-        log_lines = open(result.log_path).read().splitlines()
+        log_lines = Path(result.log_path).read_text().splitlines()
         assert log_lines[0] == ("iteration,focal_predicate,mask,margin_rank,"
                                 "rep_point_margin,total")
         assert len(log_lines) == 13
-        trace_lines = open(result.trace_path).read().splitlines()
+        trace_lines = Path(result.trace_path).read_text().splitlines()
         assert trace_lines[0] == "iteration,predicate,r,W,B"
         assert len(trace_lines) == 1 + 12 * 2
 
@@ -285,9 +286,9 @@ class TestTraining:
         data_dir, _, _ = tiny_data
         a = train(tiny_config(), data_dir, str(tmp_path / "a"))
         b = train(tiny_config(), data_dir, str(tmp_path / "b"))
-        assert open(a.log_path, "rb").read() == open(b.log_path, "rb").read()
-        assert open(a.checkpoint_path, "rb").read() == \
-            open(b.checkpoint_path, "rb").read()
+        assert Path(a.log_path).read_bytes() == Path(b.log_path).read_bytes()
+        assert Path(a.checkpoint_path).read_bytes() == \
+            Path(b.checkpoint_path).read_bytes()
 
     def test_checkpoint_round_trips_through_evaluate(self, tiny_data, tmp_path):
         data_dir, _, test_ds = tiny_data

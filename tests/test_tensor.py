@@ -326,6 +326,26 @@ class TestGumbel:
         b = gumbel_softmax(logits, tau=0.7, noise=noise).data
         np.testing.assert_array_equal(a, b)
 
+    def test_hard_sample_passes_gradient_straight_through(self):
+        """The hard sample is one-hot at the soft sample's argmax, and an
+        upstream gradient reaches the logits through it exactly as it would
+        through the soft sample."""
+        rng = np.random.default_rng(17)
+        logits = rng.standard_normal((3, 5))
+        noise = standard_gumbel(rng, (3, 5))
+        upstream = rng.standard_normal((3, 5))
+
+        def sample_and_grad(hard):
+            x = Tensor(logits, requires_grad=True)
+            y = gumbel_softmax(x, tau=0.6, hard=hard, noise=noise)
+            y.backward(upstream)
+            return y.data, x.grad
+
+        soft, soft_grad = sample_and_grad(False)
+        hard, hard_grad = sample_and_grad(True)
+        np.testing.assert_array_equal(hard, np.eye(5)[soft.argmax(axis=-1)])
+        np.testing.assert_array_equal(hard_grad, soft_grad)
+
     def test_soft_sample_gradient(self):
         noise = standard_gumbel(np.random.default_rng(3), (4,))
         x = Tensor(np.random.default_rng(16).standard_normal(4),
