@@ -39,8 +39,9 @@ def save_checkpoint(path, state: dict[str, np.ndarray], meta: dict | None = None
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Returns (meta, state). Raises CheckpointError on malformed input,
-    version mismatch, or truncated payloads."""
+    """Returns (meta, state). Raises CheckpointError on malformed input
+    (a manifest that names a parameter twice included), version
+    mismatch, or truncated payloads."""
     try:
         with open(path, "rb") as fh:
             raw = np.fromfile(fh, dtype=np.uint8)
@@ -74,6 +75,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
                 and all(type(s) is int and s >= 0 for s in entry["shape"])):
             raise CheckpointError(f"malformed manifest entry {entry!r}: need a string name"
                                   " and a list of non-negative integer dimensions")
+        if entry["name"] in state:
+            raise CheckpointError(f"manifest names parameter {entry['name']!r} twice")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8

@@ -22,8 +22,8 @@ from .params import LinearParams, ParameterRegistry
 from .sampler import GroupOffsetPredictor, draw_offsets, inference_grid_offsets, \
     accumulate_points
 from .features import PositionalEmbeddings
-from .tensor import Tensor, add, concat, layer_norm, level_lerp, matmul, point_sample, \
-    relu, reshape, softmax, swap_last, transpose
+from .tensor import Tensor, add, concat, layer_norm, level_weights, matmul, point_sample, \
+    relu, reshape, sample_attention, softmax, swap_last, transpose
 
 
 ROLES = ("sub", "obj")
@@ -83,6 +83,17 @@ class GcaLayer:
       softmax weights sum to one, so the raw samples are pooled first and
       projected once per head, and ``v.bias`` passes through unchanged.
 
+    Nor is x formed: the positional code pe = blend . table blends the
+    S x d scale table with each sample's level weights (`level_weights`),
+    so with q~ a query mapped back to width d and w its softmax weights
+
+    - scores = (q~ . featsT + (q~ . tableT) . blendT) / sqrt(dh),
+    - pooled = w . feats + (w . blend) . table,
+
+    and the table meets the samples only through their S level weights.
+    `sample_attention` takes both products, the softmax between them and
+    their gradients as one tape node.
+
     ``k`` has no bias: a key bias adds the same logit to every sample of
     a query and cancels in the softmax. This costs O(h d (dh + m)) per
     state instead of O(m d h dh), and equals the per-sample form up to
@@ -98,22 +109,24 @@ class GcaLayer:
         self.out = LinearParams(registry, f"{prefix}.out", width, d, rng)
         self.ln = norm_params(registry, f"{prefix}.ln", d)
 
-    def __call__(self, state: Tensor, query: Tensor, feats: Tensor, pe: Tensor,
-                 return_weights: bool = False):
+    def __call__(self, state: Tensor, query: Tensor, feats: Tensor, blend: Tensor,
+                 table: Tensor, return_weights: bool = False):
+        """feats: n x K x m x d samples; blend: their n x K x m x S level
+        weights; table: the S x d scale table."""
         n, K, d = state.shape
-        N, h, dh = n * K, self.heads, self.head_dim
-        x = reshape(add(feats, pe), (N, feats.shape[2], d))  # N,m,d
+        N, m, h, dh = n * K, feats.shape[2], self.heads, self.head_dim
+        feats = reshape(feats, (N, m, d))
+        blend = reshape(blend, (N, m, table.shape[0]))
         q = transpose(reshape(self.wq(query), (N, h, dh)), (1, 0, 2))  # h,N,dh
         wk = transpose(reshape(self.wk.weight, (d, h, dh)), (1, 2, 0))  # h,dh,d
-        q_key = transpose(matmul(q, wk), (1, 0, 2))  # N,h,d
-        scores = matmul(q_key, swap_last(x)) * (1.0 / math.sqrt(dh))  # N,h,m
-        weights = softmax(scores, axis=-1)
-        pooled = transpose(matmul(weights, x), (1, 0, 2))  # h,N,d
+        q_key = transpose(matmul(q * (1.0 / math.sqrt(dh)), wk), (1, 0, 2))  # N,h,d
+        pooled, weights = sample_attention(q_key, feats, blend, table)
+        pooled = transpose(pooled, (1, 0, 2))  # h,N,d
         wv = transpose(reshape(self.wv.weight, (d, h, dh)), (1, 0, 2))  # h,d,dh
         ctx = reshape(transpose(matmul(pooled, wv), (1, 0, 2)), (n, K, h * dh))
         out = layer_norm(add(state, self.out(add(ctx, self.wv.bias))), *self.ln)
         if return_weights:
-            return out, reshape(weights, (n, K, h, -1))
+            return out, reshape(weights, (n, K, h, m))
         return out
 
 
@@ -212,7 +225,8 @@ class DecoderStack:
         xy = np.array([det.box for det in detections], dtype=np.float64).reshape(n, 2, 2)
         corners = Tensor(np.concatenate(  # 2 x n x 3: top-left, bottom-right
             [xy.transpose(1, 0, 2), np.broadcast_to(p0[:, 2:], (2, n, 1))], axis=-1))
-        codes = add(add(point_sample(pe.grid, corners), level_lerp(pe.scale, corners)),
+        scale = matmul(level_weights(corners, pe.scale.shape[0]), pe.scale)
+        codes = add(add(point_sample(pe.grid, corners), scale),
                     reshape(self.corner_embeds, (2, 1, d)))
         box = reshape(self.box_proj(reshape(transpose(codes, (1, 0, 2)), (n, 2 * d))),
                       (n, 1, d))
@@ -250,10 +264,11 @@ class DecoderStack:
                 mean_lists[r].append(means[r])
                 point_lists[r].append(points[r].data)
                 coords = snap_scale(points[r]) if scale_interpolation == "nearest" else points[r]
-                # Features plus positional code in one sample of the folded
-                # volume; the scale embedding is interpolated along s alone.
+                # Features plus sinusoid in one sample of the folded volume;
+                # GCA joins the scale table through the level weights.
                 feats = point_sample(pe.folded, coords)
-                updated.append(self.gca[layer][r](x, q, feats, level_lerp(pe.scale, coords)))
+                blend = level_weights(coords, pe.scale.shape[0])
+                updated.append(self.gca[layer][r](x, q, feats, blend, pe.scale))
             states = self.rca[layer](updated, queries(updated, boxes))
             qs = queries(states, boxes)
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .data import Dataset, load_dataset
 from .evalkit import aggregate_mean_recall, aggregate_recall, per_predicate_mean, \
     per_predicate_recall_at_k, ranked_triplets, recall_at_k, write_metrics_csv, \
@@ -21,13 +21,23 @@ DEFAULT_KS = (20, 50, 100)
 
 
 def load_model(checkpoint_path: str) -> tuple:
-    """Rebuild the model recorded in a checkpoint. Returns (model, config)."""
+    """Rebuild the model recorded in a checkpoint. Returns (model, config).
+    A checkpoint whose configuration is invalid, or whose parameters do
+    not fit the model it describes, raises CheckpointError."""
     meta, state = load_checkpoint(checkpoint_path)
     if not isinstance(meta.get("config"), dict):
         raise CheckpointError(f"checkpoint {checkpoint_path} records no run configuration")
-    cfg = RunConfig.from_dict(meta["config"])
+    try:
+        cfg = RunConfig.from_dict(meta["config"])
+    except ConfigError as exc:
+        raise CheckpointError(
+            f"checkpoint {checkpoint_path} records an invalid run configuration: {exc}") from exc
     model = RelationModel(cfg, np.random.default_rng([cfg.seed, 0]))
-    model.registry.load_state_dict(state)
+    try:
+        model.registry.load_state_dict(state)
+    except ValueError as exc:
+        raise CheckpointError(
+            f"checkpoint {checkpoint_path} does not fit its configuration: {exc}") from exc
     return model, cfg
 
 

@@ -66,7 +66,9 @@ class PositionalEmbeddings:
     embedding at level s. It is never built as a 5 x H x W x d volume:
     `point_sample` is linear in the volume and the sinusoid is the same
     on every level, so sampling features plus code at c equals
-    `point_sample(folded, c) + level_lerp(scale, c)`.
+    `point_sample(folded, c) + level_weights(c, 5) @ scale`. Nor is the
+    scale part formed per sample: GCA takes the level weights and the
+    table apart (see `GcaLayer`).
     """
 
     folded: Tensor  # 5 x H x W x d feature volume plus the sinusoid grid

@@ -62,10 +62,12 @@ class ParameterRegistry:
         return {name: p.data for name, p in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        missing = set(self._params) - set(state)
-        extra = set(state) - set(self._params)
+        missing = sorted(set(self._params) - set(state))
+        extra = sorted(set(state) - set(self._params))
         if missing or extra:
-            raise ValueError(f"parameter name mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+            # Counts and the first two names a side, not every name.
+            raise ValueError(f"parameter name mismatch: {len(missing)} missing {missing[:2]},"
+                             f" {len(extra)} unexpected {extra[:2]}")
         for name, p in self._params.items():
             arr = np.asarray(state[name], dtype=p.data.dtype)
             if arr.shape != p.data.shape:

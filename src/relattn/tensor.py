@@ -687,40 +687,86 @@ def point_sample(volume, coords) -> Tensor:
     return _node(data, (volume, coords), backward)
 
 
-def level_lerp(table, coords) -> Tensor:
-    """Interpolate a per-level table linearly along the scale coordinate.
+def level_weights(coords, levels: int) -> Tensor:
+    """Linear-interpolation weights of points over the levels of a scale
+    axis.
 
-    table: S x d tensor; coords: [... x 3] points ordered (x, y, s). Only
-    s is read, and it maps and clamps as in `point_sample`, so the result
-    equals, up to rounding, `point_sample` of the table broadcast over
-    any H x W grid.
-    Returns [... x d]. The gradient reaches the table and the s
-    coordinate; the x and y gradients are zero.
+    coords: [... x 3] points ordered (x, y, s); levels: the number of
+    levels S. Only s is read, and it maps and clamps as in `point_sample`.
+    Returns [... x S]: each row holds 1 - f on the lower level and f on
+    the next (1 on one level when they coincide), so it sums to one, and
+    the row times an S x d table equals `point_sample` of that table
+    broadcast over any H x W grid, up to rounding. The gradient reaches
+    the s coordinate only; the x and y gradients are zero.
     """
-    table, coords = _coerce(table), _coerce(coords)
-    if table.ndim != 2:
-        raise DimensionError(f"table must be S x d, got {table.shape}")
-    S, d = table.data.shape
+    coords = _coerce(coords)
+    if levels < 1:
+        raise DimensionError(f"levels must be at least 1, got {levels}")
     lead = coords.data.shape[:-1]
     s = _points(coords)[:, 2:]
     n = s.shape[0]
-    lo, frac, inside = _grid_cells(s, np.array([S], dtype=np.float64))
+    lo, frac, inside = _grid_cells(s, np.array([levels], dtype=np.float64))
     s0, fs = lo[:, 0], frac[:, 0]
-    s1 = np.minimum(s0 + 1, S - 1)
+    s1 = np.minimum(s0 + 1, levels - 1)
     rows = np.arange(n)
-    blend = np.zeros((n, S), dtype=table.data.dtype)  # row i: the level weights of point i
+    blend = np.zeros((n, levels), dtype=coords.data.dtype)
     blend[rows, s0] += 1.0 - fs
     blend[rows, s1] += fs
-    data = (blend @ table.data).reshape(lead + (d,))
 
     def backward(g):
-        gf = g.reshape(n, d)
-        if table.requires_grad:
-            table._accumulate(blend.T @ gf)
-        if coords.requires_grad:
-            gc = np.zeros((n, 3), dtype=table.data.dtype)
-            step = table.data[s1] - table.data[s0]
-            gc[:, 2] = np.einsum("nd,nd->n", gf, step) * (S - 1) * inside[:, 0]
-            coords._accumulate(gc.reshape(lead + (3,)))
+        gb = g.reshape(n, levels)
+        gc = np.zeros((n, 3), dtype=coords.data.dtype)
+        gc[:, 2] = (gb[rows, s1] - gb[rows, s0]) * ((levels - 1) * inside[:, 0])
+        coords._accumulate(gc.reshape(lead + (3,)))
 
-    return _node(data, (table, coords), backward)
+    return _node(blend.reshape(lead + (levels,)), (coords,), backward)
+
+
+def sample_attention(queries, feats, blend, table) -> tuple:
+    """Softmax attention of each state's queries over the state's own
+    samples x = feats + blend . table, without forming x.
+
+    queries: N x h x d, h queries for each of N states, already scaled;
+    feats: N x m x d samples; blend: N x m x S their level weights;
+    table: S x d. x enters only through two products,
+
+    - scores = queries . xT = queries . featsT + (queries . tableT) . blendT,
+    - pooled = w . x = w . feats + (w . blend) . table,
+
+    with w the softmax of the scores over the m samples. Returns the
+    N x h x d pooled samples, one tape node with the gradients of all four
+    inputs, and the N x h x m weights w as a constant tensor.
+    """
+    queries, feats, blend, table = (_coerce(t) for t in (queries, feats, blend, table))
+    # Scores are taken as (N, m, h) products against contiguous (N, d, h)
+    # keys, the fastest layout for numpy's batched matmul here.
+    k = np.ascontiguousarray(np.swapaxes(queries.data, 1, 2))
+    table_k = table.data @ k  # N,S,h
+    scores = feats.data @ k
+    scores += blend.data @ table_k
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    w = np.ascontiguousarray(np.swapaxes(scores, 1, 2))  # N,h,m
+    w_blend = w @ blend.data  # N,h,S
+    pooled = w @ feats.data
+    pooled += w_blend @ table.data
+
+    def backward(g):
+        g_blend = g @ table.data.T  # N,h,S
+        gw = g @ np.swapaxes(feats.data, 1, 2)
+        gw += g_blend @ np.swapaxes(blend.data, 1, 2)
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))  # score gradient, N,h,m
+        gs_blend = gs @ blend.data  # N,h,S
+        wt, gst = np.swapaxes(w, 1, 2), np.swapaxes(gs, 1, 2)
+        if queries.requires_grad:
+            queries._accumulate(gs @ feats.data + gs_blend @ table.data)
+        if feats.requires_grad:
+            feats._accumulate(wt @ g + gst @ queries.data)
+        if blend.requires_grad:
+            blend._accumulate(wt @ g_blend + gst @ np.swapaxes(table_k, 1, 2))
+        if table.requires_grad:
+            table._accumulate(np.einsum("nhs,nhd->sd", w_blend, g)
+                              + np.einsum("nhs,nhd->sd", gs_blend, queries.data))
+
+    return _node(pooled, (queries, feats, blend, table), backward), Tensor(w)

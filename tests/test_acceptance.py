@@ -38,7 +38,7 @@ from relattn.params import ParameterRegistry
 from relattn.pgla import PglaState, adjust_logits, batch_performance, compute_wb, \
     update_confusion, update_performance
 from relattn.relation_head import RelationHead, annealing_temperature
-from relattn.tensor import Tensor, add, gumbel_softmax, mul, point_sample, tsum
+from relattn.tensor import Tensor, add, gumbel_softmax, level_weights, mul, point_sample, tsum
 from relattn.train import train
 
 from oracles import budget_recall_oracle, trilinear_oracle
@@ -162,12 +162,13 @@ def test_criterion_02_gradient_suite():
     gca = GcaLayer(registry, "gca", d=d, heads=2, head_dim=4, rng=rng)
     box = Tensor(rng.standard_normal((n, 1, d)))
     feats = Tensor(rng.standard_normal((n, K, m, d)))
-    pe = Tensor(rng.standard_normal((n, K, m, d)))
+    blend = level_weights(Tensor(rng.uniform(0.0, 1.0, (n, K, m, 3))), 5)
+    table = Tensor(rng.standard_normal((5, d)))
     state0 = Tensor(rng.standard_normal((n, K, d)))
     wts = Tensor(rng.standard_normal((n, K, d)))
 
     def gca_scalar(x):
-        return tsum(mul(gca(x, add(x, box), feats, pe), wts))
+        return tsum(mul(gca(x, add(x, box), feats, blend, table), wts))
 
     results["gca_input"] = check_gradients(gca_scalar, state0)
     worst_param = 0.0
@@ -286,7 +287,8 @@ def test_criterion_03_attention_invariants():
         box = Tensor(rng.standard_normal((n, 1, d)))
         _, weights = gca(state, add(state, box),
                          Tensor(rng.standard_normal((n, K, m, d))),
-                         Tensor(rng.standard_normal((n, K, m, d))),
+                         level_weights(Tensor(rng.uniform(0.0, 1.0, (n, K, m, 3))), 5),
+                         Tensor(rng.standard_normal((5, d))),
                          return_weights=True)
         worst = max(worst, float(np.abs(weights.data.sum(axis=-1) - 1.0).max()))
         rca = RcaLayer(registry, "r", d=d, heads=2, head_dim=4, rng=rng)

@@ -118,6 +118,19 @@ class TestCorruption:
             load_checkpoint(path)
 
 
+    def test_parameter_named_twice(self, tmp_path):
+        """A manifest that names one parameter twice is refused, not loaded
+        with the last payload under that name."""
+        header = {"format_version": 1, "meta": {},
+                  "params": [{"name": "a", "shape": [2]}, {"name": "a", "shape": [2]}]}
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob
+                         + np.arange(1.0, 5.0).astype("<f8").tobytes())
+        with pytest.raises(CheckpointError, match="'a' twice"):
+            load_checkpoint(path)
+
+
 class TestParameterManifest:
     """A checkpoint stores parameters by name, in registration order, so a
     renamed, reshaped or reordered parameter breaks every saved model. The

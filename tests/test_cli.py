@@ -231,6 +231,28 @@ class TestExitCodes:
         assert err.startswith("runtime failure:") and err.count("\n") == 1
         assert "no run configuration" in err
 
+    @pytest.mark.parametrize("command", ["eval", "sample-points"])
+    @pytest.mark.parametrize("case", ["invalid-config", "wrong-parameters"])
+    def test_unusable_checkpoint(self, pipeline, tmp_path, capsys, command, case):
+        """A checkpoint that records an invalid configuration, or holds
+        parameters that do not fit its model, is a malformed checkpoint
+        (exit 2), reported on one short line."""
+        _, cfg_path, data_dir, _ = pipeline
+        config = json.loads(cfg_path.read_text())
+        if case == "invalid-config":
+            config["d"] = 30
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, {"a": np.zeros(2)}, {"config": config})
+        code = main([command, "--checkpoint", str(ckpt), "--data", str(data_dir),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure:") and err.count("\n") == 1
+        assert len(err) < 300
+        assert {"invalid-config": "d must be divisible by 4",
+                "wrong-parameters": "1 unexpected ['a']"}[case] in err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("command, field, value", [
         ("eval", "C", 8), ("sample-points", "C", 8), ("eval", "P", 5)])
     def test_dataset_config_mismatch(self, pipeline, tmp_path, capsys, command,

@@ -15,7 +15,7 @@ from relattn.decoder import (
 from relattn.features import build_positional_embeddings
 from relattn.gradcheck import check_gradients, check_parameter_gradients
 from relattn.params import ParameterRegistry
-from relattn.tensor import Tensor, add, level_lerp, mul, point_sample, tsum
+from relattn.tensor import Tensor, add, level_weights, mul, point_sample, tsum
 
 
 def detections():
@@ -82,11 +82,16 @@ class TestInitState:
             codes = []
             for k, (x, y) in enumerate(((x0, y0), (x1, y1))):
                 c = Tensor(np.array([x, y, det.scale_level / 4.0]))
-                code = point_sample(pe.grid, c).data + level_lerp(pe.scale, c).data
+                code = point_sample(pe.grid, c).data + level_weights(c, 5).data @ pe.scale.data
                 codes.append(code + corner[k])
             box = np.concatenate(codes) @ w + b
             np.testing.assert_allclose(boxes[0].data[i, 0], box + role[0], atol=1e-12)
             np.testing.assert_allclose(boxes[1].data[i, 0], box + role[1], atol=1e-12)
+
+
+def random_blend(rng, n, K, m, S=5):
+    """Level weights of random sample points, as decode passes them."""
+    return level_weights(Tensor(rng.uniform(0.0, 1.0, (n, K, m, 3))), S)
 
 
 class TestGca:
@@ -98,8 +103,9 @@ class TestGca:
         state = Tensor(rng.standard_normal((n, K, 8)))
         box = Tensor(rng.standard_normal((n, 1, 8)))
         feats = Tensor(rng.standard_normal((n, K, m, 8)))
-        pe = Tensor(rng.standard_normal((n, K, m, 8)))
-        out, w = layer(state, add(state, box), feats, pe, return_weights=True)
+        table = Tensor(rng.standard_normal((5, 8)))
+        out, w = layer(state, add(state, box), feats, random_blend(rng, n, K, m), table,
+                       return_weights=True)
         assert out.shape == (n, K, 8)
         assert w.shape == (n, K, 2, m)
         np.testing.assert_allclose(w.data.sum(axis=-1),
@@ -111,38 +117,43 @@ class TestGca:
         layer = GcaLayer(reg, "g", d=8, heads=2, head_dim=4, rng=rng)
         base = rng.standard_normal((2, 2, 8))
         feats = Tensor(rng.standard_normal((2, 2, 4, 8)))
-        pe = Tensor(np.zeros((2, 2, 4, 8)))
-        a = layer(Tensor(base), Tensor(base), feats, pe).data
-        b = layer(Tensor(base), Tensor(base), feats, pe).data
+        blend, table = random_blend(rng, 2, 2, 4), Tensor(np.zeros((5, 8)))
+        a = layer(Tensor(base), Tensor(base), feats, blend, table).data
+        b = layer(Tensor(base), Tensor(base), feats, blend, table).data
         np.testing.assert_array_equal(a, b)
-        c = layer(Tensor(base + 0.5), Tensor(base + 0.5), feats, pe).data
+        c = layer(Tensor(base + 0.5), Tensor(base + 0.5), feats, blend, table).data
         assert not np.allclose(a, c)
 
-    def make_random(self, seed, n=3, K=2, m=5, d=8):
+    def make_random(self, seed, n=3, K=2, m=5, d=8, S=5):
         """A layer with every parameter drawn at random, v.bias and the
         norm shift included, and random inputs: state, box embedding,
-        features and positional codes."""
+        features, sample points off the scale levels and a scale table."""
         rng = np.random.default_rng(seed)
         reg = ParameterRegistry()
         layer = GcaLayer(reg, "g", d=d, heads=2, head_dim=4, rng=rng)
         for p in reg.parameters():
             p.data[...] = rng.normal(0.0, 0.3, p.data.shape)
+        pts = rng.uniform(0.0, 1.0, (n, K, m, 3))
+        pts[..., 2] = (rng.integers(0, S - 1, (n, K, m)) + rng.uniform(0.1, 0.9, (n, K, m))) \
+            / (S - 1)
         inputs = (Tensor(rng.standard_normal((n, K, d))), Tensor(rng.standard_normal((n, 1, d))),
-                  Tensor(rng.standard_normal((n, K, m, d))),
-                  Tensor(rng.standard_normal((n, K, m, d))))
+                  Tensor(rng.standard_normal((n, K, m, d))), Tensor(pts),
+                  Tensor(rng.standard_normal((S, d))))
         return reg, layer, inputs
 
     def test_matches_unfolded_numpy_reference(self):
-        """Projecting a key and a value for every sample, splitting heads,
-        attending and projecting out gives the layer's output and weights."""
-        reg, layer, (state, box, feats, pe) = self.make_random(74)
-        out, weights = layer(state, add(state, box), feats, pe, return_weights=True)
+        """Forming x = feats + blend . table in full, projecting a key and a
+        value for every sample, splitting heads, attending and projecting
+        out gives the layer's output and weights."""
+        reg, layer, (state, box, feats, coords, table) = self.make_random(74)
+        blend = level_weights(coords, table.shape[0])
+        out, weights = layer(state, add(state, box), feats, blend, table, return_weights=True)
         p = {name: reg.get(f"g.{name}").data for name in
              ("q.weight", "q.bias", "k.weight", "v.weight", "v.bias",
               "out.weight", "out.bias", "ln.gain", "ln.shift")}
         n, K, m, d = feats.shape
         h, dh = 2, 4
-        x = feats.data + pe.data
+        x = feats.data + blend.data @ table.data
         q = ((state.data + box.data) @ p["q.weight"] + p["q.bias"]).reshape(n, K, h, dh)
         k = (x @ p["k.weight"]).reshape(n, K, m, h, dh)
         v = (x @ p["v.weight"] + p["v.bias"]).reshape(n, K, m, h, dh)
@@ -156,18 +167,21 @@ class TestGca:
         np.testing.assert_allclose(out.data, y * p["ln.gain"] + p["ln.shift"], rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
-        """Every parameter, k.weight and v.bias among them, and the
-        feats and state inputs against central differences."""
-        reg, layer, (state, box, feats, pe) = self.make_random(75, n=2, m=3)
+        """Every parameter, k.weight and v.bias among them, the feats and
+        state inputs, the scale table and the sample coordinates behind
+        the level weights against central differences."""
+        reg, layer, (state, box, feats, coords, table) = self.make_random(75, n=2, m=3)
         wts = Tensor(np.random.default_rng(76).standard_normal(state.shape))
 
-        def loss(s=state, f=feats):
-            return tsum(mul(layer(s, add(s, box), f, pe), wts))
+        def loss(s=state, f=feats, c=coords, t=table):
+            return tsum(mul(layer(s, add(s, box), f, level_weights(c, t.shape[0]), t), wts))
 
         for p in reg.parameters():
             assert check_parameter_gradients(loss, p.tensor) < 1e-6, p.name
         assert check_gradients(lambda f: loss(f=f), feats) < 1e-6
         assert check_gradients(lambda s: loss(s=s), state) < 1e-6
+        assert check_gradients(lambda t: loss(t=t), table) < 1e-6
+        assert check_gradients(lambda c: loss(c=c), coords) < 1e-6
 
 
 class TestRca:

@@ -13,7 +13,7 @@ from relattn.features import (
     sinusoidal_grid,
     synthesize_features,
 )
-from relattn.tensor import Tensor, level_lerp, point_sample
+from relattn.tensor import Tensor, level_weights, matmul, point_sample
 
 
 class TestSinusoidalGrid:
@@ -48,8 +48,9 @@ class TestSinusoidalGrid:
 
 class TestPositionalEmbeddings:
     def test_scale_embedding_shifts_each_level(self):
-        """At every lattice node, the folded sample plus the scale lerp is
-        the feature plus the sinusoid plus that level's scale embedding."""
+        """At every lattice node, the folded sample plus the level weights
+        times the scale table is the feature plus the sinusoid plus that
+        level's scale embedding."""
         rng = np.random.default_rng(50)
         volume = rng.standard_normal((5, 4, 4, 8))
         scale = rng.standard_normal((5, 8))
@@ -60,7 +61,7 @@ class TestPositionalEmbeddings:
         for s in range(5):
             nodes = np.array([[x / 3, y / 3, s / 4] for y in range(4) for x in range(4)])
             got = (point_sample(pe.folded, Tensor(nodes))
-                   + level_lerp(pe.scale, Tensor(nodes))).data.reshape(4, 4, 8)
+                   + matmul(level_weights(Tensor(nodes), 5), pe.scale)).data.reshape(4, 4, 8)
             np.testing.assert_allclose(got, volume[s] + base + scale[s], atol=1e-12)
 
     def test_rejects_wrong_scale_shape(self):

@@ -66,6 +66,17 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.load_state_dict({"a": np.zeros((3, 2))})
 
+    def test_name_mismatch_message_is_short(self):
+        """A name mismatch gives counts and at most two names per side, not
+        every parameter name."""
+        reg = ParameterRegistry()
+        for i in range(50):
+            reg.add(f"p{i:02d}", np.zeros(1))
+        with pytest.raises(ValueError) as info:
+            reg.load_state_dict({"x": np.zeros(1)})
+        assert str(info.value) == \
+            "parameter name mismatch: 50 missing ['p00', 'p01'], 1 unexpected ['x']"
+
     def test_zero_grad_clears(self):
         reg = ParameterRegistry()
         t = reg.add("w", np.ones(3))

@@ -1,6 +1,6 @@
 """Feature-volume sampling against an explicit eight-corner oracle, the
-scale-axis interpolation, and the fold of the positional code into the
-feature volume."""
+level weights of the scale axis, and the fold of the positional code into
+the feature volume."""
 
 import warnings
 
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from relattn import tensor
-from relattn.tensor import Tensor, add, level_lerp, mul, point_sample, reshape, tsum
+from relattn.tensor import Tensor, add, level_weights, matmul, mul, point_sample, reshape, \
+    tsum
 from relattn.gradcheck import check_gradients
 
 from oracles import trilinear_oracle
@@ -116,27 +117,25 @@ class TestForward:
                 warnings.simplefilter("error")
                 out = point_sample(Tensor(volume), coords)
                 tsum(out).backward()
-                table = Tensor(volume[:, 0, 0])
-                lerp = level_lerp(table, Tensor(coords.data[:2])).data
+                blend = level_weights(Tensor(coords.data[:2]), shape[0]).data
             np.testing.assert_array_equal(out.data[0], volume[0, 0, 0])
             np.testing.assert_array_equal(out.data[1], volume[-1, -1, -1])
             np.testing.assert_array_equal(out.data[2], point_sample(
                 Tensor(volume), Tensor(np.array([0.5, 1.0, 0.5]))).data)
-            np.testing.assert_array_equal(lerp, volume[[0, -1], 0, 0])
+            np.testing.assert_array_equal(blend @ volume[:, 0, 0], volume[[0, -1], 0, 0])
             assert np.all(coords.grad[:2] == 0.0) and coords.grad[2, 1] == 0.0
 
     def test_nan_coordinates_raise(self):
         """NaN has no grid cell: both samplers refuse it before sampling,
         whichever axis it sits on."""
         volume = Tensor(np.zeros((2, 3, 3, 4)))
-        table = Tensor(np.zeros((2, 4)))
         for axis in range(3):
             pts = np.full((5, 2, 3), 0.5)
             pts[3, 1, axis] = np.nan
             with pytest.raises(ValueError, match="NaN"):
                 point_sample(volume, Tensor(pts))
             with pytest.raises(ValueError, match="NaN"):
-                level_lerp(table, Tensor(pts))
+                level_weights(Tensor(pts), 2)
 
     def test_batched_coordinate_shapes(self):
         """Leading coordinate axes carry through to the output."""
@@ -268,42 +267,106 @@ class TestBlocks:
         assert np.abs(got - want).max() < 1e-12
 
 
-class TestLevelLerp:
+def scale_lerp(coords, table):
+    """The scale table blended by each point's level weights."""
+    return matmul(level_weights(coords, table.shape[0]), table)
+
+
+def off_kink_scales(rng, S, n):
+    """n scale coordinates at least 0.05 cells from every level and from
+    the border of [0, 1], a third of them outside it, so central
+    differences see one linear piece."""
+    cells = max(S - 1, 1)
+    inside = (rng.integers(0, cells, n) + rng.uniform(0.05, 0.95, n)) / cells
+    outside = np.where(rng.random(n) < 0.5, -0.05 - rng.random(n), 1.05 + rng.random(n))
+    return np.where(np.arange(n) % 3 == 2, outside, inside)
+
+
+class TestLevelWeights:
     def test_table_gradient(self):
+        """The table gradient of the blend times the table, the form the
+        box corners use."""
         rng = np.random.default_rng(28)
         table = Tensor(rng.standard_normal((5, 3)))
         coords = Tensor(rng.uniform(-0.2, 1.2, (9, 3)))
         w = rng.standard_normal((9, 3))
-        err = check_gradients(
-            lambda t: tsum(mul(level_lerp(t, coords), Tensor(w))), table)
+        err = check_gradients(lambda t: tsum(mul(scale_lerp(coords, t), Tensor(w))), table)
         assert err < 1e-6
 
     def test_scale_coordinate_gradient(self):
-        """Finite differences agree on s; x and y get exactly zero."""
+        """Finite differences agree on s, for the weights and for the
+        weights times a table; x and y get exactly zero."""
         rng = np.random.default_rng(29)
         table = Tensor(rng.standard_normal((5, 4)))
         pts = rng.uniform(0.0, 1.0, (7, 3))
         pts[:, 2] = (rng.integers(0, 4, 7) + rng.uniform(0.1, 0.9, 7)) / 4  # off the levels
         w = rng.standard_normal((7, 4))
+        wb = rng.standard_normal((7, 5))
         err = check_gradients(
-            lambda c: tsum(mul(level_lerp(table, c), Tensor(w))), Tensor(pts))
+            lambda c: tsum(mul(scale_lerp(c, table), Tensor(w))), Tensor(pts))
+        assert err < 1e-6
+        err = check_gradients(lambda c: tsum(mul(level_weights(c, 5), Tensor(wb))), Tensor(pts))
         assert err < 1e-6
         coords = Tensor(pts, requires_grad=True)
-        tsum(mul(level_lerp(table, coords), Tensor(w))).backward()
+        tsum(mul(scale_lerp(coords, table), Tensor(w))).backward()
         assert np.all(coords.grad[:, :2] == 0.0)
         assert np.all(coords.grad[:, 2] != 0.0)
+
+    @pytest.mark.parametrize("S", [1, 2, 5])
+    def test_scale_gradient_at_border_and_one_level(self, S):
+        """Finite differences agree on s inside [0, 1] and beyond its
+        border, where the weights clamp to an end level and the gradient
+        is exactly zero; with one level the weights are constant."""
+        rng = np.random.default_rng(36)
+        n = 12
+        pts = rng.uniform(0.0, 1.0, (n, 3))
+        pts[:, 2] = off_kink_scales(rng, S, n)
+        wb = Tensor(rng.standard_normal((n, S)))
+        assert check_gradients(lambda c: tsum(mul(level_weights(c, S), wb)), Tensor(pts)) < 1e-6
+        coords = Tensor(pts, requires_grad=True)
+        tsum(mul(level_weights(coords, S), wb)).backward()
+        outside = (pts[:, 2] < 0.0) | (pts[:, 2] > 1.0)
+        assert np.all(coords.grad[outside] == 0.0)
+        if S == 1:
+            np.testing.assert_array_equal(level_weights(coords, 1).data, np.ones((n, 1)))
+            assert np.all(coords.grad == 0.0)
+        else:
+            assert np.all(coords.grad[~outside, 2] != 0.0)
+
+    def test_rows_sum_to_one(self):
+        """Each row is a convex blend of at most two neighboring levels,
+        and a point on a level or beyond the border is one-hot."""
+        rng = np.random.default_rng(37)
+        for S in (1, 2, 5):
+            pts = rng.uniform(-0.5, 1.5, (4, 6, 3))
+            pts[0, :, 2] = np.arange(6) / 5 * (S > 1)
+            blend = level_weights(Tensor(pts), S).data
+            assert blend.shape == (4, 6, S)
+            np.testing.assert_allclose(blend.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+            assert np.all(blend >= 0.0) and np.all((blend > 0.0).sum(axis=-1) <= 2)
+            if S > 1:
+                hot = np.isin(pts[..., 2] * (S - 1), np.arange(S)) | (pts[..., 2] < 0.0) \
+                    | (pts[..., 2] > 1.0)
+                assert np.all(blend[hot].max(axis=-1) == 1.0)
+                nz = [np.flatnonzero(row) for row in blend.reshape(-1, S)]
+                assert all(len(i) < 2 or i[1] == i[0] + 1 for i in nz)
+
+    def test_rejects_no_levels(self):
+        with pytest.raises(ValueError, match="levels"):
+            level_weights(Tensor(np.zeros((2, 3))), 0)
 
     def test_clamps_like_point_sample(self):
         """s < 0 and s > 1 clamp to the end levels with zero s-gradient;
         s = 1 and s = 0 keep their one-sided gradient. Values and
-        gradients match point_sample of the table broadcast over a grid."""
+        gradients of the weights times a table match point_sample of the
+        table broadcast over a grid."""
         rng = np.random.default_rng(30)
         table = rng.standard_normal((5, 3))
         pts = np.array([[0.3, 0.6, -0.4], [0.3, 0.6, 1.7], [0.3, 0.6, 1.0],
                         [0.3, 0.6, 0.0], [0.8, 0.1, 0.6]])
         g = rng.standard_normal((5, 3))
         coords = Tensor(pts, requires_grad=True)
-        out = level_lerp(Tensor(table), coords)
+        out = scale_lerp(coords, Tensor(table))
         out.backward(g)
         np.testing.assert_array_equal(out.data[0], table[0])
         np.testing.assert_array_equal(out.data[1], table[4])
@@ -325,7 +388,7 @@ class TestLevelLerp:
 
 class TestFold:
     def test_folded_sample_matches_separate_samples(self):
-        """point_sample(V + grid) + level_lerp(scale) equals sampling V and
+        """point_sample(V + grid) + level_weights . scale equals sampling V and
         the positional volume grid + scale separately, in values and in
         the gradients for the coordinates and the scale table."""
         rng = np.random.default_rng(31)
@@ -340,7 +403,7 @@ class TestFold:
             g = rng.standard_normal((n, d))
 
             scale_a, coords_a = Tensor(table, requires_grad=True), Tensor(pts, requires_grad=True)
-            folded = add(point_sample(Tensor(V + grid), coords_a), level_lerp(scale_a, coords_a))
+            folded = add(point_sample(Tensor(V + grid), coords_a), scale_lerp(coords_a, scale_a))
             folded.backward(g)
 
             scale_b, coords_b = Tensor(table, requires_grad=True), Tensor(pts, requires_grad=True)

@@ -7,7 +7,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from relattn.gradcheck import check_gradients
-from relattn.tensor import Tensor, add, matmul, mul, reshape, take, transpose, tsum
+from relattn.tensor import Tensor, add, level_weights, matmul, mul, reshape, sample_attention, \
+    softmax, swap_last, take, transpose, tsum
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 TOL = 1e-6
@@ -130,3 +131,61 @@ class TestReduction:
         keepdims = data.draw(st.booleans())
         x = Tensor(rng.standard_normal(shape))
         assert op_error(lambda t: tsum(t, axis=axes, keepdims=keepdims), x, rng) < TOL
+
+
+class TestLevelWeights:
+    @PROPERTY
+    @given(lead=st.lists(dims, min_size=0, max_size=3).map(tuple),
+           levels=st.integers(min_value=1, max_value=6), seed=seeds)
+    def test_convex_rows_and_scale_gradient(self, lead, levels, seed):
+        """Rows are convex blends of at most two neighboring levels, and
+        the gradient matches central differences on s and is zero on x
+        and y, for points inside [0, 1] and beyond its border, each at
+        least 0.05 cells from a level."""
+        rng = np.random.default_rng(seed)
+        cells = max(levels - 1, 1)
+        pts = rng.uniform(0.0, 1.0, lead + (3,))
+        s = (rng.integers(0, cells, lead) + rng.uniform(0.05, 0.95, lead)) / cells
+        beyond = rng.random(lead) < 0.3
+        pts[..., 2] = np.where(beyond, np.where(s < 0.5, -s, 1.0 + s), s)
+        blend = level_weights(Tensor(pts), levels).data
+        assert blend.shape == lead + (levels,)
+        assert np.all(np.abs(blend.sum(axis=-1) - 1.0) <= 1e-15) and np.all(blend >= 0.0)
+        assert np.all((blend > 0.0).sum(axis=-1) <= 2)
+        x = Tensor(pts)
+        assert op_error(lambda t: level_weights(t, levels), x, rng) < TOL
+        coords = Tensor(pts, requires_grad=True)
+        tsum(mul(level_weights(coords, levels), Tensor(rng.standard_normal(blend.shape)))) \
+            .backward()
+        assert np.all(coords.grad[..., :2] == 0.0)
+
+
+class TestSampleAttention:
+    @PROPERTY
+    @given(N=dims, h=dims, m=dims, d=dims, S=dims, seed=seeds)
+    def test_matches_composed_tape_ops(self, N, h, m, d, S, seed):
+        """The fused op equals the same attention built from matmul, add,
+        swap_last and softmax, whose gradients are checked against central
+        differences on their own: pooled samples, weights, and the
+        gradients of the queries, samples, level weights and table, to
+        rounding. (A direct central-difference check of the fused op on
+        such random draws is not conditioned well: where the softmax
+        saturates, gradient entries near 1e-8 carry relative errors far
+        above the tolerance on either form.)"""
+        rng = np.random.default_rng(seed)
+        data = [rng.standard_normal(shape) for shape in ((N, h, d), (N, m, d), (N, m, S), (S, d))]
+        g = rng.standard_normal((N, h, d))
+        fused = [Tensor(x, requires_grad=True) for x in data]
+        pooled, weights = sample_attention(*fused)
+        pooled.backward(g)
+        q, feats, blend, table = composed = [Tensor(x, requires_grad=True) for x in data]
+        keys = swap_last(q)
+        scores = add(matmul(feats, keys), matmul(blend, matmul(table, keys)))
+        w = swap_last(softmax(scores, axis=1))
+        want = add(matmul(w, feats), matmul(matmul(w, blend), table))
+        want.backward(g)
+        np.testing.assert_allclose(weights.data, w.data, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(pooled.data, want.data, rtol=0, atol=1e-12)
+        for a, b in zip(fused, composed):
+            np.testing.assert_allclose(a.grad, b.grad, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(b.grad).max()))
