@@ -123,7 +123,7 @@ def _cmd_sample_points(args) -> int:
     with no_grad():
         decode = model.forward(scene, volume, "infer").decode
     rows = ((e, g, layer, role, *pts[e, g, t])
-            for role, layers in (("subject", decode.points_sub), ("object", decode.points_obj))
+            for role, layers in zip(("subject", "object"), decode.points)
             for layer, pts in enumerate(layers)
             for e, g, t in np.ndindex(pts.shape[:3]))
     write_csv(args.out, ("entity", "group", "layer", "role", "x", "y", "z"), rows)

@@ -33,6 +33,23 @@ def _default_loss_weights() -> dict:
     return {"focal": 1.0, "mask": 1.0, "margin": 1.0, "rep_point": 1.0}
 
 
+def _number(value, types=(int, float)) -> bool:
+    """A JSON number of the given types; true and false are not numbers."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+# Per field annotation: whether a JSON value fits the field, and what fits.
+_VALUE_TYPES = {
+    "int": (lambda v: _number(v, int), "an integer"),
+    "int | None": (lambda v: v is None or _number(v, int), "an integer or null"),
+    "float": (_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict) and all(map(_number, v.values())),
+             "an object of numbers"),
+}
+
+
 @dataclass
 class RunConfig:
     # model
@@ -112,12 +129,15 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"configuration must be a JSON object, got {type(raw).__name__}")
-        fields = {f.name for f in dataclasses.fields(cls)}
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in raw.items():
             name = _KEY_ALIASES.get(key, key)
             if name not in fields:
                 raise ConfigError(f"unknown configuration key {key!r}")
+            accepts, expected = _VALUE_TYPES[fields[name]]
+            if not accepts(value):
+                raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
             kwargs[name] = value
         cfg = cls(**kwargs)
         weights = _default_loss_weights()

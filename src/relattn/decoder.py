@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import LinearParams, ParameterRegistry
+from .params import LinearParams, ParameterRegistry, xavier
 from .sampler import GroupOffsetPredictor, draw_offsets, inference_grid_offsets, \
     accumulate_points
 from .features import PositionalEmbeddings
@@ -63,10 +63,10 @@ def queries(states: tuple, boxes: tuple) -> tuple:
 @dataclass
 class DecodeResult:
     queries: tuple  # final (subject, object) queries, each n x K x d
-    mean_sub: list = field(default_factory=list)    # per layer, n x K x 3: accumulated
-    mean_obj: list = field(default_factory=list)    # unclamped offset means
-    points_sub: list = field(default_factory=list)  # per layer, n x K x m x 3 arrays
-    points_obj: list = field(default_factory=list)
+    # (subject, object) per-layer lists: the accumulated unclamped offset
+    # means (n x K x 3 tensors) and the sample points (n x K x m x 3 arrays).
+    means: tuple = field(default_factory=lambda: ([], []))
+    points: tuple = field(default_factory=lambda: ([], []))
 
 
 class GcaLayer:
@@ -95,17 +95,19 @@ class GcaLayer:
     their gradients as one tape node.
 
     ``k`` has no bias: a key bias adds the same logit to every sample of
-    a query and cancels in the softmax. This costs O(h d (dh + m)) per
-    state instead of O(m d h dh), and equals the per-sample form up to
-    rounding."""
+    a query and cancels in the softmax. Neither ``k`` nor ``v`` runs as a
+    layer, so only their weights and ``v.bias`` are registered. This costs
+    O(h d (dh + m)) per state instead of O(m d h dh), and equals the
+    per-sample form up to rounding."""
 
     def __init__(self, registry: ParameterRegistry, prefix: str, d: int,
                  heads: int, head_dim: int, rng: np.random.Generator):
         width = heads * head_dim
         self.heads, self.head_dim = heads, head_dim
         self.wq = LinearParams(registry, f"{prefix}.q", d, width, rng)
-        self.wk = LinearParams(registry, f"{prefix}.k", d, width, rng, bias=False)
-        self.wv = LinearParams(registry, f"{prefix}.v", d, width, rng)
+        self.k_weight = registry.add(f"{prefix}.k.weight", xavier(rng, d, width))
+        self.v_weight = registry.add(f"{prefix}.v.weight", xavier(rng, d, width))
+        self.v_bias = registry.add(f"{prefix}.v.bias", np.zeros(width))
         self.out = LinearParams(registry, f"{prefix}.out", width, d, rng)
         self.ln = norm_params(registry, f"{prefix}.ln", d)
 
@@ -118,13 +120,13 @@ class GcaLayer:
         feats = reshape(feats, (N, m, d))
         blend = reshape(blend, (N, m, table.shape[0]))
         q = transpose(reshape(self.wq(query), (N, h, dh)), (1, 0, 2))  # h,N,dh
-        wk = transpose(reshape(self.wk.weight, (d, h, dh)), (1, 2, 0))  # h,dh,d
+        wk = transpose(reshape(self.k_weight, (d, h, dh)), (1, 2, 0))  # h,dh,d
         q_key = transpose(matmul(q * (1.0 / math.sqrt(dh)), wk), (1, 0, 2))  # N,h,d
         pooled, weights = sample_attention(q_key, feats, blend, table)
         pooled = transpose(pooled, (1, 0, 2))  # h,N,d
-        wv = transpose(reshape(self.wv.weight, (d, h, dh)), (1, 0, 2))  # h,d,dh
+        wv = transpose(reshape(self.v_weight, (d, h, dh)), (1, 0, 2))  # h,d,dh
         ctx = reshape(transpose(matmul(pooled, wv), (1, 0, 2)), (n, K, h * dh))
-        out = layer_norm(add(state, self.out(add(ctx, self.wv.bias))), *self.ln)
+        out = layer_norm(add(state, self.out(add(ctx, self.v_bias))), *self.ln)
         if return_weights:
             return out, reshape(weights, (n, K, h, m))
         return out
@@ -248,8 +250,6 @@ class DecoderStack:
         result = DecodeResult(queries=qs)
         points = [Tensor(p0.reshape(n, 1, 1, 3))] * 2
         means = [Tensor(p0.reshape(n, 1, 3))] * 2
-        mean_lists = (result.mean_sub, result.mean_obj)
-        point_lists = (result.points_sub, result.points_obj)
 
         for layer in range(self.layers):
             updated = []
@@ -261,8 +261,8 @@ class DecoderStack:
                     offsets = inference_grid_offsets(dist, range_mult, step_mult)
                 points[r] = accumulate_points(points[r], offsets)
                 means[r] = add(means[r], dist.mu)
-                mean_lists[r].append(means[r])
-                point_lists[r].append(points[r].data)
+                result.means[r].append(means[r])
+                result.points[r].append(points[r].data)
                 coords = snap_scale(points[r]) if scale_interpolation == "nearest" else points[r]
                 # Features plus sinusoid in one sample of the folded volume;
                 # GCA joins the scale table through the level weights.

@@ -17,13 +17,18 @@ import csv
 import numpy as np
 
 
+def offdiagonal(n: int) -> np.ndarray:
+    """(n, n) float mask: 1 off the diagonal, 0 on it."""
+    return 1.0 - np.eye(n, dtype=np.float64)
+
+
 def ranked_triplets(scores: np.ndarray, graph_constraint: bool = False) -> np.ndarray:
     """Rank all off-diagonal candidates of a (P, n, n) score grid. Returns
     an (M, 3) integer array of (predicate, subject, object) rows in rank
     order. With the graph constraint, only each ordered pair's best
     predicate (ties to the lowest index) enters the ranking."""
     P, n, _ = scores.shape
-    sub, obj = np.nonzero(~np.eye(n, dtype=bool))
+    sub, obj = np.nonzero(offdiagonal(n))
     if graph_constraint:
         pred = scores.argmax(axis=0)[sub, obj]  # first max wins
     else:

@@ -72,8 +72,7 @@ def evaluate_dataset(model: RelationModel, ds: Dataset, ks=DEFAULT_KS,
         volume = scene_volume(ds.seed, scene, signatures, cfg.feature_noise_std)
         with no_grad():
             output = model.forward(scene, volume, "infer")
-        scores = output.prediction.scores.data
-        ranked = ranked_triplets(scores, graph_constraint=graph_constraint)
+        ranked = ranked_triplets(output.prediction.scores, graph_constraint=graph_constraint)
         classes = [e.class_label for e in scene.entities]
         zs_gt = zero_shot_filter(scene.triplets, classes, ds.seen_triples)
         for k in ks:

@@ -1,8 +1,8 @@
 """Training objectives for relationship prediction.
 
-All losses return (scalar tensor, skipped flag); a skipped loss is an
-exact zero with no graph, used when a scene offers no supervision for
-that term (for example, no positive pairs).
+Every loss returns a scalar tensor. A scene that offers no supervision
+for a term (for example, no positive pairs) gets an exact zero with no
+graph.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evalkit import offdiagonal
 from .tensor import Tensor, add, concat, exp, mul, relu, sigmoid, softplus, sub, \
     tmax, tsum
 
@@ -20,8 +21,6 @@ class GroundTruthRelations:
     targets: np.ndarray       # P x n x n, 1 where (subject, predicate, object) is annotated
     pair_targets: np.ndarray  # n x n, 1 where the ordered pair has any predicate
     num_positive: int         # annotated triplet count
-    n: int
-    P: int
 
     @classmethod
     def from_triplets(cls, triplets: list, n: int, P: int) -> "GroundTruthRelations":
@@ -29,13 +28,7 @@ class GroundTruthRelations:
         for s, p, o in triplets:
             targets[p, s, o] = 1.0
         pair = (targets.sum(axis=0) > 0).astype(np.float64)
-        return cls(targets=targets, pair_targets=pair, num_positive=int(targets.sum()),
-                   n=n, P=P)
-
-
-def offdiagonal(n: int) -> np.ndarray:
-    """(n, n) float mask: 1 off the diagonal, 0 on it."""
-    return 1.0 - np.eye(n, dtype=np.float64)
+        return cls(targets=targets, pair_targets=pair, num_positive=int(targets.sum()))
 
 
 def predicate_gammas(priors: np.ndarray, gamma_base: float) -> np.ndarray:
@@ -72,7 +65,7 @@ def _focal_sum(logits: Tensor, gammas: np.ndarray, pos_weight: np.ndarray,
 
 
 def focal_bce(logits: Tensor, gt: GroundTruthRelations, alpha: float,
-              gammas: np.ndarray) -> tuple:
+              gammas: np.ndarray) -> Tensor:
     """Focal binary cross-entropy over every off-diagonal (predicate,
     subject, object) cell, both branches normalized by the positive count."""
     P, n, _ = logits.shape
@@ -80,53 +73,53 @@ def focal_bce(logits: Tensor, gt: GroundTruthRelations, alpha: float,
     if gammas.shape != (P,):
         raise ValueError(f"gammas must have shape ({P},), got {gammas.shape}")
     if gt.num_positive == 0:
-        return Tensor(0.0), True
+        return Tensor(0.0)
     off = offdiagonal(n)[None, :, :]
     return _focal_sum(logits, gammas.reshape(P, 1, 1), alpha * gt.targets * off,
-                      (1.0 - alpha) * (1.0 - gt.targets) * off, gt.num_positive), False
+                      (1.0 - alpha) * (1.0 - gt.targets) * off, gt.num_positive)
 
 
 def mask_loss(rel_logits: Tensor, gt: GroundTruthRelations, alpha: float,
-              gamma: float, neg_ratio: int, rng: np.random.Generator) -> tuple:
+              gamma: float, neg_ratio: int, rng: np.random.Generator) -> Tensor:
     """Focal BCE on the relatedness grid with negative subsampling: at most
     neg_ratio negatives per positive pair, drawn without replacement."""
-    n = gt.n
+    n = gt.pair_targets.shape[0]
     off = offdiagonal(n)
     pos_mask = gt.pair_targets * off
     n_pos = int(pos_mask.sum())
     if n_pos == 0:
-        return Tensor(0.0), True
+        return Tensor(0.0)
     neg_flat = np.flatnonzero(((1.0 - gt.pair_targets) * off).reshape(-1))
     quota = min(neg_ratio * n_pos, neg_flat.size)
     chosen = rng.choice(neg_flat, size=quota, replace=False) if quota else np.array([], dtype=np.intp)
     neg_mask = np.zeros(n * n, dtype=np.float64)
     neg_mask[chosen] = 1.0
     return _focal_sum(rel_logits, np.asarray(gamma, dtype=np.float64), alpha * pos_mask,
-                      (1.0 - alpha) * neg_mask.reshape(n, n), n_pos), False
+                      (1.0 - alpha) * neg_mask.reshape(n, n), n_pos)
 
 
-def margin_ranking_loss(logits: Tensor, gt: GroundTruthRelations) -> tuple:
+def margin_ranking_loss(logits: Tensor, gt: GroundTruthRelations) -> Tensor:
     """Push every negative below its predicate's weakest positive: mean
     hinge of sigmoid(negative) above the per-predicate minimum positive
     sigmoid, over all off-diagonal negatives of predicates that have at
     least one positive in the scene."""
     P, n, _ = logits.shape
     if gt.num_positive == 0:
-        return Tensor(0.0), True
+        return Tensor(0.0)
     off = offdiagonal(n)[None, :, :]
     pos_mask = gt.targets * off
     has_pos = pos_mask.reshape(P, -1).sum(axis=1) > 0
     elig = (1.0 - gt.targets) * off * has_pos[:, None, None]
     n_neg = int(elig.sum())
     if n_neg == 0:
-        return Tensor(0.0), True
+        return Tensor(0.0)
     sig = sigmoid(logits)
     # Min over positives via max of the negation; non-positives are pushed
     # above any sigmoid value so they never win.
     shifted = add(mul(sig, Tensor(pos_mask)), Tensor(2.0 * (1.0 - pos_mask)))
     floor = mul(tmax(mul(shifted, -1.0), axis=(1, 2), keepdims=True), -1.0)  # P x 1 x 1
     hinge = mul(relu(sub(sig, floor)), Tensor(elig))
-    return mul(tsum(hinge), 1.0 / n_neg), False
+    return mul(tsum(hinge), 1.0 / n_neg)
 
 
 def union_enclosing_boxes(triplets: list, boxes: np.ndarray) -> tuple:
@@ -150,7 +143,7 @@ def union_enclosing_boxes(triplets: list, boxes: np.ndarray) -> tuple:
     return enc, involved
 
 
-def rep_point_margin_loss(mean_points: list, triplets: list, boxes: np.ndarray) -> tuple:
+def rep_point_margin_loss(mean_points: list, triplets: list, boxes: np.ndarray) -> Tensor:
     """Keep accumulated offset means spatially near each entity's
     relations: hinge on how far the x and y of every (entity, group) mean
     falls outside the entity's enclosing relation box, averaged over
@@ -158,15 +151,15 @@ def rep_point_margin_loss(mean_points: list, triplets: list, boxes: np.ndarray) 
     which must share one n x K x 3 shape. The scale coordinate is
     unconstrained."""
     if not triplets or not mean_points:
-        return Tensor(0.0), True
+        return Tensor(0.0)
     shapes = {tuple(pts.shape) for pts in mean_points}
     if len(shapes) != 1:
         raise ValueError(f"point sets must share one shape, got {sorted(shapes)}")
     enc, involved = union_enclosing_boxes(triplets, boxes)
     if not involved.any():
-        return Tensor(0.0), True
+        return Tensor(0.0)
     n, K, _ = shapes.pop()
     xy = concat(mean_points, axis=1)[:, :, :2]  # n x (sets * K) x 2
     hinge = add(relu(sub(xy, Tensor(enc[:, None, 2:]))), relu(sub(Tensor(enc[:, None, :2]), xy)))
     mask = Tensor(involved.astype(np.float64).reshape(n, 1, 1))
-    return mul(tsum(mul(hinge, mask)), 1.0 / float(involved.sum() * K * 2)), False
+    return mul(tsum(mul(hinge, mask)), 1.0 / float(involved.sum() * K * 2))

@@ -50,7 +50,7 @@ class RelationModel:
             empty = RelationPrediction(
                 predicate_logits=Tensor(np.zeros((cfg.P, 0, 0))),
                 relatedness_logits=Tensor(np.zeros((0, 0))),
-                scores=Tensor(np.zeros((cfg.P, 0, 0))))
+                scores=np.zeros((cfg.P, 0, 0)))
             return ForwardOutput(prediction=empty, decode=DecodeResult(queries=None))
         volume = Tensor(volume)
         pe = build_positional_embeddings(volume, self.scale_embeds)

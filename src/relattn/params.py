@@ -84,16 +84,12 @@ def xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> n
 
 
 class LinearParams:
-    """Weight/bias pair registered under ``prefix.weight`` / ``prefix.bias``.
-
-    Pass ``bias=False`` for projections where an additive offset provably
-    cannot reach the output (a key bias under softmax attention shifts
-    every key's logit by the same amount per query and cancels)."""
+    """Weight/bias pair registered under ``prefix.weight`` / ``prefix.bias``."""
 
     def __init__(self, registry: ParameterRegistry, prefix: str, d_in: int, d_out: int,
-                 rng: np.random.Generator, bias: bool = True):
+                 rng: np.random.Generator):
         self.weight = registry.add(f"{prefix}.weight", xavier(rng, d_in, d_out))
-        self.bias = registry.add(f"{prefix}.bias", np.zeros(d_out)) if bias else None
+        self.bias = registry.add(f"{prefix}.bias", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)

@@ -29,7 +29,6 @@ class PglaState:
     rho: np.ndarray          # (P,) per-predicate EMA momentum
     lam: float               # temperature on dr in B; larger narrows B - log(priors)
     metric: str              # "recall" or "precision"
-    iteration: int = 0
 
     @classmethod
     def create(cls, priors: np.ndarray, lam: float = 1.0,
@@ -125,7 +124,7 @@ def update_performance(state: PglaState, scores: np.ndarray,
     (1 - rho) * batch value, only for predicates the scene measured."""
     values, updated = batch_performance(scores, gt, state.priors, state.metric)
     r = np.where(updated, state.rho * state.r + (1.0 - state.rho) * values, state.r)
-    return replace(state, r=r, iteration=state.iteration + 1)
+    return replace(state, r=r)
 
 
 def update_confusion(state: PglaState, logits: np.ndarray,

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
-from .losses import offdiagonal
+from .evalkit import offdiagonal
 from .params import LinearParams, ParameterRegistry
-from .tensor import Tensor, add, gumbel_softmax, matmul, mul, no_grad, reshape, sigmoid, \
-    sqrt, swap_last, tmax, transpose, tsum
+from .tensor import Tensor, _sigmoid_np, add, gumbel_softmax, matmul, mul, reshape, \
+    swap_last, tmax, transpose, tsum
 
 TAU_START = 10.0
 TAU_END = 0.5
@@ -41,15 +41,15 @@ def annealing_temperature(iteration: int, total_iterations: int) -> float:
 class RelationPrediction:
     predicate_logits: Tensor   # P x n x n
     relatedness_logits: Tensor  # n x n
-    scores: Tensor             # P x n x n, diagonal zeroed, off the tape
+    scores: np.ndarray         # P x n x n, diagonal zeroed, off the tape
     pair_weights: Tensor | None = None  # P x n x n x K^2, training only
 
 
-def final_scores(predicate_logits: Tensor, relatedness_logits: Tensor) -> Tensor:
+def final_scores(predicate_logits: np.ndarray, relatedness_logits: np.ndarray) -> np.ndarray:
     """Geometric mean of the two sigmoid branches, diagonal forced to 0."""
-    P, n, _ = predicate_logits.shape
-    blended = mul(sigmoid(reshape(relatedness_logits, (1, n, n))), sigmoid(predicate_logits))
-    return mul(sqrt(blended), Tensor(offdiagonal(n)[None, :, :]))
+    n = predicate_logits.shape[-1]
+    blended = _sigmoid_np(relatedness_logits.reshape(1, n, n)) * _sigmoid_np(predicate_logits)
+    return np.sqrt(blended) * offdiagonal(n)[None, :, :]
 
 
 class RelationHead:
@@ -115,12 +115,12 @@ class RelationHead:
     def forward(self, sub: Tensor, obj: Tensor, mode: str, tau: float = None,
                 rng: np.random.Generator = None, hard: bool = False) -> RelationPrediction:
         """Predictions from the n x K x d subject and object queries. The
-        scores are read, never differentiated, so they are not taped."""
+        scores are read, never differentiated, so they are taken from the
+        logits' arrays, off the tape."""
         n, K, _ = sub.shape
         logits = self.attention_logits(sub, obj)
         pred, rel, weights = self.reduce_pairs(*self.group_pairs(logits, n, K), mode,
                                                tau=tau, rng=rng, hard=hard)
-        with no_grad():
-            scores = final_scores(pred, rel)
         return RelationPrediction(predicate_logits=pred, relatedness_logits=rel,
-                                  scores=scores, pair_weights=weights)
+                                  scores=final_scores(pred.data, rel.data),
+                                  pair_weights=weights)

@@ -439,22 +439,18 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 # -- fused layers ------------------------------------------------------------
 
 
-def linear(x, weight, bias=None) -> Tensor:
+def linear(x, weight, bias) -> Tensor:
     """Affine map over the last axis of a 2-d or wider x: x @ weight + bias."""
-    x, weight = _coerce(x), _coerce(weight)
+    x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     if weight.ndim != 2:
         raise DimensionError(f"linear weight must be 2-d, got {weight.shape}")
     if x.data.shape[-1] != weight.data.shape[0]:
         raise DimensionError(
             f"linear input width {x.data.shape[-1]} != weight rows {weight.data.shape[0]}")
-    out = matmul(x, weight)
-    if bias is not None:
-        bias = _coerce(bias)
-        if bias.data.shape != (weight.data.shape[1],):
-            raise DimensionError(
-                f"linear bias shape {bias.data.shape} != ({weight.data.shape[1]},)")
-        out = add(out, bias)
-    return out
+    if bias.data.shape != (weight.data.shape[1],):
+        raise DimensionError(
+            f"linear bias shape {bias.data.shape} != ({weight.data.shape[1]},)")
+    return add(matmul(x, weight), bias)
 
 
 def softmax(a, axis: int = -1) -> Tensor:

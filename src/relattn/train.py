@@ -80,42 +80,35 @@ class VolumeCache:
         return vol
 
 
-def training_loss(output: ForwardOutput, gt: GroundTruthRelations, cfg: RunConfig,
-                  gammas: np.ndarray, pgla_state: PglaState | None, boxes: np.ndarray,
+def training_loss(output: ForwardOutput, scene: SceneSample, cfg: RunConfig,
+                  gammas: np.ndarray, pgla_state: PglaState | None,
                   rng: np.random.Generator):
     """One scene's total loss. Returns (total tensor, per-term floats,
-    updated adjustment state, the logits the losses saw)."""
+    updated adjustment state)."""
+    gt = GroundTruthRelations.from_triplets(scene.triplets, len(scene.entities), cfg.P)
+    boxes = np.array([e.box for e in scene.entities], dtype=np.float64)
     pred = output.prediction
     if pgla_state is not None:
-        pgla_state = update_performance(pgla_state, pred.scores.data, gt)
+        pgla_state = update_performance(pgla_state, pred.scores, gt)
         pgla_state = update_confusion(pgla_state, pred.predicate_logits.data, gt)
         W, B = compute_wb(pgla_state)
         logits = adjust_logits(pred.predicate_logits, gt, W, B, pgla_state.confusion)
     else:
         logits = pred.predicate_logits
 
-    focal, _ = focal_bce(logits, gt, cfg.alpha, gammas)
-    mask, _ = mask_loss(pred.relatedness_logits, gt, cfg.alpha, cfg.gamma_base,
-                        cfg.neg_ratio, rng)
-    margin, _ = margin_ranking_loss(logits, gt)
-    rep, _ = rep_point_margin_loss(output.decode.mean_sub + output.decode.mean_obj,
-                                   gt_triplets_of(gt), boxes)
+    focal = focal_bce(logits, gt, cfg.alpha, gammas)
+    mask = mask_loss(pred.relatedness_logits, gt, cfg.alpha, cfg.gamma_base,
+                     cfg.neg_ratio, rng)
+    margin = margin_ranking_loss(logits, gt)
+    rep = rep_point_margin_loss(output.decode.means[0] + output.decode.means[1],
+                                scene.triplets, boxes)
     w = cfg.loss_weights
     total = add(add(mul(focal, w["focal"]), mul(mask, w["mask"])),
                 add(mul(margin, w["margin"]), mul(rep, w["rep_point"])))
-    breakdown = {
-        "focal_predicate": float(focal.data),
-        "mask": float(mask.data),
-        "margin_rank": float(margin.data),
-        "rep_point_margin": float(rep.data),
-        "total": float(total.data),
-    }
-    return total, breakdown, pgla_state, logits
-
-
-def gt_triplets_of(gt: GroundTruthRelations) -> list:
-    preds, subs, objs = np.nonzero(gt.targets)
-    return [(int(s), int(p), int(o)) for p, s, o in zip(preds, subs, objs)]
+    # Keyed by the training log's loss columns, in their order.
+    breakdown = {name: float(term.data)
+                 for name, term in zip(LOG_COLUMNS[1:], (focal, mask, margin, rep, total))}
+    return total, breakdown, pgla_state
 
 
 def train(cfg: RunConfig, data_dir: str, out_dir: str, trace: bool = False) -> TrainResult:
@@ -147,10 +140,8 @@ def train(cfg: RunConfig, data_dir: str, out_dir: str, trace: bool = False) -> T
         tau = annealing_temperature(it, cfg.iterations)
         volume = volumes.volume(scene)
         output = model.forward(scene, volume, "train", rng=run_rng, m=m, tau=tau)
-        gt = GroundTruthRelations.from_triplets(scene.triplets, len(scene.entities), cfg.P)
-        boxes = np.array([e.box for e in scene.entities], dtype=np.float64)
-        total, breakdown, pgla_state, _ = training_loss(
-            output, gt, cfg, gammas, pgla_state, boxes, run_rng)
+        total, breakdown, pgla_state = training_loss(output, scene, cfg, gammas, pgla_state,
+                                                     run_rng)
         if not np.isfinite(breakdown["total"]):
             raise TrainingError(f"non-finite loss at iteration {it}: {breakdown}")
         model.registry.zero_grad()
@@ -159,9 +150,7 @@ def train(cfg: RunConfig, data_dir: str, out_dir: str, trace: bool = False) -> T
         if bad is not None:
             raise TrainingError(f"non-finite values in parameter {bad} after the step"
                                 f" at iteration {it}")
-        log_rows.append((it, breakdown["focal_predicate"], breakdown["mask"],
-                         breakdown["margin_rank"], breakdown["rep_point_margin"],
-                         breakdown["total"]))
+        log_rows.append((it, *breakdown.values()))
         if trace and pgla_state is not None:
             W, B = compute_wb(pgla_state)
             for p in range(cfg.P):

@@ -153,9 +153,9 @@ def test_criterion_02_gradient_suite():
     gammas = predicate_gammas(np.array([0.5, 0.3, 0.2]), 2.0)
     x0 = Tensor(rng.standard_normal((3, 3, 3)))
     results["focal_bce"] = check_gradients(
-        lambda x: focal_bce(x, gt, 0.75, gammas)[0], x0)
+        lambda x: focal_bce(x, gt, 0.75, gammas), x0)
     results["margin_ranking"] = check_gradients(
-        lambda x: margin_ranking_loss(x, gt)[0], x0)
+        lambda x: margin_ranking_loss(x, gt), x0)
 
     n, K, d, m = 2, 2, 8, 3
     registry = ParameterRegistry()
@@ -255,12 +255,12 @@ def _full_forward_gradients() -> float:
         rng = np.random.default_rng(55)
         out = model.forward(scene, volume, "train", rng=rng, m=3, tau=1.5)
         logits = adjust_logits(out.prediction.predicate_logits, gt, W, B, D)
-        focal, _ = focal_bce(logits, gt, cfg.alpha, gammas)
-        mask, _ = mask_loss(out.prediction.relatedness_logits, gt, cfg.alpha,
-                            cfg.gamma_base, cfg.neg_ratio, rng)
-        margin, _ = margin_ranking_loss(logits, gt)
-        rep, _ = rep_point_margin_loss(
-            out.decode.mean_sub + out.decode.mean_obj, scene.triplets, boxes)
+        focal = focal_bce(logits, gt, cfg.alpha, gammas)
+        mask = mask_loss(out.prediction.relatedness_logits, gt, cfg.alpha,
+                         cfg.gamma_base, cfg.neg_ratio, rng)
+        margin = margin_ranking_loss(logits, gt)
+        rep = rep_point_margin_loss(
+            out.decode.means[0] + out.decode.means[1], scene.triplets, boxes)
         return add(add(focal, mask), add(margin, rep))
 
     worst = 0.0

@@ -182,6 +182,23 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("key, value", [
+        ("d", "x"), ("lambda", "1"), ("loss_weights", 3), ("K", 2.5),
+        ("pgla", "yes"), ("iterations", True)])
+    def test_mistyped_config_value(self, pipeline, tmp_path, capsys, key, value):
+        """A config value of the wrong type is a usage error naming its key,
+        on one line, before any output is made."""
+        _, cfg_path, data_dir, _ = pipeline
+        config = dict(json.loads(cfg_path.read_text()), **{key: value})
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps(config))
+        code = main(["train", "--config", str(bad), "--data", str(data_dir),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_that_is_a_list(self, pipeline, tmp_path, capsys):
         _, _, data_dir, _ = pipeline
         bad = tmp_path / "config.json"
@@ -232,15 +249,18 @@ class TestExitCodes:
         assert "no run configuration" in err
 
     @pytest.mark.parametrize("command", ["eval", "sample-points"])
-    @pytest.mark.parametrize("case", ["invalid-config", "wrong-parameters"])
+    @pytest.mark.parametrize("case", ["invalid-config", "wrong-parameters",
+                                      "mistyped-config"])
     def test_unusable_checkpoint(self, pipeline, tmp_path, capsys, command, case):
-        """A checkpoint that records an invalid configuration, or holds
-        parameters that do not fit its model, is a malformed checkpoint
-        (exit 2), reported on one short line."""
+        """A checkpoint that records an invalid or mistyped configuration,
+        or holds parameters that do not fit its model, is a malformed
+        checkpoint (exit 2), reported on one short line."""
         _, cfg_path, data_dir, _ = pipeline
         config = json.loads(cfg_path.read_text())
         if case == "invalid-config":
             config["d"] = 30
+        elif case == "mistyped-config":
+            config["pgla"] = "yes"
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, {"a": np.zeros(2)}, {"config": config})
         code = main([command, "--checkpoint", str(ckpt), "--data", str(data_dir),
@@ -250,7 +270,8 @@ class TestExitCodes:
         assert err.startswith("runtime failure:") and err.count("\n") == 1
         assert len(err) < 300
         assert {"invalid-config": "d must be divisible by 4",
-                "wrong-parameters": "1 unexpected ['a']"}[case] in err
+                "wrong-parameters": "1 unexpected ['a']",
+                "mistyped-config": "'pgla' must be true or false"}[case] in err
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command, field, value", [

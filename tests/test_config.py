@@ -47,6 +47,29 @@ class TestFromDict:
         assert cfg.loss_weights["margin"] == 1.0
 
 
+class TestValueTypes:
+    @pytest.mark.parametrize("key, value", [
+        ("d", "x"), ("K", 2.5), ("iterations", True), ("C", 2.0), ("P", "5"),
+        ("lambda", "1"), ("alpha", None), ("learning_rate", False),
+        ("pgla", "yes"), ("gumbel_hard", 1), ("pgla_metric", 3),
+        ("loss_weights", 3), ("loss_weights", {"mask": "1"}),
+        ("loss_weights", {"mask": True})])
+    def test_mistyped_value_names_its_key(self, key, value):
+        """Int fields take integers but not booleans, float fields take
+        numbers, C and P also take null, loss_weights an object of numbers;
+        anything else is a ConfigError naming the key."""
+        with pytest.raises(ConfigError, match=repr(key)):
+            RunConfig.from_dict({key: value})
+
+    def test_accepted_value_types(self):
+        cfg = RunConfig.from_dict({"C": None, "P": 4, "alpha": 1, "lambda": 2,
+                                   "pgla": False, "scale_interpolation": "nearest",
+                                   "loss_weights": {"mask": 0, "focal": 0.5}})
+        assert cfg.C is None and cfg.P == 4 and cfg.alpha == 1 and cfg.lam == 2
+        assert cfg.loss_weights == {"focal": 0.5, "mask": 0, "margin": 1.0,
+                                    "rep_point": 1.0}
+
+
 class TestValidate:
     def make(self, **kw):
         base = {"C": 6, "P": 5, "iterations": 100}

@@ -11,6 +11,8 @@ from relattn.data import (
     GenSpec,
     GenerationError,
     SceneSample,
+    _build_rules,
+    _choose_holdout,
     generate_dataset,
     load_dataset,
     position_bucket,
@@ -165,6 +167,48 @@ class TestGenerator:
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(GenerationError):
             GenSpec.from_dict({"num_scenes": 1, "C": 2, "P": 1, "shape": 3})
+
+
+class TestGeneratorRules:
+    def test_every_predicate_owns_a_rule(self):
+        """Four keys under Zipf 2 floor to rule counts [3, 1, 0, 0]; the
+        empty predicates take rules from the largest owners."""
+        spec = GenSpec(num_scenes=1, C=2, P=4, buckets=1, zipf_exponent=2.0)
+        rules = _build_rules(spec, np.random.default_rng(0))
+        assert len(rules) == 4
+        assert sorted(rules.values()) == [0, 1, 2, 3]
+
+    def test_holdout_zero_holds_nothing_out(self):
+        spec = GenSpec(num_scenes=1, C=3, P=2, buckets=1)
+        rules = _build_rules(spec, np.random.default_rng(0))
+        assert _choose_holdout(rules, 0.0, np.random.default_rng(0)) == set()
+
+    def test_holdout_keeps_one_combination_per_predicate(self):
+        """Asked to hold out nearly every combination, the holdout still
+        leaves each predicate one visible (subject class, object class)."""
+        spec = GenSpec(num_scenes=1, C=3, P=2, buckets=1)
+        rules = _build_rules(spec, np.random.default_rng(0))
+        combos = {(cs, p, co) for (cs, co, _b), p in rules.items()}
+        held = _choose_holdout(rules, 0.99, np.random.default_rng(0))
+        assert held and held < combos
+        for p in range(spec.P):
+            assert any(c[1] == p for c in combos - held), p
+
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    def test_rule_noise_relabels_predicates(self, noise):
+        """Without noise every triplet's predicate is the rule for its
+        classes and relative position; at noise 1 every predicate is drawn
+        anew, so some depart from the rule table."""
+        spec = small_spec(rule_noise=noise, holdout_fraction=0.0)
+        rules = _build_rules(spec, np.random.default_rng(spec.seed))
+        _, test = generate_dataset(spec)
+        departed = 0
+        for sc in test.scenes:
+            for s, p, o in sc.triplets:
+                sub, obj = sc.entities[s], sc.entities[o]
+                b = position_bucket(sub.center, obj.center, spec.buckets)
+                departed += p != rules[(sub.class_label, obj.class_label, b)]
+        assert (departed > 0) == (noise > 0)
 
 
 class TestSerialization:

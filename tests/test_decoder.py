@@ -312,8 +312,8 @@ class TestDecode:
         vol, pe = volume_and_pe(rng)
         res = stack.decode(detections(), vol, pe, sub, obj, mode="train",
                            rng=np.random.default_rng(0), m=4)
-        assert len(res.points_sub) == 2
-        for pts in res.points_sub + res.points_obj:
+        assert [len(layers) for layers in res.points] == [2, 2]
+        for pts in res.points[0] + res.points[1]:
             assert pts.shape == (3, 2, 4, 3)
             assert pts.min() >= 0.0 and pts.max() <= 1.0
 
@@ -333,7 +333,7 @@ class TestDecode:
                            rng=np.random.default_rng(1), m=3).queries
         states, boxes, p0 = stack.init_state(detections(), vol, pe, sub, obj)
         init = queries(states, boxes)
-        for r, means in enumerate((res.mean_sub, res.mean_obj)):
+        for r, means in enumerate(res.means):
             reads = [q[r] for q in (init, mid)]
             want = p0.reshape(3, 1, 3)
             for layer, query in enumerate(reads):

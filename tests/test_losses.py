@@ -27,6 +27,11 @@ def gt_for(triplets, n, P):
     return GroundTruthRelations.from_triplets(triplets, n, P)
 
 
+def assert_exact_zero(loss):
+    """A loss without supervision: exactly 0, and off the tape."""
+    assert loss.data == 0.0 and not loss.requires_grad and loss._parents == ()
+
+
 class TestGammas:
     def test_uniform_priors_give_zero(self):
         np.testing.assert_array_equal(
@@ -53,9 +58,7 @@ class TestFocalBce:
         and each negative at logit 0 adds 0.25 * 0.25 * log 2."""
         gt = gt_for([(0, 0, 1)], 2, 1)
         logits = Tensor(np.zeros((1, 2, 2)))
-        loss, skipped = focal_bce(logits, gt, alpha=0.75,
-                                  gammas=np.array([2.0]))
-        assert not skipped
+        loss = focal_bce(logits, gt, alpha=0.75, gammas=np.array([2.0]))
         want = 0.75 * 0.25 * np.log(2.0) + 0.25 * 0.25 * np.log(2.0)
         np.testing.assert_allclose(loss.data, want, rtol=1e-12)
 
@@ -65,7 +68,7 @@ class TestFocalBce:
         gt = gt_for([(0, 0, 1), (1, 1, 2), (2, 2, 0), (0, 2, 3)], n, P)
         x = rng.standard_normal((P, n, n)) * 2
         gammas = np.array([2.0, 1.0, 0.0])
-        loss, _ = focal_bce(Tensor(x), gt, alpha=0.75, gammas=gammas)
+        loss = focal_bce(Tensor(x), gt, alpha=0.75, gammas=gammas)
 
         g = gammas[:, None, None]
         off = (1.0 - np.eye(n))[None]
@@ -81,19 +84,19 @@ class TestFocalBce:
         base = np.zeros((2, 3, 3))
         spiked = base.copy()
         spiked[:, np.arange(3), np.arange(3)] = 17.0
-        a, _ = focal_bce(Tensor(base), gt, 0.75, np.zeros(2))
-        b, _ = focal_bce(Tensor(spiked), gt, 0.75, np.zeros(2))
+        a = focal_bce(Tensor(base), gt, 0.75, np.zeros(2))
+        b = focal_bce(Tensor(spiked), gt, 0.75, np.zeros(2))
         np.testing.assert_allclose(a.data, b.data, rtol=1e-12)
 
     def test_no_positives_skips(self):
         gt = gt_for([], 3, 2)
-        loss, skipped = focal_bce(Tensor(np.ones((2, 3, 3))), gt, 0.75,
-                                  np.zeros(2))
-        assert skipped and loss.data == 0.0
+        loss = focal_bce(Tensor(np.ones((2, 3, 3)), requires_grad=True), gt, 0.75,
+                         np.zeros(2))
+        assert_exact_zero(loss)
 
     def test_stable_at_extreme_logits(self):
         gt = gt_for([(0, 0, 1)], 2, 1)
-        loss, _ = focal_bce(Tensor(np.full((1, 2, 2), -500.0)), gt, 0.75,
+        loss = focal_bce(Tensor(np.full((1, 2, 2), -500.0)), gt, 0.75,
                             np.array([2.0]))
         assert np.isfinite(loss.data)
 
@@ -102,7 +105,7 @@ class TestFocalBce:
         gt = gt_for([(0, 0, 1), (2, 1, 0)], 3, 2)
         x = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
         err = check_gradients(
-            lambda t: focal_bce(t, gt, 0.75, np.array([2.0, 0.5]))[0], x)
+            lambda t: focal_bce(t, gt, 0.75, np.array([2.0, 0.5])), x)
         assert err < 1e-6
 
 
@@ -112,15 +115,14 @@ class TestMaskLoss:
         enters the loss."""
         gt = gt_for([(0, 0, 1)], 4, 1)
         x = np.zeros((4, 4))
-        loss, skipped = mask_loss(Tensor(x), gt, alpha=0.75, gamma=2.0,
-                                  neg_ratio=1, rng=np.random.default_rng(0))
-        assert not skipped
+        loss = mask_loss(Tensor(x), gt, alpha=0.75, gamma=2.0,
+                         neg_ratio=1, rng=np.random.default_rng(0))
         want = 0.75 * 0.25 * np.log(2.0) + 0.25 * 0.25 * np.log(2.0)
         np.testing.assert_allclose(loss.data, want, rtol=1e-12)
 
     def test_quota_clips_to_available(self):
         gt = gt_for([(0, 0, 1)], 2, 1)  # only one negative off-diagonal pair
-        loss, _ = mask_loss(Tensor(np.zeros((2, 2))), gt, 0.75, 2.0,
+        loss = mask_loss(Tensor(np.zeros((2, 2))), gt, 0.75, 2.0,
                             neg_ratio=10, rng=np.random.default_rng(0))
         assert np.isfinite(loss.data)
 
@@ -128,9 +130,9 @@ class TestMaskLoss:
         rng = np.random.default_rng(92)
         gt = gt_for([(0, 0, 1), (2, 1, 3)], 6, 2)
         x = rng.standard_normal((6, 6))
-        a, _ = mask_loss(Tensor(x), gt, 0.75, 2.0, 10,
+        a = mask_loss(Tensor(x), gt, 0.75, 2.0, 10,
                          np.random.default_rng(7))
-        b, _ = mask_loss(Tensor(x), gt, 0.75, 2.0, 10,
+        b = mask_loss(Tensor(x), gt, 0.75, 2.0, 10,
                          np.random.default_rng(7))
         np.testing.assert_array_equal(a.data, b.data)
 
@@ -140,7 +142,7 @@ class TestMaskLoss:
         x = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
         err = check_gradients(
             lambda t: mask_loss(t, gt, 0.75, 2.0, 10,
-                                np.random.default_rng(3))[0], x)
+                                np.random.default_rng(3)), x)
         assert err < 1e-6
 
 
@@ -151,8 +153,7 @@ class TestMarginRanking:
         triplets = [(0, 0, 1), (1, 0, 2), (2, 1, 0), (3, 1, 2)]
         gt = gt_for(triplets, n, P)
         x = rng.standard_normal((P, n, n))
-        loss, skipped = margin_ranking_loss(Tensor(x), gt)
-        assert not skipped
+        loss = margin_ranking_loss(Tensor(x), gt)
 
         s = sig(x)
         total, count = 0.0, 0
@@ -176,7 +177,7 @@ class TestMarginRanking:
         gt = gt_for([(0, 0, 1)], 3, 2)
         x = np.zeros((2, 3, 3))
         x[1] = 50.0  # would dominate if predicate 1 were eligible
-        loss, _ = margin_ranking_loss(Tensor(x), gt)
+        loss = margin_ranking_loss(Tensor(x), gt)
         s0 = sig(0.0)
         # predicate 0: floor is the single positive, all five negatives tie.
         np.testing.assert_allclose(loss.data, 0.0, atol=1e-12)
@@ -185,19 +186,19 @@ class TestMarginRanking:
         gt = gt_for([(0, 0, 1)], 2, 1)
         x = np.full((1, 2, 2), -8.0)
         x[0, 0, 1] = 8.0
-        loss, _ = margin_ranking_loss(Tensor(x), gt)
+        loss = margin_ranking_loss(Tensor(x), gt)
         np.testing.assert_allclose(loss.data, 0.0, atol=1e-12)
 
     def test_no_positive_skips(self):
         gt = gt_for([], 3, 2)
-        loss, skipped = margin_ranking_loss(Tensor(np.ones((2, 3, 3))), gt)
-        assert skipped and loss.data == 0.0
+        loss = margin_ranking_loss(Tensor(np.ones((2, 3, 3)), requires_grad=True), gt)
+        assert_exact_zero(loss)
 
     def test_gradient(self):
         rng = np.random.default_rng(95)
         gt = gt_for([(0, 0, 1), (2, 1, 0)], 3, 2)
         x = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
-        err = check_gradients(lambda t: margin_ranking_loss(t, gt)[0], x)
+        err = check_gradients(lambda t: margin_ranking_loss(t, gt), x)
         assert err < 1e-6
 
 
@@ -220,9 +221,9 @@ class TestRepPointMargin:
 
     def test_points_inside_cost_nothing(self):
         triplets = [(0, 0, 1)]
-        pts = Tensor(np.array([[[0.2, 0.2, 0.9]], [[0.6, 0.7, 0.1]]]))
-        loss, skipped = rep_point_margin_loss([pts], triplets, self.boxes()[:2])
-        assert not skipped
+        pts = Tensor(np.array([[[0.2, 0.2, 0.9]], [[0.6, 0.7, 0.1]]]), requires_grad=True)
+        loss = rep_point_margin_loss([pts], triplets, self.boxes()[:2])
+        assert loss.requires_grad  # taken, not skipped
         np.testing.assert_allclose(loss.data, 0.0, atol=1e-12)
 
     def test_outside_distance_is_averaged(self):
@@ -231,7 +232,7 @@ class TestRepPointMargin:
         triplets = [(0, 0, 1)]
         boxes = np.array([[0.1, 0.1, 0.9, 0.9], [0.2, 0.2, 0.8, 0.8]])
         pts = np.array([[[1.1, 0.5, 0.0]], [[0.5, 0.5, 0.0]]])
-        loss, _ = rep_point_margin_loss([Tensor(pts)], triplets, boxes)
+        loss = rep_point_margin_loss([Tensor(pts)], triplets, boxes)
         np.testing.assert_allclose(loss.data, 0.2 / (2 * 1 * 2), rtol=1e-12)
 
     def test_uninvolved_entities_are_free(self):
@@ -240,13 +241,13 @@ class TestRepPointMargin:
         pts[0] = [0.2, 0.2, 0.0]
         pts[1] = [0.6, 0.7, 0.0]
         pts[2] = [5.0, -3.0, 0.5]  # entity 2 has no relations
-        loss, _ = rep_point_margin_loss([Tensor(pts)], triplets, self.boxes())
+        loss = rep_point_margin_loss([Tensor(pts)], triplets, self.boxes())
         np.testing.assert_allclose(loss.data, 0.0, atol=1e-12)
 
     def test_scale_coordinate_unconstrained(self):
         triplets = [(0, 0, 1)]
         pts = np.array([[[0.2, 0.2, 99.0]], [[0.6, 0.7, -99.0]]])
-        loss, _ = rep_point_margin_loss([Tensor(pts)], triplets,
+        loss = rep_point_margin_loss([Tensor(pts)], triplets,
                                         self.boxes()[:2])
         np.testing.assert_allclose(loss.data, 0.0, atol=1e-12)
 
@@ -254,21 +255,21 @@ class TestRepPointMargin:
         triplets = [(0, 0, 1)]
         boxes = np.array([[0.1, 0.1, 0.9, 0.9], [0.2, 0.2, 0.8, 0.8]])
         pts = Tensor(np.array([[[1.1, 0.5, 0.0]], [[0.5, 0.5, 0.0]]]))
-        single, _ = rep_point_margin_loss([pts], triplets, boxes)
-        double, _ = rep_point_margin_loss([pts, pts], triplets, boxes)
+        single = rep_point_margin_loss([pts], triplets, boxes)
+        double = rep_point_margin_loss([pts, pts], triplets, boxes)
         np.testing.assert_allclose(double.data, 2 * single.data, rtol=1e-12)
 
     def test_empty_triplets_skip(self):
-        loss, skipped = rep_point_margin_loss(
-            [Tensor(np.zeros((2, 1, 3)))], [], self.boxes()[:2])
-        assert skipped and loss.data == 0.0
+        loss = rep_point_margin_loss(
+            [Tensor(np.zeros((2, 1, 3)), requires_grad=True)], [], self.boxes()[:2])
+        assert_exact_zero(loss)
 
     def test_gradient(self):
         rng = np.random.default_rng(96)
         triplets = [(0, 0, 1), (1, 0, 2)]
         pts = Tensor(rng.uniform(-0.3, 1.3, (3, 2, 3)), requires_grad=True)
         err = check_gradients(
-            lambda t: rep_point_margin_loss([t], triplets, self.boxes())[0],
+            lambda t: rep_point_margin_loss([t], triplets, self.boxes()),
             pts)
         assert err < 1e-5
 
@@ -294,10 +295,10 @@ class TestRepPointMargin:
     def test_matches_per_set_oracle(self):
         triplets, boxes, points = self.scene()
         leaves = [Tensor(p, requires_grad=True) for p in points]
-        loss, skipped = rep_point_margin_loss(leaves, triplets, boxes)
+        loss = rep_point_margin_loss(leaves, triplets, boxes)
         loss.backward()
         want, want_grads = rep_point_margin_oracle(points, triplets, boxes)
-        assert not skipped and want > 0
+        assert want > 0
         np.testing.assert_allclose(loss.data, want, rtol=0, atol=1e-12)
         for leaf, g in zip(leaves, want_grads):
             np.testing.assert_allclose(leaf.grad, g, rtol=0, atol=1e-12)

@@ -18,7 +18,7 @@ from relattn.data import (
 )
 from relattn.evaluate import evaluate, evaluate_dataset, load_model, metric_value
 from relattn.features import class_signatures, scene_volume
-from relattn.losses import GroundTruthRelations, predicate_gammas
+from relattn.losses import predicate_gammas
 from relattn.model import RelationModel
 from relattn.optim import AdamW
 from relattn.pgla import PglaState
@@ -59,11 +59,11 @@ class TestForward:
         out = model.forward(scene, volume, "train", rng=rng, m=3, tau=2.0)
         assert out.prediction.predicate_logits.data.shape == (cfg.P, n, n)
         assert out.prediction.relatedness_logits.data.shape == (n, n)
-        assert out.prediction.scores.data.shape == (cfg.P, n, n)
+        assert out.prediction.scores.shape == (cfg.P, n, n)
         with no_grad():
             inf = model.forward(scene, volume, "infer")
-        assert inf.prediction.scores.data.shape == (cfg.P, n, n)
-        np.testing.assert_array_equal(np.diagonal(inf.prediction.scores.data,
+        assert inf.prediction.scores.shape == (cfg.P, n, n)
+        np.testing.assert_array_equal(np.diagonal(inf.prediction.scores,
                                                   axis1=1, axis2=2), 0.0)
 
     def test_inference_is_deterministic(self, tiny_data):
@@ -74,8 +74,8 @@ class TestForward:
         sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
         volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
         with no_grad():
-            a = model.forward(scene, volume, "infer").prediction.scores.data
-            b = model.forward(scene, volume, "infer").prediction.scores.data
+            a = model.forward(scene, volume, "infer").prediction.scores
+            b = model.forward(scene, volume, "infer").prediction.scores
         np.testing.assert_array_equal(a, b)
 
     def test_empty_scene_returns_empty_prediction(self):
@@ -83,7 +83,7 @@ class TestForward:
         model = RelationModel(cfg, np.random.default_rng(0))
         scene = SceneSample(image_size=(256, 256), entities=[], triplets=[])
         out = model.forward(scene, np.zeros(1), "infer")
-        assert out.prediction.scores.data.shape == (cfg.P, 0, 0)
+        assert out.prediction.scores.shape == (cfg.P, 0, 0)
 
     def test_construction_requires_resolved_sizes(self):
         with pytest.raises(ConfigError):
@@ -103,13 +103,9 @@ class TestGradientCoverage:
         sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
         volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
         out = model.forward(scene, volume, "train", rng=rng, m=3, tau=2.0)
-        gt = GroundTruthRelations.from_triplets(scene.triplets,
-                                                len(scene.entities), cfg.P)
         gammas = predicate_gammas(train_ds.priors, cfg.gamma_base)
         state = PglaState.create(train_ds.priors)
-        boxes = np.array([e.box for e in scene.entities], dtype=np.float64)
-        total, breakdown, _, _ = training_loss(out, gt, cfg, gammas, state,
-                                               boxes, rng)
+        total, breakdown, _ = training_loss(out, scene, cfg, gammas, state, rng)
         model.registry.zero_grad()
         total.backward()
         dead = [p.name for p in model.registry.parameters()
@@ -125,14 +121,9 @@ class TestGradientCoverage:
         sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
         volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
         out = model.forward(scene, volume, "train", rng=rng, m=2, tau=1.0)
-        gt = GroundTruthRelations.from_triplets(scene.triplets,
-                                                len(scene.entities), cfg.P)
         gammas = predicate_gammas(train_ds.priors, cfg.gamma_base)
-        boxes = np.array([e.box for e in scene.entities], dtype=np.float64)
-        total, breakdown, state, logits = training_loss(out, gt, cfg, gammas,
-                                                        None, boxes, rng)
+        total, breakdown, state = training_loss(out, scene, cfg, gammas, None, rng)
         assert state is None
-        assert logits is out.prediction.predicate_logits
         assert set(breakdown) == {"focal_predicate", "mask", "margin_rank",
                                   "rep_point_margin", "total"}
         assert np.isfinite(breakdown["total"])
@@ -169,12 +160,9 @@ class TestTapeSize:
         sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
         volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
         out = model.forward(scene, volume, "train", rng=rng, m=3, tau=1.0)
-        gt = GroundTruthRelations.from_triplets(scene.triplets,
-                                                len(scene.entities), cfg.P)
         gammas = predicate_gammas(train_ds.priors, cfg.gamma_base)
-        boxes = np.array([e.box for e in scene.entities], dtype=np.float64)
-        total, _, _, _ = training_loss(out, gt, cfg, gammas,
-                                       PglaState.create(train_ds.priors), boxes, rng)
+        total, _, _ = training_loss(out, scene, cfg, gammas,
+                                    PglaState.create(train_ds.priors), rng)
         return total
 
     def test_desk_training_loss_tape_size(self, tiny_data):
@@ -225,17 +213,15 @@ class TestVisualGenomeSize:
         assert pred.pair_weights.shape == (P, n, n, cfg.K ** 2)
         for name, arr in (("logits", pred.predicate_logits.data),
                           ("relatedness", pred.relatedness_logits.data),
-                          ("scores", pred.scores.data)):
+                          ("scores", pred.scores)):
             assert np.isfinite(arr).all(), name
-        np.testing.assert_array_equal(np.diagonal(pred.scores.data, axis1=1, axis2=2), 0.0)
-        for means in (out.decode.mean_sub, out.decode.mean_obj):
+        np.testing.assert_array_equal(np.diagonal(pred.scores, axis1=1, axis2=2), 0.0)
+        for means in out.decode.means:
             assert [m.shape for m in means] == [(n, cfg.K, 3)] * cfg.L_d
 
-        gt = GroundTruthRelations.from_triplets(scene.triplets, n, P)
         gammas = predicate_gammas(train_ds.priors, cfg.gamma_base)
-        boxes = np.array([e.box for e in scene.entities], dtype=np.float64)
-        total, breakdown, state, _ = training_loss(
-            out, gt, cfg, gammas, PglaState.create(train_ds.priors), boxes, rng)
+        total, breakdown, state = training_loss(
+            out, scene, cfg, gammas, PglaState.create(train_ds.priors), rng)
         assert all(np.isfinite(v) for v in breakdown.values())
         assert state.confusion.shape == (P, P)
         model.registry.zero_grad()
@@ -244,7 +230,7 @@ class TestVisualGenomeSize:
             assert p.tensor.grad is not None and np.isfinite(p.tensor.grad).all(), p.name
 
         with no_grad():
-            scores = model.forward(scene, volume, "infer").prediction.scores.data
+            scores = model.forward(scene, volume, "infer").prediction.scores
         assert scores.shape == (P, n, n) and np.isfinite(scores).all()
         np.testing.assert_array_equal(np.diagonal(scores, axis1=1, axis2=2), 0.0)
 
@@ -306,8 +292,8 @@ class TestTraining:
         sigs = class_signatures(test_ds.seed, cfg.C, cfg.d)
         volume = scene_volume(test_ds.seed, scene, sigs, cfg.feature_noise_std)
         with no_grad():
-            x = model.forward(scene, volume, "infer").prediction.scores.data
-            y = fresh.forward(scene, volume, "infer").prediction.scores.data
+            x = model.forward(scene, volume, "infer").prediction.scores
+            y = fresh.forward(scene, volume, "infer").prediction.scores
         np.testing.assert_array_equal(x, y)
 
     def test_non_finite_gradient_stops_training(self, tiny_data, tmp_path,

@@ -167,7 +167,7 @@ class TestScores:
         P, n = 3, 4
         pred = rng.standard_normal((P, n, n))
         rel = rng.standard_normal((n, n))
-        s = final_scores(Tensor(pred), Tensor(rel)).data
+        s = final_scores(pred, rel)
         sig = lambda x: 1.0 / (1.0 + np.exp(-x))
         want = np.sqrt(sig(pred) * sig(rel)[None])
         want *= (1.0 - np.eye(n))[None]
@@ -186,5 +186,5 @@ class TestScores:
         assert out.pair_weights is None
         tr = head.forward(*query, mode="train", tau=2.0, rng=np.random.default_rng(0))
         assert tr.pair_weights.shape == (3, 3, 3, 4)
-        np.testing.assert_array_equal(np.diagonal(tr.scores.data,
+        np.testing.assert_array_equal(np.diagonal(tr.scores,
                                                   axis1=1, axis2=2), 0.0)
