@@ -1,5 +1,6 @@
 """Run configuration: one flat record shared by training, evaluation and
-the CLI. Loaded from JSON; unknown keys are rejected so typos fail fast."""
+the CLI. Loaded from JSON; unknown keys and mistyped values are rejected so
+typos fail fast. `fields_from_json` reads the generator spec the same way."""
 
 from __future__ import annotations
 
@@ -25,10 +26,6 @@ def read_json(path, error: type, what: str):
         raise error(f"invalid {what} JSON: {exc}") from exc
 
 
-# JSON keys that do not match a field name 1:1.
-_KEY_ALIASES = {"lambda": "lam"}
-
-
 def _default_loss_weights() -> dict:
     return {"focal": 1.0, "mask": 1.0, "margin": 1.0, "rep_point": 1.0}
 
@@ -47,7 +44,43 @@ _VALUE_TYPES = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "dict": (lambda v: isinstance(v, dict) and all(map(_number, v.values())),
              "an object of numbers"),
+    "tuple": (lambda v: isinstance(v, list) and len(v) == 2
+              and all(_number(x, int) for x in v), "a list of two integers"),
 }
+
+
+def fields_from_json(cls, raw, error: type, what: str, aliases: dict) -> dict:
+    """The keyword arguments of dataclass ``cls`` that the JSON object
+    ``raw`` gives. ``aliases`` maps a JSON key to the field it sets, to a
+    tuple of fields that its list's items set in order, or to a dict that
+    maps its object's keys to fields. An unknown key, or a value that does
+    not fit its field's ``_VALUE_TYPES`` entry, raises ``error`` naming the
+    key. A ``tuple`` field's list becomes a tuple."""
+    if not isinstance(raw, dict):
+        raise error(f"{what} must be a JSON object, got {type(raw).__name__}")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in raw.items():
+        target = aliases.get(key, key)
+        if isinstance(target, dict):
+            if not isinstance(value, dict):
+                raise error(f"{what} key {key!r} must be an object, got {value!r}")
+            items = [(f"{key}.{k}", target.get(k), v) for k, v in value.items()]
+        elif isinstance(target, tuple):
+            if not isinstance(value, list) or len(value) != len(target):
+                raise error(f"{what} key {key!r} must be a list of {len(target)} values,"
+                            f" got {value!r}")
+            items = [(f"{key}[{i}]", name, v) for i, (name, v) in enumerate(zip(target, value))]
+        else:
+            items = [(key, target, value)]
+        for label, name, v in items:
+            if name not in types:
+                raise error(f"unknown {what} key {label!r}")
+            accepts, expected = _VALUE_TYPES[types[name]]
+            if not accepts(v):
+                raise error(f"{what} key {label!r} must be {expected}, got {v!r}")
+            kwargs[name] = tuple(v) if types[name] == "tuple" else v
+    return kwargs
 
 
 @dataclass
@@ -106,6 +139,14 @@ class RunConfig:
             raise ConfigError("inference grid needs range_mult >= 0 and step_mult >= 1")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.lr_multiplier_sampler <= 0:
+            raise ConfigError(
+                f"lr_multiplier_sampler must be positive, got {self.lr_multiplier_sampler}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        for name in ("gamma_base", "weight_decay", "seed", "feature_noise_std"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.neg_ratio < 0:
             raise ConfigError(f"neg_ratio must be non-negative, got {self.neg_ratio}")
         if self.pgla_metric not in ("recall", "precision"):
@@ -115,6 +156,9 @@ class RunConfig:
         unknown = set(self.loss_weights) - set(_default_loss_weights())
         if unknown:
             raise ConfigError(f"unknown loss_weights keys: {sorted(unknown)}")
+        for key, weight in self.loss_weights.items():
+            if weight < 0:
+                raise ConfigError(f"loss_weights {key!r} must be non-negative, got {weight}")
         if self.C is not None and self.C < 1:
             raise ConfigError(f"C must be >= 1, got {self.C}")
         if self.P is not None and self.P < 1:
@@ -127,19 +171,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"configuration must be a JSON object, got {type(raw).__name__}")
-        fields = {f.name: f.type for f in dataclasses.fields(cls)}
-        kwargs = {}
-        for key, value in raw.items():
-            name = _KEY_ALIASES.get(key, key)
-            if name not in fields:
-                raise ConfigError(f"unknown configuration key {key!r}")
-            accepts, expected = _VALUE_TYPES[fields[name]]
-            if not accepts(value):
-                raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
-            kwargs[name] = value
-        cfg = cls(**kwargs)
+        cfg = cls(**fields_from_json(cls, raw, ConfigError, "config", {"lambda": "lam"}))
         weights = _default_loss_weights()
         weights.update(cfg.loss_weights)
         cfg.loss_weights = weights

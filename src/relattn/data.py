@@ -12,14 +12,13 @@ triplets in the test split.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_json
+from .config import ConfigError, fields_from_json, read_json
 
 
 class DatasetError(ValueError):
@@ -102,6 +101,19 @@ class Dataset:
         return int(self.meta["seed"])
 
 
+def check_priors(priors) -> np.ndarray:
+    """Predicate priors as a float64 vector; ValueError unless they are a
+    non-empty vector of positive values that sums to 1 within 1e-9."""
+    priors = np.asarray(priors, dtype=np.float64)
+    if priors.ndim != 1 or priors.size == 0:
+        raise ValueError(f"priors must be a non-empty vector, got shape {priors.shape}")
+    if (priors <= 0).any():
+        raise ValueError("priors must be strictly positive")
+    if abs(priors.sum() - 1.0) > 1e-9:
+        raise ValueError("priors must sum to 1")
+    return priors
+
+
 def scale_from_box(box: tuple, image_size: tuple) -> int:
     """Scale level from the box diagonal in pixels: doubling the diagonal
     moves one level up, anchored at 32 px, clamped to the pyramid range."""
@@ -120,7 +132,24 @@ def scene_feature_rng(dataset_seed: int, split: str, index: int) -> np.random.Ge
     return np.random.default_rng(np.random.SeedSequence([dataset_seed, code, index]))
 
 
+def grid_shape(image_size: tuple) -> tuple:
+    """The feature grid of an image: 1/8 of its (height, width), at least 2 x 2."""
+    h0, w0 = image_size
+    h, w = h0 // 8, w0 // 8
+    if h < 2 or w < 2:
+        raise ConfigError(f"image_size {image_size} gives a degenerate {h}x{w} grid")
+    return h, w
+
+
 # -- generator ---------------------------------------------------------------
+
+# Generator-spec JSON keys that set other fields: a list of the entity
+# count bounds, and an object of the rule-table settings.
+_SPEC_ALIASES = {
+    "entities_per_scene": ("entities_min", "entities_max"),
+    "triplet_rules": {"buckets": "buckets", "noise": "rule_noise",
+                      "pair_fraction": "pair_fraction"},
+}
 
 
 @dataclass
@@ -142,6 +171,14 @@ class GenSpec:
     def validate(self) -> None:
         if self.num_scenes < 1:
             raise GenerationError("num_scenes must be >= 1")
+        if self.test_scenes is not None and self.test_scenes < 0:
+            raise GenerationError(f"test_scenes must be non-negative, got {self.test_scenes}")
+        if self.seed < 0:
+            raise GenerationError(f"seed must be non-negative, got {self.seed}")
+        try:
+            grid_shape(self.image_size)
+        except ConfigError as exc:
+            raise GenerationError(str(exc)) from exc
         if self.C < 1 or self.P < 1:
             raise GenerationError("C and P must be >= 1")
         if not 2 <= self.entities_min <= self.entities_max:
@@ -162,26 +199,7 @@ class GenSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GenSpec":
-        if not isinstance(raw, dict):
-            raise GenerationError(
-                f"generator spec must be a JSON object, got {type(raw).__name__}")
-        raw = dict(raw)
-        if "entities_per_scene" in raw:
-            lo, hi = raw.pop("entities_per_scene")
-            raw["entities_min"], raw["entities_max"] = int(lo), int(hi)
-        if "triplet_rules" in raw:
-            rules = raw.pop("triplet_rules")
-            for src, dst in (("buckets", "buckets"), ("noise", "rule_noise"),
-                             ("pair_fraction", "pair_fraction")):
-                if src in rules:
-                    raw[dst] = rules[src]
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - fields
-        if unknown:
-            raise GenerationError(f"unknown generator keys: {sorted(unknown)}")
-        if "image_size" in raw:
-            raw["image_size"] = tuple(int(v) for v in raw["image_size"])
-        spec = cls(**raw)
+        spec = cls(**fields_from_json(cls, raw, GenerationError, "generator spec", _SPEC_ALIASES))
         spec.validate()
         return spec
 
@@ -382,11 +400,12 @@ def load_dataset(path) -> Dataset:
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"scene {i}: {exc}") from exc
         scenes.append(scene)
-    priors = np.asarray(raw["priors"], dtype=np.float64)
-    if priors.shape != (P,) or (priors <= 0).any():
-        raise DatasetError(f"priors must be {P} positive values")
-    if abs(priors.sum() - 1.0) > 1e-9:
-        raise DatasetError("priors must sum to 1")
+    try:
+        priors = check_priors(raw["priors"])
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"dataset {exc}") from exc
+    if priors.size != P:
+        raise DatasetError(f"dataset priors must be {P} values, got {priors.size}")
     try:
         seen = {tuple(int(v) for v in t) for t in raw["seen_triples"]}
     except (TypeError, ValueError) as exc:

@@ -105,10 +105,3 @@ def evaluate(checkpoint_path: str, data_dir: str, split: str = "test", ks=DEFAUL
     if out_csv:
         write_metrics_csv(out_csv, rows)
     return rows
-
-
-def metric_value(rows: list, metric: str, k: int) -> float | None:
-    for _split, _task, name, kk, _pred, value in rows:
-        if name == metric and kk == k:
-            return value
-    return None

@@ -14,18 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
-from .data import SCALE_LEVELS, SceneSample, scene_feature_rng
+from .data import SCALE_LEVELS, SceneSample, grid_shape, scene_feature_rng
 from .tensor import Tensor, add
 
 _PE_CACHE: dict = {}
-
-
-def grid_shape(image_size: tuple) -> tuple:
-    h0, w0 = image_size
-    h, w = h0 // 8, w0 // 8
-    if h < 2 or w < 2:
-        raise ConfigError(f"image size {image_size} gives a degenerate {h}x{w} grid")
-    return h, w
 
 
 def sinusoidal_grid(H: int, W: int, d: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_priors
 from .evalkit import offdiagonal
 from .tensor import Tensor, add, concat, exp, mul, relu, sigmoid, softplus, sub, \
     tmax, tsum
@@ -35,13 +36,7 @@ def predicate_gammas(priors: np.ndarray, gamma_base: float) -> np.ndarray:
     """Per-predicate focusing strength, largest for the most frequent
     predicate: gamma_base * (pi - min pi) / (max pi - min pi). A uniform
     prior gives all zeros."""
-    priors = np.asarray(priors, dtype=np.float64)
-    if priors.ndim != 1 or priors.size == 0:
-        raise ValueError(f"priors must be a non-empty vector, got shape {priors.shape}")
-    if (priors <= 0).any():
-        raise ValueError("priors must be strictly positive")
-    if abs(priors.sum() - 1.0) > 1e-6:
-        raise ValueError("priors must sum to 1")
+    priors = check_priors(priors)
     lo, hi = priors.min(), priors.max()
     if hi == lo:
         return np.zeros_like(priors)

@@ -53,9 +53,6 @@ class ParameterRegistry:
         for p in self._params.values():
             p.tensor.grad = None
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: np.array(p.data, copy=True) for name, p in self._params.items()}
-
     def arrays(self) -> dict[str, np.ndarray]:
         """Name -> the live parameter array, not copied: read-only use,
         such as writing a checkpoint."""

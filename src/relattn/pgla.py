@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import check_priors
 from .evalkit import ranked_triplets
 from .losses import GroundTruthRelations
 from .tensor import Tensor, add, mul
@@ -33,11 +34,7 @@ class PglaState:
     @classmethod
     def create(cls, priors: np.ndarray, lam: float = 1.0,
                metric: str = "recall") -> "PglaState":
-        priors = np.asarray(priors, dtype=np.float64)
-        if priors.ndim != 1 or priors.size == 0:
-            raise ValueError(f"priors must be a non-empty vector, got shape {priors.shape}")
-        if (priors <= 0).any() or abs(priors.sum() - 1.0) > 1e-6:
-            raise ValueError("priors must be positive and sum to 1")
+        priors = check_priors(priors)
         if lam <= 0:
             raise ValueError(f"lambda must be positive, got {lam}")
         if metric not in ("recall", "precision"):

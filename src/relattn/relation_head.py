@@ -42,7 +42,6 @@ class RelationPrediction:
     predicate_logits: Tensor   # P x n x n
     relatedness_logits: Tensor  # n x n
     scores: np.ndarray         # P x n x n, diagonal zeroed, off the tape
-    pair_weights: Tensor | None = None  # P x n x n x K^2, training only
 
 
 def final_scores(predicate_logits: np.ndarray, relatedness_logits: np.ndarray) -> np.ndarray:
@@ -105,12 +104,11 @@ class RelationHead:
             weights = gumbel_softmax(pred, tau, rng=rng, hard=hard, noise=noise)
             out_pred = tsum(mul(weights, pred), axis=-1)
         elif mode == "infer":
-            weights = None
             out_pred = tmax(pred, axis=-1)
         else:
             raise ValueError(f"unknown reduction mode {mode!r}")
         out_rel = tmax(rel, axis=-1)
-        return out_pred, out_rel, weights
+        return out_pred, out_rel
 
     def forward(self, sub: Tensor, obj: Tensor, mode: str, tau: float = None,
                 rng: np.random.Generator = None, hard: bool = False) -> RelationPrediction:
@@ -119,8 +117,7 @@ class RelationHead:
         logits' arrays, off the tape."""
         n, K, _ = sub.shape
         logits = self.attention_logits(sub, obj)
-        pred, rel, weights = self.reduce_pairs(*self.group_pairs(logits, n, K), mode,
-                                               tau=tau, rng=rng, hard=hard)
+        pred, rel = self.reduce_pairs(*self.group_pairs(logits, n, K), mode,
+                                      tau=tau, rng=rng, hard=hard)
         return RelationPrediction(predicate_logits=pred, relatedness_logits=rel,
-                                  scores=final_scores(pred.data, rel.data),
-                                  pair_weights=weights)
+                                  scores=final_scores(pred.data, rel.data))

@@ -37,10 +37,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the shape of the operand."""
     if grad.shape == shape:
@@ -344,40 +340,6 @@ def exp(a) -> Tensor:
 
     def backward(g):
         a._accumulate(g * data)
-
-    return _node(data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _coerce(a)
-    if np.any(a.data <= 0):
-        raise DomainError("log requires strictly positive input")
-    data = np.log(a.data)
-
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return _node(data, (a,), backward)
-
-
-def sqrt(a) -> Tensor:
-    a = _coerce(a)
-    if np.any(a.data < 0):
-        raise DomainError("sqrt requires non-negative input")
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accumulate(g * 0.5 / np.maximum(data, 1e-300))
-
-    return _node(data, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = _coerce(a)
-    data = np.tanh(a.data)
-
-    def backward(g):
-        a._accumulate(g * (1.0 - data * data))
 
     return _node(data, (a,), backward)
 

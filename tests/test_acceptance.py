@@ -22,7 +22,7 @@ from relattn.cli import main as cli_main
 from relattn.config import RunConfig
 from relattn.data import GenSpec, generate_dataset, load_dataset, save_dataset
 from relattn.decoder import GcaLayer, RcaLayer, queries
-from relattn.evaluate import evaluate, metric_value
+from relattn.evaluate import evaluate
 from relattn.features import class_signatures, scene_volume
 from relattn.gradcheck import check_gradients, check_parameter_gradients
 from relattn.losses import (
@@ -41,6 +41,7 @@ from relattn.relation_head import RelationHead, annealing_temperature
 from relattn.tensor import Tensor, add, gumbel_softmax, level_weights, mul, point_sample, tsum
 from relattn.train import train
 
+from helpers import metric_value
 from oracles import budget_recall_oracle, trilinear_oracle
 
 

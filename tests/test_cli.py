@@ -112,6 +112,23 @@ class TestExitCodes:
         assert main(["gen-data", "--spec", str(bad),
                      "--out", str(tmp_path / "d")]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_scenes", "5"), ("num_scenes", 5.5), ("zipf_exponent", "1"),
+        ("seed", True), ("seed", -1), ("test_scenes", -3), ("image_size", [8, 8]),
+        ("image_size", [64, 64.0]), ("entities_per_scene", [2.5, 4]),
+        ("entities_per_scene", [2]), ("triplet_rules", {"bucket": 2}),
+        ("triplet_rules", 2)])
+    def test_bad_spec_names_its_key(self, tmp_path, capsys, key, value):
+        """A generator spec value of the wrong type or out of range, or an
+        unknown key inside an object, is a usage error naming its key, on
+        one line, before any output is made."""
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps({"num_scenes": 5, "C": 3, "P": 2, key: value}))
+        assert main(["gen-data", "--spec", str(bad), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+        assert not (tmp_path / "d").exists()
+
     def test_corrupt_checkpoint_is_runtime_failure(self, pipeline, tmp_path,
                                                    capsys):
         _, _, data_dir, _ = pipeline

@@ -78,6 +78,19 @@ class TestValidate:
 
     def test_valid_config_passes(self):
         self.make().validate()
+        self.make(alpha=0.0, gamma_base=0.0, weight_decay=0.0, seed=0,
+                  feature_noise_std=0.0, loss_weights={"mask": 0.0}).validate()
+        self.make(alpha=1.0).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", -0.1), ("alpha", 1.5), ("gamma_base", -1.0),
+        ("weight_decay", -1e-4), ("seed", -1), ("feature_noise_std", -0.05),
+        ("lr_multiplier_sampler", 0.0), ("lr_multiplier_sampler", -0.1),
+        ("loss_weights", {"mask": -1.0})])
+    def test_rejects_out_of_range_value(self, key, value):
+        """Each range check names the key it refuses."""
+        with pytest.raises(ConfigError, match=key):
+            self.make(**{key: value})
 
     def test_rejects_nonpositive_iterations(self):
         with pytest.raises(ConfigError):

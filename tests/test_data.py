@@ -158,15 +158,22 @@ class TestGenerator:
             "entities_per_scene": [2, 5],
             "triplet_rules": {"buckets": 2, "noise": 0.1,
                               "pair_fraction": 0.5},
+            "image_size": [64, 48],
         })
         assert (spec.entities_min, spec.entities_max) == (2, 5)
+        assert spec.image_size == (64, 48)
         assert spec.buckets == 2
         assert spec.rule_noise == 0.1
         assert spec.pair_fraction == 0.5
 
     def test_from_dict_rejects_unknown(self):
-        with pytest.raises(GenerationError):
+        """An unknown key is refused at the top level and inside
+        triplet_rules."""
+        with pytest.raises(GenerationError, match="'shape'"):
             GenSpec.from_dict({"num_scenes": 1, "C": 2, "P": 1, "shape": 3})
+        with pytest.raises(GenerationError, match="'triplet_rules.bucket'"):
+            GenSpec.from_dict({"num_scenes": 1, "C": 2, "P": 1,
+                               "triplet_rules": {"bucket": 2}})
 
 
 class TestGeneratorRules:

@@ -13,7 +13,7 @@ from relattn.relation_head import (
     annealing_temperature,
     final_scores,
 )
-from relattn.tensor import Tensor, standard_gumbel
+from relattn.tensor import Tensor, gumbel_softmax, standard_gumbel
 
 
 def make_head(d=8, heads=4, head_dim=4, P=3, seed=80):
@@ -117,18 +117,17 @@ class TestReduce:
         rng = np.random.default_rng(84)
         _, head = make_head()
         pred, rel = self.grouped(rng)
-        out_pred, out_rel, weights = head.reduce_pairs(pred, rel, "infer")
+        out_pred, out_rel = head.reduce_pairs(pred, rel, "infer")
         np.testing.assert_array_equal(out_pred.data, pred.data.max(axis=-1))
         np.testing.assert_array_equal(out_rel.data, rel.data.max(axis=-1))
-        assert weights is None
 
     def test_train_weighs_by_gumbel_softmax(self):
         rng = np.random.default_rng(85)
         _, head = make_head()
         pred, rel = self.grouped(rng)
         noise = standard_gumbel(np.random.default_rng(5), pred.shape)
-        out_pred, out_rel, weights = head.reduce_pairs(
-            pred, rel, "train", tau=1.0, noise=noise)
+        out_pred, out_rel = head.reduce_pairs(pred, rel, "train", tau=1.0, noise=noise)
+        weights = gumbel_softmax(pred, 1.0, noise=noise)
         np.testing.assert_allclose(weights.data.sum(axis=-1),
                                    np.ones(weights.shape[:-1]), atol=1e-12)
         np.testing.assert_allclose(
@@ -142,8 +141,8 @@ class TestReduce:
         _, head = make_head()
         pred, rel = self.grouped(rng)
         noise = standard_gumbel(np.random.default_rng(6), pred.shape)
-        out_pred, _, weights = head.reduce_pairs(
-            pred, rel, "train", tau=0.7, noise=noise, hard=True)
+        out_pred, _ = head.reduce_pairs(pred, rel, "train", tau=0.7, noise=noise, hard=True)
+        weights = gumbel_softmax(pred, 0.7, noise=noise, hard=True)
         w = weights.data
         assert set(np.unique(w)) <= {0.0, 1.0}
         np.testing.assert_allclose(w.sum(axis=-1),
@@ -183,8 +182,7 @@ class TestScores:
         assert out.predicate_logits.shape == (3, 3, 3)
         assert out.relatedness_logits.shape == (3, 3)
         assert out.scores.shape == (3, 3, 3)
-        assert out.pair_weights is None
         tr = head.forward(*query, mode="train", tau=2.0, rng=np.random.default_rng(0))
-        assert tr.pair_weights.shape == (3, 3, 3, 4)
+        assert tr.predicate_logits.shape == (3, 3, 3)
         np.testing.assert_array_equal(np.diagonal(tr.scores,
                                                   axis1=1, axis2=2), 0.0)
