@@ -9,7 +9,9 @@ metadata (the run configuration), and the parameter manifest
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -23,6 +25,10 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(path, state: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    """Write a checkpoint. The bytes go to a temporary file in the same
+    directory, which then replaces `path` in one rename, so a save that
+    fails or is interrupted leaves any earlier checkpoint at `path` whole
+    and no temporary file behind."""
     manifest = [{"name": name, "shape": list(arr.shape)} for name, arr in state.items()]
     header = {
         "format_version": FORMAT_VERSION,
@@ -30,12 +36,19 @@ def save_checkpoint(path, state: dict[str, np.ndarray], meta: dict | None = None
         "params": manifest,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for arr in state.values():
-            fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for arr in state.values():
+                fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

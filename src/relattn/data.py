@@ -368,6 +368,23 @@ def save_dataset(path, ds: Dataset) -> None:
         fh.write("\n")
 
 
+def _json_int(value, key: str) -> int:
+    """A JSON integer; DatasetError naming ``key`` for any other value,
+    true, false and whole floats included."""
+    if type(value) is not int:
+        raise DatasetError(f"key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(value, key: str, length: int) -> tuple:
+    """A JSON list of ``length`` integers, as a tuple, checked as by
+    `_json_int`."""
+    if not (isinstance(value, list) and len(value) == length
+            and all(type(v) is int for v in value)):
+        raise DatasetError(f"key {key!r} must be a list of {length} integers, got {value!r}")
+    return tuple(value)
+
+
 def load_dataset(path) -> Dataset:
     raw = read_json(path, DatasetError, "dataset")
     if not isinstance(raw, dict):
@@ -387,14 +404,14 @@ def load_dataset(path) -> Dataset:
     for i, rec in enumerate(raw["scenes"]):
         try:
             entities = [
-                EntityDetection(box=tuple(e["box"]), scale_level=int(e["scale"]),
-                                class_label=int(e["class"]))
+                EntityDetection(box=tuple(e["box"]), scale_level=_json_int(e["scale"], "scale"),
+                                class_label=_json_int(e["class"], "class"))
                 for e in rec["entities"]
             ]
             scene = SceneSample(
-                image_size=tuple(int(v) for v in rec["image_size"]),
+                image_size=_json_ints(rec["image_size"], "image_size", 2),
                 entities=entities,
-                triplets=[tuple(int(v) for v in t) for t in rec["triplets"]],
+                triplets=[_json_ints(t, "triplets", 3) for t in rec["triplets"]],
                 split=split, index=i)
             scene.validate(C, P)
         except (KeyError, TypeError, ValueError) as exc:
@@ -406,8 +423,7 @@ def load_dataset(path) -> Dataset:
         raise DatasetError(f"dataset {exc}") from exc
     if priors.size != P:
         raise DatasetError(f"dataset priors must be {P} values, got {priors.size}")
-    try:
-        seen = {tuple(int(v) for v in t) for t in raw["seen_triples"]}
-    except (TypeError, ValueError) as exc:
-        raise DatasetError(f"seen_triples: {exc}") from exc
+    if not isinstance(raw["seen_triples"], list):
+        raise DatasetError("dataset seen_triples must be a list")
+    seen = {_json_ints(t, "seen_triples", 3) for t in raw["seen_triples"]}
     return Dataset(scenes, priors, seen, meta)

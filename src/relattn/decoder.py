@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import LinearParams, ParameterRegistry, xavier
-from .sampler import GroupOffsetPredictor, draw_offsets, inference_grid_offsets, \
-    accumulate_points
+from .sampler import GroupOffsetPredictor, accumulate_points, distinct_lattice_points, \
+    draw_offsets, grid_steps, inference_grid_offsets
 from .features import PositionalEmbeddings
 from .tensor import Tensor, add, concat, layer_norm, level_weights, matmul, point_sample, \
-    relu, reshape, sample_attention, softmax, swap_last, transpose
+    relu, reshape, sample_attention, softmax, swap_last, take, transpose
 
 
 ROLES = ("sub", "obj")
@@ -112,17 +112,21 @@ class GcaLayer:
         self.ln = norm_params(registry, f"{prefix}.ln", d)
 
     def __call__(self, state: Tensor, query: Tensor, feats: Tensor, blend: Tensor,
-                 table: Tensor, return_weights: bool = False):
+                 table: Tensor, log_counts: np.ndarray = None, return_weights: bool = False):
         """feats: n x K x m x d samples; blend: their n x K x m x S level
-        weights; table: the S x d scale table."""
+        weights; table: the S x d scale table; log_counts: None, or the
+        n x K x m log number of copies each sample stands for (-inf on
+        padding), as `sample_attention` reads them."""
         n, K, d = state.shape
         N, m, h, dh = n * K, feats.shape[2], self.heads, self.head_dim
         feats = reshape(feats, (N, m, d))
         blend = reshape(blend, (N, m, table.shape[0]))
+        if log_counts is not None:
+            log_counts = log_counts.reshape(N, m)
         q = transpose(reshape(self.wq(query), (N, h, dh)), (1, 0, 2))  # h,N,dh
         wk = transpose(reshape(self.k_weight, (d, h, dh)), (1, 2, 0))  # h,dh,d
         q_key = transpose(matmul(q * (1.0 / math.sqrt(dh)), wk), (1, 0, 2))  # N,h,d
-        pooled, weights = sample_attention(q_key, feats, blend, table)
+        pooled, weights = sample_attention(q_key, feats, blend, table, log_counts)
         pooled = transpose(pooled, (1, 0, 2))  # h,N,d
         wv = transpose(reshape(self.v_weight, (d, h, dh)), (1, 0, 2))  # h,d,dh
         ctx = reshape(transpose(matmul(pooled, wv), (1, 0, 2)), (n, K, h * dh))
@@ -250,6 +254,8 @@ class DecoderStack:
         result = DecodeResult(queries=qs)
         points = [Tensor(p0.reshape(n, 1, 1, 3))] * 2
         means = [Tensor(p0.reshape(n, 1, 3))] * 2
+        side = len(grid_steps(range_mult, step_mult)) if mode == "infer" else None
+        levels = pe.scale.shape[0]
 
         for layer in range(self.layers):
             updated = []
@@ -266,9 +272,19 @@ class DecoderStack:
                 coords = snap_scale(points[r]) if scale_interpolation == "nearest" else points[r]
                 # Features plus sinusoid in one sample of the folded volume;
                 # GCA joins the scale table through the level weights.
-                feats = point_sample(pe.folded, coords)
-                blend = level_weights(coords, pe.scale.shape[0])
-                updated.append(self.gca[layer][r](x, q, feats, blend, pe.scale))
+                if mode == "train":
+                    feats = point_sample(pe.folded, coords)
+                    blend = level_weights(coords, levels)
+                    log_counts = None
+                else:
+                    # Each distinct lattice point once, weighted by its
+                    # number of copies; the coordinates enter as constants.
+                    lattice = distinct_lattice_points(coords.data, side)
+                    distinct = Tensor(lattice.points)
+                    feats = take(point_sample(pe.folded, distinct), lattice.index)
+                    blend = take(level_weights(distinct, levels), lattice.index)
+                    log_counts = lattice.log_counts
+                updated.append(self.gca[layer][r](x, q, feats, blend, pe.scale, log_counts))
             states = self.rca[layer](updated, queries(updated, boxes))
             qs = queries(states, boxes)
 

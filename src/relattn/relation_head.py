@@ -89,8 +89,7 @@ class RelationHead:
         return pred, rel
 
     def reduce_pairs(self, pred: Tensor, rel: Tensor, mode: str, tau: float = None,
-                     rng: np.random.Generator = None, hard: bool = False,
-                     noise: np.ndarray = None) -> tuple:
+                     rng: np.random.Generator = None, hard: bool = False) -> tuple:
         """Collapse the K^2 state-pair axis.
 
         Training weighs predicate logits by a Gumbel-softmax sample at
@@ -101,7 +100,7 @@ class RelationHead:
         if mode == "train":
             if tau is None:
                 raise ValueError("train-mode reduction needs a temperature")
-            weights = gumbel_softmax(pred, tau, rng=rng, hard=hard, noise=noise)
+            weights = gumbel_softmax(pred, tau, rng=rng, hard=hard)
             out_pred = tsum(mul(weights, pred), axis=-1)
         elif mode == "infer":
             out_pred = tmax(pred, axis=-1)

@@ -4,7 +4,10 @@ Each entity representation predicts a 3-d Gaussian over coordinate
 offsets (x, y, scale). Training draws m reparameterized samples so
 gradients reach both the mean and the spread; inference replaces draws
 with a deterministic lattice around the mean. Offsets accumulate over
-decoder layers onto the initial center points, clamped to the unit cube.
+decoder layers onto the initial center points, clamped to the unit cube,
+so lattice points past a border land on the same coordinates;
+`distinct_lattice_points` finds each distinct point once and counts its
+copies.
 """
 
 from __future__ import annotations
@@ -98,3 +101,61 @@ def accumulate_points(prev: Tensor, delta: Tensor) -> Tensor:
     """One accumulation step: add offsets to the previous reference points
     and clamp every coordinate back into the unit cube."""
     return clamp(add(prev, delta), 0.0, 1.0)
+
+
+@dataclass
+class LatticePoints:
+    """The distinct points of a lattice, (entity, group) by (entity,
+    group), and how often each occurs. m is the largest group's distinct
+    count; a group with fewer pads its row of ``index`` with its first
+    point and its row of ``log_counts`` with -inf."""
+    points: np.ndarray      # M x 3, each group's distinct points in lattice order
+    index: np.ndarray       # n x K x m rows of ``points``
+    log_counts: np.ndarray  # n x K x m log of each point's number of copies
+
+
+def _run_lengths(values: np.ndarray) -> np.ndarray:
+    """The length of each run of equal values along the rows of an N x T
+    array, at the run's first position, and 0 elsewhere."""
+    N, T = values.shape
+    first = np.ones((N, T), dtype=bool)
+    first[:, 1:] = values[:, 1:] != values[:, :-1]
+    # Position 0 of every row starts a run, so each run ends where the
+    # next one in flat order starts.
+    starts = np.flatnonzero(first)
+    lengths = np.zeros(N * T, dtype=np.intp)
+    lengths[starts] = np.diff(starts, append=N * T)
+    return lengths.reshape(N, T)
+
+
+def distinct_lattice_points(points: np.ndarray, side: int) -> LatticePoints:
+    """The distinct points of n x K x side^3 x 3 lattice points, as
+    `inference_grid_offsets` and `accumulate_points` lay them out (then
+    snapped or not).
+
+    Each coordinate of a point depends only on its own lattice step, and
+    is non-decreasing in it: sigma > 0, and the clamp, the sum over
+    layers and the scale snap are all monotone. So equal values along an
+    axis form runs, the distinct points are the product of the three
+    axes' runs, and a point's number of copies is the product of their
+    lengths. No sort over the points is needed. (Were a value to recur
+    after another, its runs would stand as separate points with their own
+    counts, which attention over them would weigh the same.)"""
+    lead = points.shape[:-2]
+    grid = points.reshape(-1, side, side, side, 3)
+    N = grid.shape[0]
+    lx, ly, ls = (_run_lengths(v) for v in
+                  (grid[:, :, 0, 0, 0], grid[:, 0, :, 0, 1], grid[:, 0, 0, :, 2]))
+    counts = (lx[:, :, None, None] * ly[:, None, :, None] * ls[:, None, None, :]).reshape(N, -1)
+    rows, cols = np.nonzero(counts)
+    per_group = np.bincount(rows, minlength=N)
+    first = np.cumsum(per_group) - per_group
+    slots = np.arange(rows.size) - first[rows]
+    m = int(per_group.max())
+    index = np.repeat(first[:, None], m, axis=1)
+    index[rows, slots] = np.arange(rows.size)
+    log_counts = np.full((N, m), -np.inf)
+    log_counts[rows, slots] = np.log(counts[rows, cols])
+    return LatticePoints(points=grid.reshape(N, -1, 3)[rows, cols],
+                         index=index.reshape(lead + (m,)),
+                         log_counts=log_counts.reshape(lead + (m,)))

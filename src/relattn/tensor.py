@@ -680,7 +680,7 @@ def level_weights(coords, levels: int) -> Tensor:
     return _node(blend.reshape(lead + (levels,)), (coords,), backward)
 
 
-def sample_attention(queries, feats, blend, table) -> tuple:
+def sample_attention(queries, feats, blend, table, log_counts=None) -> tuple:
     """Softmax attention of each state's queries over the state's own
     samples x = feats + blend . table, without forming x.
 
@@ -694,6 +694,13 @@ def sample_attention(queries, feats, blend, table) -> tuple:
     with w the softmax of the scores over the m samples. Returns the
     N x h x d pooled samples, one tape node with the gradients of all four
     inputs, and the N x h x m weights w as a constant tensor.
+
+    log_counts, an optional N x m constant array, is added to the scores.
+    A sample that stands for c equal samples carries log c: the softmax
+    over all the copies equals the softmax over the distinct samples with
+    log c added, and so does the pooled sum, up to rounding. A padding
+    sample carries -inf and gets weight 0. The backward pass is the same,
+    since the counts are constants.
     """
     queries, feats, blend, table = (_coerce(t) for t in (queries, feats, blend, table))
     # Scores are taken as (N, m, h) products against contiguous (N, d, h)
@@ -702,6 +709,8 @@ def sample_attention(queries, feats, blend, table) -> tuple:
     table_k = table.data @ k  # N,S,h
     scores = feats.data @ k
     scores += blend.data @ table_k
+    if log_counts is not None:
+        scores += log_counts[:, :, None]
     scores -= scores.max(axis=1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=1, keepdims=True)

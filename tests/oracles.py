@@ -242,3 +242,45 @@ def rep_point_margin_oracle(point_sets, triplets, boxes):
                         grad[e, k, axis] = -1.0 / count
         grads.append(grad)
     return loss, grads
+
+
+def full_lattice_infer_oracle(model, scene, volume):
+    """Inference over every point of the lattice, repeats included.
+
+    The decoder as it ran before it sampled each distinct lattice point
+    once: each layer's GCA samples the folded volume and the level
+    weights at all (2 range_mult / step_mult + 1)^3 points of every
+    (entity, group), points that clamping laid on the same coordinates
+    included, and attends over all of them with equal standing. Returns
+    the final (subject, object) query arrays and the relation scores.
+    """
+    from relattn.decoder import queries, snap_scale
+    from relattn.features import build_positional_embeddings
+    from relattn.sampler import accumulate_points, inference_grid_offsets
+    from relattn.tensor import Tensor, level_weights, no_grad, point_sample
+
+    cfg, decoder = model.config, model.decoder
+    n = len(scene.entities)
+    with no_grad():
+        volume = Tensor(volume)
+        pe = build_positional_embeddings(volume, model.scale_embeds)
+        states, boxes, p0 = decoder.init_state(scene.entities, volume, pe,
+                                               model.sub_embeds, model.obj_embeds)
+        qs = queries(states, boxes)
+        points = [Tensor(p0.reshape(n, 1, 1, 3)), Tensor(p0.reshape(n, 1, 1, 3))]
+        for layer in range(decoder.layers):
+            updated = []
+            for r in range(2):
+                dist = decoder.samplers[layer][r](qs[r])
+                offsets = inference_grid_offsets(dist, cfg.infer_range_mult, cfg.infer_step_mult)
+                points[r] = accumulate_points(points[r], offsets)
+                coords = points[r]
+                if cfg.scale_interpolation == "nearest":
+                    coords = snap_scale(coords)
+                feats = point_sample(pe.folded, coords)
+                blend = level_weights(coords, pe.scale.shape[0])
+                updated.append(decoder.gca[layer][r](states[r], qs[r], feats, blend, pe.scale))
+            states = decoder.rca[layer](updated, queries(updated, boxes))
+            qs = queries(states, boxes)
+        scores = model.head.forward(*qs, mode="infer").scores
+    return (qs[0].data, qs[1].data), scores

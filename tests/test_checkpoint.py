@@ -62,6 +62,25 @@ class TestRoundTrip:
         meta, _ = load_checkpoint(path)
         assert meta == {}
 
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, state):
+        """A save that fails mid-write, after the header and the first
+        payloads are out, leaves the earlier checkpoint byte-identical
+        and no temporary file behind."""
+
+        class Unwritable:
+            shape = (2,)
+
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("no space left on device")
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, state, {"k": 1})
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, dict(state, last=Unwritable()), {"k": 2})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestCorruption:
     def test_bad_magic(self, tmp_path, state):

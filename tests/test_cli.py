@@ -199,6 +199,29 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("field, value", [
+        ("class", 1.9), ("scale", True), ("triplets", [0.0, "1", 1])])
+    def test_eval_rejects_coerced_scene_field(self, pipeline, tmp_path, capsys, field, value):
+        """A test split whose scene holds a non-integer class, scale or
+        triplet fails eval with one error line, before any metric is
+        written."""
+        _, _, data_dir, run_dir = pipeline
+        bad_dir = tmp_path / "data"
+        bad_dir.mkdir()
+        raw = json.loads((data_dir / "test.json").read_text())
+        scene = next(s for s in raw["scenes"] if s["triplets"])
+        if field == "triplets":
+            scene["triplets"][0] = value
+        else:
+            scene["entities"][0][field] = value
+        (bad_dir / "test.json").write_text(json.dumps(raw))
+        code = main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+                     "--data", str(bad_dir), "--out", str(tmp_path / "m.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and repr(field) in err[0]
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("d", "x"), ("lambda", "1"), ("loss_weights", 3), ("K", 2.5),
         ("pgla", "yes"), ("iterations", True)])

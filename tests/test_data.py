@@ -253,6 +253,40 @@ class TestSerialization:
         with pytest.raises(DatasetError, match="3"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("class", 1.9), ("class", 2.0), ("scale", True), ("triplets", [0.0, "1", 1]),
+        ("image_size", [256.0, 256]), ("image_size", [256, 256, 3])])
+    def test_load_requires_integer_scene_fields(self, tmp_path, field, value):
+        """Entity classes and scales, image sizes and triplets load only as
+        JSON integers, never as floats, strings or booleans coerced by
+        int(); the error names the scene and the key."""
+        train, _ = generate_dataset(small_spec())
+        path = tmp_path / "bad.json"
+        save_dataset(path, train)
+        doc = json.loads(path.read_text())
+        i = next(i for i, scene in enumerate(doc["scenes"]) if scene["triplets"])
+        scene = doc["scenes"][i]
+        if field in ("class", "scale"):
+            scene["entities"][0][field] = value
+        elif field == "triplets":
+            scene["triplets"][0] = value
+        else:
+            scene[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match=f"scene {i}: key '{field}'"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("triple", [[0, True, 1], [0, 1], [0.0, 1, 1]])
+    def test_load_requires_integer_seen_triples(self, tmp_path, triple):
+        train, _ = generate_dataset(small_spec())
+        path = tmp_path / "bad.json"
+        save_dataset(path, train)
+        doc = json.loads(path.read_text())
+        doc["seen_triples"].append(triple)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="key 'seen_triples'"):
+            load_dataset(path)
+
     def test_load_rejects_bad_priors(self, tmp_path):
         train, _ = generate_dataset(small_spec())
         path = tmp_path / "bad.json"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from relattn.data import EntityDetection
+from relattn.config import RunConfig
+from relattn.data import EntityDetection, SceneSample
 from relattn.decoder import (
     DecoderStack,
     GcaLayer,
@@ -14,8 +15,12 @@ from relattn.decoder import (
 )
 from relattn.features import build_positional_embeddings
 from relattn.gradcheck import check_gradients, check_parameter_gradients
+from relattn.model import RelationModel
 from relattn.params import ParameterRegistry
-from relattn.tensor import Tensor, add, level_weights, mul, point_sample, tsum
+from relattn.sampler import distinct_lattice_points, grid_steps
+from relattn.tensor import Tensor, add, level_weights, mul, no_grad, point_sample, tsum
+
+from oracles import full_lattice_infer_oracle
 
 
 def detections():
@@ -144,10 +149,13 @@ class TestGca:
     def test_matches_unfolded_numpy_reference(self):
         """Forming x = feats + blend . table in full, projecting a key and a
         value for every sample, splitting heads, attending and projecting
-        out gives the layer's output and weights."""
+        out gives the layer's output and weights. In the counted form,
+        sample j stands for c_j copies through log c_j and two -inf
+        padding samples follow: the reference attends over each state's
+        samples repeated c_j times, and a sample's weight is the sum over
+        its copies."""
         reg, layer, (state, box, feats, coords, table) = self.make_random(74)
         blend = level_weights(coords, table.shape[0])
-        out, weights = layer(state, add(state, box), feats, blend, table, return_weights=True)
         p = {name: reg.get(f"g.{name}").data for name in
              ("q.weight", "q.bias", "k.weight", "v.weight", "v.bias",
               "out.weight", "out.bias", "ln.gain", "ln.shift")}
@@ -155,16 +163,42 @@ class TestGca:
         h, dh = 2, 4
         x = feats.data + blend.data @ table.data
         q = ((state.data + box.data) @ p["q.weight"] + p["q.bias"]).reshape(n, K, h, dh)
-        k = (x @ p["k.weight"]).reshape(n, K, m, h, dh)
-        v = (x @ p["v.weight"] + p["v.bias"]).reshape(n, K, m, h, dh)
-        scores = np.einsum("nkhc,nkmhc->nkhm", q, k) / np.sqrt(dh)
-        w = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        w /= w.sum(axis=-1, keepdims=True)
-        ctx = np.einsum("nkhm,nkmhc->nkhc", w, v).reshape(n, K, h * dh)
-        y = state.data + ctx @ p["out.weight"] + p["out.bias"]
-        y = (y - y.mean(axis=-1, keepdims=True)) / np.sqrt(y.var(axis=-1, keepdims=True) + 1e-5)
-        np.testing.assert_allclose(weights.data, w, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.data, y * p["ln.gain"] + p["ln.shift"], rtol=0, atol=1e-12)
+
+        def reference(counts):
+            """Output and per-sample weights with sample j of state (i, k)
+            repeated counts[i, k, j] times."""
+            ctx, weights = np.empty((n, K, h * dh)), np.zeros((n, K, h, m))
+            for i in range(n):
+                for k in range(K):
+                    copies = np.repeat(np.arange(m), counts[i, k])
+                    keys = (x[i, k, copies] @ p["k.weight"]).reshape(-1, h, dh)
+                    values = (x[i, k, copies] @ p["v.weight"] + p["v.bias"]).reshape(-1, h, dh)
+                    scores = np.einsum("hc,mhc->hm", q[i, k], keys) / np.sqrt(dh)
+                    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+                    w /= w.sum(axis=-1, keepdims=True)
+                    ctx[i, k] = np.einsum("hm,mhc->hc", w, values).reshape(-1)
+                    np.add.at(weights[i, k], (slice(None), copies), w)
+            y = state.data + ctx @ p["out.weight"] + p["out.bias"]
+            y = (y - y.mean(axis=-1, keepdims=True)) / np.sqrt(y.var(axis=-1, keepdims=True)
+                                                              + 1e-5)
+            return y * p["ln.gain"] + p["ln.shift"], weights
+
+        out, weights = layer(state, add(state, box), feats, blend, table, return_weights=True)
+        want, want_weights = reference(np.ones((n, K, m), dtype=int))
+        np.testing.assert_allclose(weights.data, want_weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+
+        counts = np.random.default_rng(77).integers(1, 5, (n, K, m))
+        pad = np.random.default_rng(78).standard_normal((n, K, 2, d))
+        padded_feats = Tensor(np.concatenate([feats.data, pad], axis=2))
+        padded_blend = Tensor(np.concatenate([blend.data, blend.data[:, :, :2]], axis=2))
+        log_counts = np.concatenate([np.log(counts), np.full((n, K, 2), -np.inf)], axis=2)
+        out, weights = layer(state, add(state, box), padded_feats, padded_blend, table,
+                             log_counts, return_weights=True)
+        want, want_weights = reference(counts)
+        np.testing.assert_allclose(weights.data[..., :m], want_weights, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(weights.data[..., m:], 0.0)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         """Every parameter, k.weight and v.bias among them, the feats and
@@ -351,3 +385,94 @@ class TestDecode:
                             range_mult=1, step_mult=1,
                             scale_interpolation="nearest")
         assert not np.allclose(tri.queries[0].data, near.queries[0].data)
+
+
+class TestDistinctLatticeInfer:
+    """Infer mode samples each distinct lattice point once and weighs it
+    by its number of copies; the scores equal the full-lattice oracle's,
+    and the distinct points are those of np.unique."""
+
+    ENTITIES = [
+        EntityDetection((0.00, 0.00, 0.10, 0.08), 0, 1),   # next to a corner
+        EntityDetection((0.30, 0.20, 0.70, 0.60), 2, 0),
+        EntityDetection((0.85, 0.80, 1.00, 1.00), 4, 2),   # next to the far corner
+    ]
+
+    def model(self, **overrides):
+        cfg = RunConfig(**dict(dict(C=3, P=2, K=2, d=8, L_d=1, h_G=2, d_G=4, h_R=2, d_R=4,
+                                    h_A=2, d_A=4, seed=3), **overrides))
+        model = RelationModel(cfg, np.random.default_rng(91))
+        # Wider offsets than at init, so the lattice reaches past borders.
+        for layer in model.decoder.samplers:
+            for sampler in layer:
+                sampler.b2.data[:, :, 3:] = np.log(0.12)
+        return model
+
+    def pin_offsets(self, model, mu: float, sigma: float) -> None:
+        """Every sampler predicts offset mean mu and spread sigma on each
+        axis, whatever its query."""
+        for layer in model.decoder.samplers:
+            for sampler in layer:
+                sampler.w2.data[...] = 0.0
+                sampler.b2.data[:, :, :3] = mu
+                sampler.b2.data[:, :, 3:] = np.log(sigma)
+
+    def check(self, model, entities) -> list:
+        """Scores and queries against the oracle, and each layer's distinct
+        points against np.unique; returns each layer's and role's distinct
+        count per (entity, group)."""
+        cfg = model.config
+        scene = SceneSample(image_size=(256, 256), entities=entities, triplets=[])
+        volume = np.random.default_rng(92).standard_normal((5, 6, 6, cfg.d))
+        with no_grad():
+            out = model.forward(scene, volume, "infer")
+        want_queries, want_scores = full_lattice_infer_oracle(model, scene, volume)
+        np.testing.assert_allclose(out.prediction.scores, want_scores, rtol=0, atol=1e-12)
+        for got, want in zip(out.decode.queries, want_queries):
+            np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+        side = len(grid_steps(cfg.infer_range_mult, cfg.infer_step_mult))
+        distinct = []
+        for points in out.decode.points[0] + out.decode.points[1]:
+            assert points.shape == (len(entities), cfg.K, side ** 3, 3)
+            if cfg.scale_interpolation == "nearest":
+                points = snap_scale(Tensor(points)).data
+            lattice = distinct_lattice_points(points, side)
+            counts = np.isfinite(lattice.log_counts).sum(axis=-1)
+            for i, k in np.ndindex(counts.shape):
+                rows = lattice.index[i, k, :counts[i, k]]
+                unique, copies = np.unique(points[i, k], axis=0, return_counts=True)
+                assert counts[i, k] == len(unique)
+                order = np.lexsort(lattice.points[rows].T[::-1])
+                np.testing.assert_array_equal(lattice.points[rows][order], unique)
+                np.testing.assert_allclose(np.exp(lattice.log_counts[i, k, :counts[i, k]])[order],
+                                           copies, rtol=1e-12)
+            distinct.append(counts)
+        return distinct
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"infer_range_mult": 0}, {"infer_step_mult": 2},
+        {"scale_interpolation": "nearest"}, {"L_d": 2},
+        {"L_d": 2, "infer_step_mult": 2, "scale_interpolation": "nearest"}])
+    def test_matches_full_lattice_oracle(self, overrides):
+        model = self.model(**overrides)
+        distinct = self.check(model, self.ENTITIES)
+        full = len(grid_steps(model.config.infer_range_mult, model.config.infer_step_mult)) ** 3
+        if full > 1:
+            # The corner entities' lattices fold, so the counts matter.
+            assert any(counts.min() < full for counts in distinct)
+
+    def test_corner_entity_folds_to_one_point(self):
+        """Offsets pushing every lattice point past the far corner leave
+        one distinct point there, standing for all 343."""
+        model = self.model()
+        self.pin_offsets(model, mu=0.5, sigma=0.1)
+        entities = [EntityDetection((0.98, 0.98, 1.00, 1.00), 4, 0), self.ENTITIES[1]]
+        for counts in self.check(model, entities):
+            assert np.all(counts[0] == 1)
+
+    def test_interior_entity_with_tiny_spread_keeps_every_point(self):
+        model = self.model()
+        self.pin_offsets(model, mu=0.0, sigma=1e-3)
+        entities = [EntityDetection((0.40, 0.40, 0.60, 0.60), 2, 1), self.ENTITIES[0]]
+        for counts in self.check(model, entities):
+            assert np.all(counts[0] == 343)

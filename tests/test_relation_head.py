@@ -1,5 +1,7 @@
 """Relationship head: logits, pair grouping, reduction, and scores."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -125,8 +127,10 @@ class TestReduce:
         rng = np.random.default_rng(85)
         _, head = make_head()
         pred, rel = self.grouped(rng)
-        noise = standard_gumbel(np.random.default_rng(5), pred.shape)
-        out_pred, out_rel = head.reduce_pairs(pred, rel, "train", tau=1.0, noise=noise)
+        draws = np.random.default_rng(5)
+        out_pred, out_rel = head.reduce_pairs(pred, rel, "train", tau=1.0,
+                                              rng=copy.deepcopy(draws))
+        noise = standard_gumbel(draws, pred.shape)
         weights = gumbel_softmax(pred, 1.0, noise=noise)
         np.testing.assert_allclose(weights.data.sum(axis=-1),
                                    np.ones(weights.shape[:-1]), atol=1e-12)
@@ -140,8 +144,10 @@ class TestReduce:
         rng = np.random.default_rng(86)
         _, head = make_head()
         pred, rel = self.grouped(rng)
-        noise = standard_gumbel(np.random.default_rng(6), pred.shape)
-        out_pred, _ = head.reduce_pairs(pred, rel, "train", tau=0.7, noise=noise, hard=True)
+        draws = np.random.default_rng(6)
+        out_pred, _ = head.reduce_pairs(pred, rel, "train", tau=0.7, rng=copy.deepcopy(draws),
+                                        hard=True)
+        noise = standard_gumbel(draws, pred.shape)
         weights = gumbel_softmax(pred, 0.7, noise=noise, hard=True)
         w = weights.data
         assert set(np.unique(w)) <= {0.0, 1.0}
