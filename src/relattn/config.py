@@ -30,22 +30,22 @@ def _default_loss_weights() -> dict:
     return {"focal": 1.0, "mask": 1.0, "margin": 1.0, "rep_point": 1.0}
 
 
-def _number(value, types=(int, float)) -> bool:
+def json_number(value, types=(int, float)) -> bool:
     """A JSON number of the given types; true and false are not numbers."""
     return isinstance(value, types) and not isinstance(value, bool)
 
 
 # Per field annotation: whether a JSON value fits the field, and what fits.
 _VALUE_TYPES = {
-    "int": (lambda v: _number(v, int), "an integer"),
-    "int | None": (lambda v: v is None or _number(v, int), "an integer or null"),
-    "float": (_number, "a number"),
+    "int": (lambda v: json_number(v, int), "an integer"),
+    "int | None": (lambda v: v is None or json_number(v, int), "an integer or null"),
+    "float": (json_number, "a number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "dict": (lambda v: isinstance(v, dict) and all(map(_number, v.values())),
+    "dict": (lambda v: isinstance(v, dict) and all(map(json_number, v.values())),
              "an object of numbers"),
     "tuple": (lambda v: isinstance(v, list) and len(v) == 2
-              and all(_number(x, int) for x in v), "a list of two integers"),
+              and all(json_number(x, int) for x in v), "a list of two integers"),
 }
 
 

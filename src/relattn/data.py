@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, fields_from_json, read_json
+from .config import ConfigError, fields_from_json, json_number, read_json
 
 
 class DatasetError(ValueError):
@@ -371,17 +371,18 @@ def save_dataset(path, ds: Dataset) -> None:
 def _json_int(value, key: str) -> int:
     """A JSON integer; DatasetError naming ``key`` for any other value,
     true, false and whole floats included."""
-    if type(value) is not int:
+    if not json_number(value, int):
         raise DatasetError(f"key {key!r} must be an integer, got {value!r}")
     return value
 
 
-def _json_ints(value, key: str, length: int) -> tuple:
-    """A JSON list of ``length`` integers, as a tuple, checked as by
-    `_json_int`."""
+def _json_numbers(value, key: str, length: int, types=int) -> tuple:
+    """A JSON list of ``length`` numbers of the given types, integers by
+    default, as a tuple; DatasetError naming ``key`` otherwise."""
     if not (isinstance(value, list) and len(value) == length
-            and all(type(v) is int for v in value)):
-        raise DatasetError(f"key {key!r} must be a list of {length} integers, got {value!r}")
+            and all(json_number(v, types) for v in value)):
+        what = "integers" if types is int else "numbers"
+        raise DatasetError(f"key {key!r} must be a list of {length} {what}, got {value!r}")
     return tuple(value)
 
 
@@ -394,7 +395,7 @@ def load_dataset(path) -> Dataset:
             raise DatasetError(f"dataset missing required key {key!r}")
     meta = raw["meta"]
     if not isinstance(meta, dict) or not all(
-            type(meta.get(key)) is int for key in ("C", "P", "seed")):
+            json_number(meta.get(key), int) for key in ("C", "P", "seed")):
         raise DatasetError("dataset meta must hold integer C, P and seed")
     C, P = meta["C"], meta["P"]
     split = meta.get("split", "train")
@@ -404,14 +405,15 @@ def load_dataset(path) -> Dataset:
     for i, rec in enumerate(raw["scenes"]):
         try:
             entities = [
-                EntityDetection(box=tuple(e["box"]), scale_level=_json_int(e["scale"], "scale"),
+                EntityDetection(box=_json_numbers(e["box"], "box", 4, (int, float)),
+                                scale_level=_json_int(e["scale"], "scale"),
                                 class_label=_json_int(e["class"], "class"))
                 for e in rec["entities"]
             ]
             scene = SceneSample(
-                image_size=_json_ints(rec["image_size"], "image_size", 2),
+                image_size=_json_numbers(rec["image_size"], "image_size", 2),
                 entities=entities,
-                triplets=[_json_ints(t, "triplets", 3) for t in rec["triplets"]],
+                triplets=[_json_numbers(t, "triplets", 3) for t in rec["triplets"]],
                 split=split, index=i)
             scene.validate(C, P)
         except (KeyError, TypeError, ValueError) as exc:
@@ -425,5 +427,5 @@ def load_dataset(path) -> Dataset:
         raise DatasetError(f"dataset priors must be {P} values, got {priors.size}")
     if not isinstance(raw["seen_triples"], list):
         raise DatasetError("dataset seen_triples must be a list")
-    seen = {_json_ints(t, "seen_triples", 3) for t in raw["seen_triples"]}
+    seen = {_json_numbers(t, "seen_triples", 3) for t in raw["seen_triples"]}
     return Dataset(scenes, priors, seen, meta)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import SCALE_LEVELS
 from .params import LinearParams, ParameterRegistry, xavier
 from .sampler import GroupOffsetPredictor, accumulate_points, distinct_lattice_points, \
     draw_offsets, grid_steps, inference_grid_offsets
@@ -31,18 +32,19 @@ ROLES = ("sub", "obj")
 
 def initial_points(detections: list) -> np.ndarray:
     """n x 3 initial reference points: box center (x, y) and the scale
-    level mapped into [0, 1] as level / 4."""
+    level mapped into [0, 1] as level / (SCALE_LEVELS - 1)."""
     pts = np.empty((len(detections), 3), dtype=np.float64)
     for i, det in enumerate(detections):
         cx, cy = det.center
-        pts[i] = (cx, cy, det.scale_level / 4.0)
+        pts[i] = (cx, cy, det.scale_level / (SCALE_LEVELS - 1))
     return pts
 
 
 def snap_scale(points: Tensor) -> Tensor:
     """Replace the scale coordinate with its nearest pyramid level
     (constant: no gradient flows through the snapped axis)."""
-    snapped = np.round(points.data[..., 2] * 4.0) / 4.0
+    top = SCALE_LEVELS - 1
+    snapped = np.round(points.data[..., 2] * top) / top
     xy = points[..., :2]
     return concat([xy, Tensor(snapped[..., None])], axis=-1)
 
@@ -215,7 +217,7 @@ class DecoderStack:
                 GcaLayer(registry, f"{prefix}.gca_{r}", d, h_G, d_G, rng) for r in ROLES))
             self.rca.append(RcaLayer(registry, f"{prefix}.rca", d, h_R, d_R, rng))
 
-    def init_state(self, detections: list, volume: Tensor, pe: PositionalEmbeddings,
+    def init_state(self, detections: list, volume: np.ndarray, pe: PositionalEmbeddings,
                    sub_embeds: Tensor, obj_embeds: Tensor) -> tuple:
         """Initial (subject, object) states from class embeddings + center
         features, and (subject, object) box embeddings, each n x 1 x d, from
@@ -239,7 +241,7 @@ class DecoderStack:
         boxes = tuple(add(box, self.role_embeds[r]) for r in range(len(ROLES)))
         return (sub, obj), boxes, p0
 
-    def decode(self, detections: list, volume: Tensor, pe: PositionalEmbeddings,
+    def decode(self, detections: list, volume: np.ndarray, pe: PositionalEmbeddings,
                sub_embeds: Tensor, obj_embeds: Tensor, mode: str,
                rng: np.random.Generator = None, m: int = None,
                range_mult: int = 3, step_mult: int = 1,

@@ -52,8 +52,7 @@ def recall_at_k(ranked: np.ndarray, gt_triplets: list, k: int) -> float | None:
     return len(gt & _top_k(ranked, k)) / len(gt)
 
 
-def per_predicate_recall_at_k(ranked: np.ndarray, gt_triplets: list, k: int,
-                              P: int) -> dict:
+def per_predicate_recall_at_k(ranked: np.ndarray, gt_triplets: list, k: int) -> dict:
     """Recall@k split by predicate; only predicates with ground truth in
     this image appear."""
     by_pred: dict[int, list] = {}

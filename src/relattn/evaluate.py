@@ -77,10 +77,10 @@ def evaluate_dataset(model: RelationModel, ds: Dataset, ks=DEFAULT_KS,
         zs_gt = zero_shot_filter(scene.triplets, classes, ds.seen_triples)
         for k in ks:
             recalls[k].append(recall_at_k(ranked, scene.triplets, k))
-            per_pred[k].append(per_predicate_recall_at_k(ranked, scene.triplets, k, cfg.P))
+            per_pred[k].append(per_predicate_recall_at_k(ranked, scene.triplets, k))
             if zs_gt:
                 zs_recalls[k].append(recall_at_k(ranked, zs_gt, k))
-                zs_per_pred[k].append(per_predicate_recall_at_k(ranked, zs_gt, k, cfg.P))
+                zs_per_pred[k].append(per_predicate_recall_at_k(ranked, zs_gt, k))
 
     rows = []
     for k in ks:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ConfigError
 from .data import SCALE_LEVELS, SceneSample, grid_shape, scene_feature_rng
-from .tensor import Tensor, add
+from .tensor import Tensor
 
 _PE_CACHE: dict = {}
 
@@ -63,14 +63,15 @@ class PositionalEmbeddings:
     table apart (see `GcaLayer`).
     """
 
-    folded: Tensor  # 5 x H x W x d feature volume plus the sinusoid grid
-    grid: Tensor    # 1 x H x W x d sinusoid grid
-    scale: Tensor   # 5 x d learnable scale embeddings
+    folded: np.ndarray  # 5 x H x W x d feature volume plus the sinusoid grid
+    grid: np.ndarray    # 1 x H x W x d sinusoid grid
+    scale: Tensor       # 5 x d learnable scale embeddings
 
 
-def build_positional_embeddings(volume, scale_embeds) -> PositionalEmbeddings:
-    """Factored positional code for a 5 x H x W x d feature volume, with
-    the cached sinusoid grid folded into the volume once per forward."""
+def build_positional_embeddings(volume: np.ndarray, scale_embeds: Tensor) -> PositionalEmbeddings:
+    """Factored positional code for a 5 x H x W x d feature volume (an
+    array: data, not a tape node), with the cached sinusoid grid folded
+    into the volume once per forward."""
     if volume.ndim != 4 or volume.shape[0] != SCALE_LEVELS:
         raise ConfigError(f"feature volume must be {SCALE_LEVELS} x H x W x d, got {volume.shape}")
     _, H, W, d = volume.shape
@@ -78,8 +79,7 @@ def build_positional_embeddings(volume, scale_embeds) -> PositionalEmbeddings:
         raise ConfigError(
             f"scale embeddings must be {(SCALE_LEVELS, d)}, got {scale_embeds.shape}")
     grid = sinusoidal_grid(H, W, d)
-    return PositionalEmbeddings(folded=add(volume, Tensor(grid)), grid=Tensor(grid[None]),
-                                scale=scale_embeds)
+    return PositionalEmbeddings(folded=volume + grid, grid=grid[None], scale=scale_embeds)
 
 
 def class_signatures(dataset_seed: int, C: int, d: int) -> np.ndarray:

@@ -52,7 +52,6 @@ class RelationModel:
                 relatedness_logits=Tensor(np.zeros((0, 0))),
                 scores=np.zeros((cfg.P, 0, 0)))
             return ForwardOutput(prediction=empty, decode=DecodeResult(queries=None))
-        volume = Tensor(volume)
         pe = build_positional_embeddings(volume, self.scale_embeds)
         decode = self.decoder.decode(
             scene.entities, volume, pe, self.sub_embeds, self.obj_embeds,

@@ -43,9 +43,6 @@ class ParameterRegistry:
         self._params[name] = p
         return p.tensor
 
-    def get(self, name: str) -> Parameter:
-        return self._params[name]
-
     def parameters(self) -> list[Parameter]:
         return list(self._params.values())
 

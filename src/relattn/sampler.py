@@ -99,7 +99,9 @@ def inference_grid_offsets(dist: OffsetDistribution, range_mult: int = 3,
 
 def accumulate_points(prev: Tensor, delta: Tensor) -> Tensor:
     """One accumulation step: add offsets to the previous reference points
-    and clamp every coordinate back into the unit cube."""
+    and clamp every coordinate back into the unit cube. This is the one
+    border policy: `point_sample` and `level_weights` refuse points
+    outside the cube."""
     return clamp(add(prev, delta), 0.0, 1.0)
 
 

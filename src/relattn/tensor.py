@@ -503,31 +503,24 @@ def gumbel_softmax(logits, tau: float, rng: np.random.Generator = None,
 
 def _points(coords: Tensor) -> np.ndarray:
     """The coordinates as an n x 3 array of (x, y, s) points. Raises on a
-    last axis other than 3 and on NaN, which has no grid cell."""
+    last axis other than 3 and on any coordinate outside [0, 1], NaN and
+    +-inf included: the samplers have no border policy of their own."""
     if coords.data.shape[-1] != 3:
         raise DimensionError(f"coords must end in 3 (x, y, s), got {coords.shape}")
     pts = coords.data.reshape(-1, 3)
-    if np.isnan(pts).any():
-        raise DomainError("coords contain NaN")
+    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
+        raise DomainError("coords must lie in [0, 1]")
     return pts
 
 
 def _grid_cells(pts: np.ndarray, sizes: np.ndarray) -> tuple:
-    """Lower grid index, fraction and in-range mask of points on grids of
-    the given sizes, one size per column. Each coordinate u maps to the
-    continuous index u * (size - 1) and clamps to the border; the lower
-    index stops at size - 2, so a point on the far border has fraction 1.
-    The mask is 1 where the raw coordinate lies in [0, 1]."""
-    # Clipping to [-1, 2] first moves no finite point to another cell or
-    # side of the border, and keeps inf * 0 from making NaN on a grid
-    # of size 1.
-    cont = np.clip(pts, -1.0, 2.0) * (sizes - 1.0)
-    cont_cl = np.clip(cont, 0.0, sizes - 1.0)
-    lo = np.floor(cont_cl).astype(np.intp)
-    lo = np.minimum(lo, (sizes - 2).clip(min=0).astype(np.intp))
-    frac = cont_cl - lo
-    inside = ((cont >= 0.0) & (cont <= sizes - 1.0)).astype(pts.dtype)
-    return lo, frac, inside
+    """Lower grid index and fraction of points in [0, 1] on grids of the
+    given sizes, one size per column. Each coordinate u maps to the
+    continuous index u * (size - 1); the lower index stops at size - 2,
+    so a point on the far border has fraction 1."""
+    cont = pts * (sizes - 1.0)
+    lo = np.minimum(np.floor(cont).astype(np.intp), (sizes - 2).clip(min=0).astype(np.intp))
+    return lo, cont - lo
 
 
 # Elements per block of `point_sample` (256 KB of float64). A block of
@@ -536,15 +529,17 @@ def _grid_cells(pts: np.ndarray, sizes: np.ndarray) -> tuple:
 _BLOCK = 32_768
 
 
-def point_sample(volume, coords) -> Tensor:
-    """Sample a feature volume at fractional 3-d points.
+def point_sample(volume: np.ndarray, coords) -> Tensor:
+    """Sample a constant feature volume at fractional 3-d points.
 
-    volume: S x H x W x d tensor; coords: [... x 3] points in [0,1]^3
+    volume: S x H x W x d numpy array, data rather than a tape node, so
+    only the coordinates are differentiated; a `Tensor` raises TypeError
+    instead of losing its gradient. coords: [... x 3] points in [0,1]^3
     ordered (x, y, s). x spans the W axis, y the H axis, s the scale
     axis; each coordinate maps to a continuous index u * (size - 1) and
-    the eight surrounding corners blend trilinearly. Coordinates outside
-    [0,1], infinities included, clamp to the border; NaN raises
-    DomainError. Returns [... x d] features.
+    the eight surrounding corners blend trilinearly. A coordinate outside
+    [0,1], NaN and +-inf included, raises DomainError. Returns [... x d]
+    features.
 
     The points are walked in blocks of B = max(2, _BLOCK // d), the last
     block taking a lone remaining point. Each block gathers its eight
@@ -554,15 +549,17 @@ def point_sample(volume, coords) -> Tensor:
     stack. Every output element sees the same operations in the same
     order whatever the block size, so the result is the same to the bit.
     """
-    volume, coords = _coerce(volume), _coerce(coords)
+    if not isinstance(volume, np.ndarray):
+        raise TypeError(f"volume must be a numpy array, got {type(volume).__name__}")
     if volume.ndim != 4:
         raise DimensionError(f"volume must be S x H x W x d, got {volume.shape}")
+    coords = _coerce(coords)
     pts = _points(coords)
-    S, H, W, d = volume.data.shape
+    S, H, W, d = volume.shape
     lead = coords.data.shape[:-1]
     n = pts.shape[0]
 
-    lo, frac, inside = _grid_cells(pts, np.array([W, H, S], dtype=np.float64))
+    lo, frac = _grid_cells(pts, np.array([W, H, S], dtype=np.float64))
     x0, y0, s0 = lo[:, 0], lo[:, 1], lo[:, 2]
     x1 = np.minimum(x0 + 1, W - 1)
     y1 = np.minimum(y0 + 1, H - 1)
@@ -581,7 +578,7 @@ def point_sample(volume, coords) -> Tensor:
                 corner_w.append(ws * wy * wx)
     weights = np.stack(corner_w, axis=0)  # 8 x n
     lin = np.stack(corner_lin, axis=0)  # 8 x n flat voxel indices
-    flat = volume.data.reshape(-1, d)
+    flat = volume.reshape(-1, d)
     # No block holds a single row unless n is 1: given one row, numpy's
     # einsum (coordinate backward) sums a row longer than its 8,192-element
     # buffer in one piece; given more, in buffer-sized pieces.
@@ -605,44 +602,33 @@ def point_sample(volume, coords) -> Tensor:
     data = out_flat.reshape(lead + (d,))
 
     def backward(g):
+        # d/du of trilinear interpolation: the corner-difference form
+        # along each axis, scaled by (size - 1). The row dot products
+        # g . corner are taken per block; each row's sum runs the same way
+        # in a block as in one call over all n rows.
         gf = g.reshape(n, d)
-        if volume.requires_grad:
-            # One scatter-add over all corners. bincount sums each bin in
-            # input order (corner, then point), the order of adding the
-            # corners one after another.
-            bins = (lin[:, :, None] * d + np.arange(d)).ravel()
-            buf = np.bincount(bins, weights=(weights[:, :, None] * gf).ravel(),
-                              minlength=volume.data.size)
-            volume._accumulate(buf.reshape(volume.data.shape))
-        if coords.requires_grad:
-            # d/du of trilinear interpolation: the corner-difference form
-            # along each axis, scaled by (size - 1), zeroed where the raw
-            # coordinate fell outside [0, 1] (border clamp). The row dot
-            # products g . corner are taken per block; each row's sum runs
-            # the same way in a block as in one call over all n rows.
-            gcorner = np.empty((8, n), dtype=np.result_type(gf, flat))
-            buf = np.empty((width, d), dtype=flat.dtype)
-            for b in blocks:
-                buf_b = buf[: b.stop - b.start]
-                for k in range(8):
-                    np.take(flat, lin[k, b], axis=0, out=buf_b, mode="clip")
-                    gcorner[k, b] = np.einsum("nd,nd->n", gf[b], buf_b)
-            ws0, ws1 = 1.0 - fs, fs
-            wy0, wy1 = 1.0 - fy, fy
-            wx0, wx1 = 1.0 - fx, fx
-            # order: index bit pattern s*4 + y*2 + x
-            c000, c001, c010, c011, c100, c101, c110, c111 = gcorner
-            d_dx = (ws0 * (wy0 * (c001 - c000) + wy1 * (c011 - c010))
-                    + ws1 * (wy0 * (c101 - c100) + wy1 * (c111 - c110)))
-            d_dy = (ws0 * (wx0 * (c010 - c000) + wx1 * (c011 - c001))
-                    + ws1 * (wx0 * (c110 - c100) + wx1 * (c111 - c101)))
-            d_ds = (wy0 * (wx0 * (c100 - c000) + wx1 * (c101 - c001))
-                    + wy1 * (wx0 * (c110 - c010) + wx1 * (c111 - c011)))
-            gc = np.stack([d_dx * (W - 1), d_dy * (H - 1), d_ds * (S - 1)], axis=-1)
-            gc *= inside
-            coords._accumulate(gc.reshape(lead + (3,)))
+        gcorner = np.empty((8, n), dtype=np.result_type(gf, flat))
+        buf = np.empty((width, d), dtype=flat.dtype)
+        for b in blocks:
+            buf_b = buf[: b.stop - b.start]
+            for k in range(8):
+                np.take(flat, lin[k, b], axis=0, out=buf_b, mode="clip")
+                gcorner[k, b] = np.einsum("nd,nd->n", gf[b], buf_b)
+        ws0, ws1 = 1.0 - fs, fs
+        wy0, wy1 = 1.0 - fy, fy
+        wx0, wx1 = 1.0 - fx, fx
+        # order: index bit pattern s*4 + y*2 + x
+        c000, c001, c010, c011, c100, c101, c110, c111 = gcorner
+        d_dx = (ws0 * (wy0 * (c001 - c000) + wy1 * (c011 - c010))
+                + ws1 * (wy0 * (c101 - c100) + wy1 * (c111 - c110)))
+        d_dy = (ws0 * (wx0 * (c010 - c000) + wx1 * (c011 - c001))
+                + ws1 * (wx0 * (c110 - c100) + wx1 * (c111 - c101)))
+        d_ds = (wy0 * (wx0 * (c100 - c000) + wx1 * (c101 - c001))
+                + wy1 * (wx0 * (c110 - c010) + wx1 * (c111 - c011)))
+        gc = np.stack([d_dx * (W - 1), d_dy * (H - 1), d_ds * (S - 1)], axis=-1)
+        coords._accumulate(gc.reshape(lead + (3,)))
 
-    return _node(data, (volume, coords), backward)
+    return _node(data, (coords,), backward)
 
 
 def level_weights(coords, levels: int) -> Tensor:
@@ -650,7 +636,8 @@ def level_weights(coords, levels: int) -> Tensor:
     axis.
 
     coords: [... x 3] points ordered (x, y, s); levels: the number of
-    levels S. Only s is read, and it maps and clamps as in `point_sample`.
+    levels S. Only s is read, and it maps as in `point_sample`; every
+    coordinate must lie in [0, 1], as there.
     Returns [... x S]: each row holds 1 - f on the lower level and f on
     the next (1 on one level when they coincide), so it sums to one, and
     the row times an S x d table equals `point_sample` of that table
@@ -663,7 +650,7 @@ def level_weights(coords, levels: int) -> Tensor:
     lead = coords.data.shape[:-1]
     s = _points(coords)[:, 2:]
     n = s.shape[0]
-    lo, frac, inside = _grid_cells(s, np.array([levels], dtype=np.float64))
+    lo, frac = _grid_cells(s, np.array([levels], dtype=np.float64))
     s0, fs = lo[:, 0], frac[:, 0]
     s1 = np.minimum(s0 + 1, levels - 1)
     rows = np.arange(n)
@@ -674,7 +661,7 @@ def level_weights(coords, levels: int) -> Tensor:
     def backward(g):
         gb = g.reshape(n, levels)
         gc = np.zeros((n, 3), dtype=coords.data.dtype)
-        gc[:, 2] = (gb[rows, s1] - gb[rows, s0]) * ((levels - 1) * inside[:, 0])
+        gc[:, 2] = (gb[rows, s1] - gb[rows, s0]) * (levels - 1)
         coords._accumulate(gc.reshape(lead + (3,)))
 
     return _node(blend.reshape(lead + (levels,)), (coords,), backward)

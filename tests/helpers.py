@@ -8,3 +8,8 @@ def metric_value(rows: list, metric: str, k: int) -> float | None:
         if name == metric and kk == k:
             return value
     return None
+
+
+def parameter(registry, name: str):
+    """The registered parameter called ``name``."""
+    return next(p for p in registry.parameters() if p.name == name)

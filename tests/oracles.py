@@ -12,7 +12,7 @@ def trilinear_oracle(volume, coord):
     """Blend the eight grid corners around one (x, y, s) point.
 
     volume: (S, H, W, d) array. coord: length-3 array in (x, y, s) order;
-    values outside [0, 1] clamp to the border, matching the sampler.
+    values outside [0, 1] clamp to the border (the sampler refuses them).
     """
     S, H, W, _ = volume.shape
     x, y, s = (float(np.clip(c, 0.0, 1.0)) for c in coord)
@@ -262,7 +262,6 @@ def full_lattice_infer_oracle(model, scene, volume):
     cfg, decoder = model.config, model.decoder
     n = len(scene.entities)
     with no_grad():
-        volume = Tensor(volume)
         pe = build_positional_embeddings(volume, model.scale_embeds)
         states, boxes, p0 = decoder.init_state(scene.entities, volume, pe,
                                                model.sub_embeds, model.obj_embeds)

@@ -41,7 +41,7 @@ from relattn.relation_head import RelationHead, annealing_temperature
 from relattn.tensor import Tensor, add, gumbel_softmax, level_weights, mul, point_sample, tsum
 from relattn.train import train
 
-from helpers import metric_value
+from helpers import metric_value, parameter
 from oracles import budget_recall_oracle, trilinear_oracle
 
 
@@ -122,7 +122,7 @@ def test_criterion_01_point_sampling_oracle():
         d = int(rng.integers(1, 5))
         volume = rng.standard_normal((S, H, W, d))
         coord = rng.uniform(0, 1, 3)
-        got = point_sample(Tensor(volume), Tensor(coord[None, :])).data[0]
+        got = point_sample(volume, Tensor(coord[None, :])).data[0]
         want = trilinear_oracle(volume, coord)
         worst = max(worst, float(np.abs(got - want).max()))
     node_exact = True
@@ -132,7 +132,7 @@ def test_criterion_01_point_sampling_oracle():
         for y in range(H):
             for x in range(W):
                 coord = np.array([[x / (W - 1), y / (H - 1), s / (S - 1)]])
-                got = point_sample(Tensor(volume), Tensor(coord)).data[0]
+                got = point_sample(volume, Tensor(coord)).data[0]
                 node_exact = node_exact and np.array_equal(got, volume[s, y, x])
     elapsed = time.time() - t0
     ok = worst < 1e-12 and node_exact and elapsed < 10.0
@@ -175,7 +175,7 @@ def test_criterion_02_gradient_suite():
     worst_param = 0.0
     for name in ("gca.q.weight", "gca.v.weight", "gca.out.bias",
                  "gca.ln.gain"):
-        tensor = registry.get(name).tensor
+        tensor = parameter(registry, name).tensor
         coords = list(range(0, tensor.data.size, max(1, tensor.data.size // 4)))
         worst_param = max(worst_param, check_parameter_gradients(
             lambda: gca_scalar(state0), tensor, coords=coords))
@@ -196,7 +196,7 @@ def test_criterion_02_gradient_suite():
     worst_param = 0.0
     for name in ("rca.q.weight", "rca.v_sub.weight", "rca.out_obj.weight",
                  "rca.ffn_sub.hidden.weight", "rca.ln.attn_sub.gain"):
-        tensor = registry.get(name).tensor
+        tensor = parameter(registry, name).tensor
         coords = list(range(0, tensor.data.size, max(1, tensor.data.size // 4)))
         worst_param = max(worst_param, check_parameter_gradients(
             lambda: rca_scalar(sub0), tensor, coords=coords))
@@ -212,7 +212,7 @@ def test_criterion_02_gradient_suite():
 
     results["attention_logits"] = check_gradients(head_scalar, sub0)
     results["attention_bias"] = check_parameter_gradients(
-        lambda: head_scalar(sub0), registry.get("acc_head.bias").tensor)
+        lambda: head_scalar(sub0), parameter(registry, "acc_head.bias").tensor)
 
     results["full_forward"] = _full_forward_gradients()
 

@@ -200,11 +200,12 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("field, value", [
-        ("class", 1.9), ("scale", True), ("triplets", [0.0, "1", 1])])
+        ("class", 1.9), ("scale", True), ("triplets", [0.0, "1", 1]),
+        ("box", [0, 0, True, True])])
     def test_eval_rejects_coerced_scene_field(self, pipeline, tmp_path, capsys, field, value):
         """A test split whose scene holds a non-integer class, scale or
-        triplet fails eval with one error line, before any metric is
-        written."""
+        triplet, or a box of booleans, fails eval with one error line,
+        before any metric is written."""
         _, _, data_dir, run_dir = pipeline
         bad_dir = tmp_path / "data"
         bad_dir.mkdir()

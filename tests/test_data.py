@@ -276,6 +276,21 @@ class TestSerialization:
         with pytest.raises(DatasetError, match=f"scene {i}: key '{field}'"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("box", [[0, 0, True, True], [0.1, 0.1, 0.5], "0 0 1 1"],
+                             ids=["bools", "three_values", "string"])
+    def test_load_requires_four_number_box(self, tmp_path, box):
+        """An entity box loads only as a list of four JSON numbers, never
+        with booleans standing in for 0 and 1; the error names the scene
+        and the key."""
+        train, _ = generate_dataset(small_spec())
+        path = tmp_path / "bad.json"
+        save_dataset(path, train)
+        doc = json.loads(path.read_text())
+        doc["scenes"][0]["entities"][0]["box"] = box
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="scene 0: key 'box'"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("triple", [[0, True, 1], [0, 1], [0.0, 1, 1]])
     def test_load_requires_integer_seen_triples(self, tmp_path, triple):
         train, _ = generate_dataset(small_spec())

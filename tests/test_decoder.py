@@ -20,6 +20,7 @@ from relattn.params import ParameterRegistry
 from relattn.sampler import distinct_lattice_points, grid_steps
 from relattn.tensor import Tensor, add, level_weights, mul, no_grad, point_sample, tsum
 
+from helpers import parameter
 from oracles import full_lattice_infer_oracle
 
 
@@ -32,7 +33,7 @@ def detections():
 
 
 def volume_and_pe(rng, d=8, H=6, W=6):
-    vol = Tensor(rng.standard_normal((5, H, W, d)))
+    vol = rng.standard_normal((5, H, W, d))
     pe = build_positional_embeddings(vol, Tensor(np.zeros((5, d))))
     return vol, pe
 
@@ -75,13 +76,13 @@ class TestInitState:
         one corner at a time here."""
         rng = np.random.default_rng(69)
         reg, stack, sub, obj = make_stack()
-        vol = Tensor(rng.standard_normal((5, 6, 6, 8)))
+        vol = rng.standard_normal((5, 6, 6, 8))
         pe = build_positional_embeddings(vol, Tensor(rng.standard_normal((5, 8))))
         _, boxes, _ = stack.init_state(detections(), vol, pe, sub, obj)
-        w = reg.get("decoder.box_proj.weight").data
-        b = reg.get("decoder.box_proj.bias").data
-        corner = reg.get("decoder.corner_embeds").data
-        role = reg.get("decoder.role_embeds").data
+        w = parameter(reg, "decoder.box_proj.weight").data
+        b = parameter(reg, "decoder.box_proj.bias").data
+        corner = parameter(reg, "decoder.corner_embeds").data
+        role = parameter(reg, "decoder.role_embeds").data
         for i, det in enumerate(detections()):
             x0, y0, x1, y1 = det.box
             codes = []
@@ -156,7 +157,7 @@ class TestGca:
         its copies."""
         reg, layer, (state, box, feats, coords, table) = self.make_random(74)
         blend = level_weights(coords, table.shape[0])
-        p = {name: reg.get(f"g.{name}").data for name in
+        p = {name: parameter(reg, f"g.{name}").data for name in
              ("q.weight", "q.bias", "k.weight", "v.weight", "v.bias",
               "out.weight", "out.bias", "ln.gain", "ln.shift")}
         n, K, m, d = feats.shape
@@ -264,7 +265,7 @@ class TestRca:
         out = layer(states, queries(states, (Tensor(sub_box), Tensor(obj_box))))
 
         def w(name):
-            return reg.get(f"r.{name}").data
+            return parameter(reg, f"r.{name}").data
 
         def lin(x, name):
             return x @ w(f"{name}.weight") + w(f"{name}.bias")

@@ -99,13 +99,13 @@ class TestRecall:
         scores[1, 1, 2] = 2.0
         ranked = ranked_triplets(scores)
         gt = [(0, 0, 1), (1, 0, 2), (1, 1, 2)]
-        rec = per_predicate_recall_at_k(ranked, gt, 2, 2)
+        rec = per_predicate_recall_at_k(ranked, gt, 2)
         assert rec[0] == 0.5   # (0,0,1) ranked first, (1,0,2) scored 0
         assert rec[1] == 1.0
 
     def test_per_predicate_only_present(self):
         ranked = ranked_triplets(np.zeros((3, 2, 2)))
-        rec = per_predicate_recall_at_k(ranked, [(0, 1, 1)], 2, 3)
+        rec = per_predicate_recall_at_k(ranked, [(0, 1, 1)], 2)
         assert set(rec) == {1}
 
 

@@ -54,10 +54,10 @@ class TestPositionalEmbeddings:
         rng = np.random.default_rng(50)
         volume = rng.standard_normal((5, 4, 4, 8))
         scale = rng.standard_normal((5, 8))
-        pe = build_positional_embeddings(Tensor(volume), Tensor(scale))
+        pe = build_positional_embeddings(volume, Tensor(scale))
         base = sinusoidal_grid(4, 4, 8)
-        np.testing.assert_array_equal(pe.grid.data[0], base)
-        np.testing.assert_array_equal(pe.folded.data, volume + base)
+        np.testing.assert_array_equal(pe.grid[0], base)
+        np.testing.assert_array_equal(pe.folded, volume + base)
         for s in range(5):
             nodes = np.array([[x / 3, y / 3, s / 4] for y in range(4) for x in range(4)])
             got = (point_sample(pe.folded, Tensor(nodes))
@@ -65,11 +65,11 @@ class TestPositionalEmbeddings:
             np.testing.assert_allclose(got, volume[s] + base + scale[s], atol=1e-12)
 
     def test_rejects_wrong_scale_shape(self):
-        volume = Tensor(np.zeros((5, 4, 4, 8)))
+        volume = np.zeros((5, 4, 4, 8))
         with pytest.raises(ConfigError):
             build_positional_embeddings(volume, Tensor(np.zeros((4, 8))))
         with pytest.raises(ConfigError):
-            build_positional_embeddings(Tensor(np.zeros((4, 4, 4, 8))), Tensor(np.zeros((5, 8))))
+            build_positional_embeddings(np.zeros((4, 4, 4, 8)), Tensor(np.zeros((5, 8))))
 
 
 class TestVolumes:

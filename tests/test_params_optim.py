@@ -7,6 +7,7 @@ from relattn.params import Parameter, ParameterRegistry, xavier
 from relattn.optim import _CHUNK, AdamW, lr_scale_at
 from relattn.tensor import Tensor, mul, tsum
 
+from helpers import parameter
 from oracles import adamw_oracle
 
 
@@ -16,7 +17,7 @@ class TestRegistry:
         t = reg.add("w", np.zeros((2, 3)))
         assert isinstance(t, Tensor)
         assert t.requires_grad
-        assert reg.get("w").tensor is t
+        assert parameter(reg, "w").tensor is t
 
     def test_duplicate_name_rejected(self):
         reg = ParameterRegistry()
@@ -36,24 +37,24 @@ class TestRegistry:
         other.add("b", np.zeros(4))
         other.load_state_dict(state)
         for name in ("a", "b"):
-            np.testing.assert_array_equal(other.get(name).data,
-                                          reg.get(name).data)
+            np.testing.assert_array_equal(parameter(other, name).data,
+                                          parameter(reg, name).data)
 
     def test_load_writes_into_the_live_arrays(self):
         """A load copies values into each parameter's existing array, so
         anything holding that array (the tape, the optimizer) sees them."""
         reg = ParameterRegistry()
         reg.add("a", np.zeros((2, 3)))
-        before = reg.get("a").data
+        before = parameter(reg, "a").data
         values = np.arange(6.0).reshape(2, 3)
         reg.load_state_dict({"a": values})
-        assert reg.get("a").data is before
+        assert parameter(reg, "a").data is before
         np.testing.assert_array_equal(before, values)
 
     def test_arrays_are_live(self):
         reg = ParameterRegistry()
         reg.add("a", np.ones(3))
-        assert reg.arrays()["a"] is reg.get("a").data
+        assert reg.arrays()["a"] is parameter(reg, "a").data
 
     def test_load_rejects_missing_extra_and_shape(self):
         reg = ParameterRegistry()

@@ -2,13 +2,11 @@
 level weights of the scale axis, and the fold of the positional code into
 the feature volume."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from relattn import tensor
-from relattn.tensor import Tensor, add, level_weights, matmul, mul, point_sample, reshape, \
+from relattn.tensor import DomainError, Tensor, add, level_weights, matmul, mul, point_sample, \
     tsum
 from relattn.gradcheck import check_gradients
 
@@ -16,19 +14,17 @@ from oracles import trilinear_oracle
 
 
 def stacked_point_sample(volume, coords, g):
-    """Trilinear sampling by stacking all eight corners: forward values,
-    volume gradient and coordinate gradient for the output gradient g.
-    Corners are summed over the 8 x n x d stack's first axis."""
+    """Trilinear sampling by stacking all eight corners: forward values
+    and coordinate gradient for the output gradient g, for points in
+    [0, 1]^3. Corners are summed over the 8 x n x d stack's first axis."""
     S, H, W, d = volume.shape
     pts = coords.reshape(-1, 3)
     n = pts.shape[0]
     sizes = np.array([W, H, S], dtype=np.float64)
     cont = pts * (sizes - 1.0)
-    cont_cl = np.clip(cont, 0.0, sizes - 1.0)
-    lo = np.minimum(np.floor(cont_cl).astype(np.intp),
+    lo = np.minimum(np.floor(cont).astype(np.intp),
                     (sizes - 2).clip(min=0).astype(np.intp))
-    frac = cont_cl - lo
-    inside = ((cont >= 0.0) & (cont <= sizes - 1.0)).astype(np.float64)
+    frac = cont - lo
     hi = np.minimum(lo + 1, np.array([W, H, S]) - 1)
     lin, weights = [], []
     for bits in range(8):  # s*4 + y*2 + x
@@ -41,9 +37,6 @@ def stacked_point_sample(volume, coords, g):
     out = (weights[:, :, None] * gathered).sum(axis=0)
 
     gf = g.reshape(n, d)
-    vgrad = np.zeros((S * H * W, d))
-    for k in range(8):
-        np.add.at(vgrad, lin[k], weights[k][:, None] * gf)
     c = [np.einsum("nd,nd->n", gf, gathered[k]) for k in range(8)]
     (wx0, wy0, ws0), (wx1, wy1, ws1) = (1.0 - frac).T, frac.T
     d_dx = (ws0 * (wy0 * (c[1] - c[0]) + wy1 * (c[3] - c[2]))
@@ -52,22 +45,22 @@ def stacked_point_sample(volume, coords, g):
             + ws1 * (wx0 * (c[6] - c[4]) + wx1 * (c[7] - c[5])))
     d_ds = (wy0 * (wx0 * (c[4] - c[0]) + wx1 * (c[5] - c[1]))
             + wy1 * (wx0 * (c[6] - c[2]) + wx1 * (c[7] - c[3])))
-    cgrad = np.stack([d_dx * (W - 1), d_dy * (H - 1), d_ds * (S - 1)], axis=-1) * inside
-    return (out.reshape(coords.shape[:-1] + (d,)), vgrad.reshape(volume.shape),
-            cgrad.reshape(coords.shape))
+    cgrad = np.stack([d_dx * (W - 1), d_dy * (H - 1), d_ds * (S - 1)], axis=-1)
+    return out.reshape(coords.shape[:-1] + (d,)), cgrad.reshape(coords.shape)
 
 
-def lattice_and_stray_points(rng, S, H, W, n):
-    """n points mixing fractional points, lattice nodes, level-exact
-    scales (box corners) and coordinates outside [0, 1]."""
+def lattice_and_cube_points(rng, S, H, W, n):
+    """n points in [0, 1]^3 mixing fractional points, lattice nodes,
+    level-exact scales (box corners) and points on the cube's faces,
+    where a coordinate is exactly 0 or 1."""
     pts = rng.uniform(0.0, 1.0, (n, 3))
     sizes = np.array([W, H, S]) - 1
     node = rng.integers(0, sizes + 1, (n, 3)) / np.maximum(sizes, 1)
     kind = rng.integers(0, 4, n)
     pts[kind == 1] = node[kind == 1]
     pts[kind == 2, 2] = node[kind == 2, 2]
-    stray = rng.uniform(-0.5, 1.5, (n, 3))
-    pts[kind == 3] = stray[kind == 3]
+    face = (rng.random((n, 3)) < 0.5) & (kind == 3)[:, None]
+    pts[face] = rng.integers(0, 2, int(face.sum()))
     return pts
 
 
@@ -77,7 +70,7 @@ class TestForward:
         rng = np.random.default_rng(20)
         volume = rng.standard_normal((4, 6, 5, 3))
         coords = rng.uniform(0, 1, (40, 3))
-        got = point_sample(Tensor(volume), Tensor(coords)).data
+        got = point_sample(volume, Tensor(coords)).data
         want = np.stack([trilinear_oracle(volume, c) for c in coords])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -91,102 +84,77 @@ class TestForward:
                 for x in range(W):
                     coord = np.array([[x / (W - 1), y / (H - 1),
                                        s / (S - 1)]])
-                    got = point_sample(Tensor(volume), Tensor(coord)).data[0]
+                    got = point_sample(volume, Tensor(coord)).data[0]
                     np.testing.assert_array_equal(got, volume[s, y, x])
 
-    def test_out_of_range_clamps_to_border(self):
-        rng = np.random.default_rng(22)
-        volume = rng.standard_normal((2, 3, 3, 4))
-        low = point_sample(Tensor(volume),
-                           Tensor(np.array([[-0.7, -2.0, -0.1]]))).data[0]
-        np.testing.assert_array_equal(low, volume[0, 0, 0])
-        high = point_sample(Tensor(volume),
-                            Tensor(np.array([[1.5, 1.0, 3.0]]))).data[0]
-        np.testing.assert_array_equal(high, volume[-1, -1, -1])
-
-    def test_infinite_coordinates_clamp_to_border(self):
-        """±inf clamps like any point outside [0, 1], with a zero
-        gradient on that axis and no warning, also on a grid of size 1."""
-        rng = np.random.default_rng(32)
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, -np.inf, np.inf, np.nan],
+                             ids=["below_0", "above_1", "-inf", "inf", "nan"])
+    def test_outside_unit_cube_raises(self, bad):
+        """Both samplers refuse a coordinate outside [0, 1], whichever
+        axis it sits on and whatever the grid size; the same point at
+        exactly 0 or 1 samples."""
         for shape in ((2, 3, 3, 4), (1, 3, 1, 4)):
-            volume = rng.standard_normal(shape)
-            coords = Tensor(np.array([[-np.inf, -np.inf, -np.inf],
-                                      [np.inf, np.inf, np.inf],
-                                      [0.5, np.inf, 0.5]]), requires_grad=True)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                out = point_sample(Tensor(volume), coords)
-                tsum(out).backward()
-                blend = level_weights(Tensor(coords.data[:2]), shape[0]).data
-            np.testing.assert_array_equal(out.data[0], volume[0, 0, 0])
-            np.testing.assert_array_equal(out.data[1], volume[-1, -1, -1])
-            np.testing.assert_array_equal(out.data[2], point_sample(
-                Tensor(volume), Tensor(np.array([0.5, 1.0, 0.5]))).data)
-            np.testing.assert_array_equal(blend @ volume[:, 0, 0], volume[[0, -1], 0, 0])
-            assert np.all(coords.grad[:2] == 0.0) and coords.grad[2, 1] == 0.0
+            volume = np.zeros(shape)
+            for axis in range(3):
+                pts = np.full((5, 2, 3), 0.5)
+                pts[3, 1, axis] = bad
+                with pytest.raises(DomainError, match=r"\[0, 1\]"):
+                    point_sample(volume, Tensor(pts))
+                with pytest.raises(DomainError, match=r"\[0, 1\]"):
+                    level_weights(Tensor(pts), shape[0])
+                for edge in (0.0, 1.0):
+                    pts[3, 1, axis] = edge
+                    assert point_sample(volume, Tensor(pts)).shape == (5, 2, 4)
+                    assert level_weights(Tensor(pts), shape[0]).shape == (5, 2, shape[0])
 
-    def test_nan_coordinates_raise(self):
-        """NaN has no grid cell: both samplers refuse it before sampling,
-        whichever axis it sits on."""
-        volume = Tensor(np.zeros((2, 3, 3, 4)))
-        for axis in range(3):
-            pts = np.full((5, 2, 3), 0.5)
-            pts[3, 1, axis] = np.nan
-            with pytest.raises(ValueError, match="NaN"):
-                point_sample(volume, Tensor(pts))
-            with pytest.raises(ValueError, match="NaN"):
-                level_weights(Tensor(pts), 2)
+    def test_rejects_tensor_volume(self):
+        """The volume is data: a Tensor, with or without a gradient, raises
+        rather than having its gradient dropped; so does a nested list."""
+        volume = np.zeros((2, 2, 2, 1))
+        coords = Tensor(np.full((1, 3), 0.5))
+        for bad in (Tensor(volume), Tensor(volume, requires_grad=True), volume.tolist()):
+            with pytest.raises(TypeError, match="numpy array"):
+                point_sample(bad, coords)
 
     def test_batched_coordinate_shapes(self):
         """Leading coordinate axes carry through to the output."""
         rng = np.random.default_rng(23)
         volume = rng.standard_normal((3, 4, 4, 5))
         coords = rng.uniform(0, 1, (2, 3, 7, 3))
-        out = point_sample(Tensor(volume), Tensor(coords))
+        out = point_sample(volume, Tensor(coords))
         assert out.shape == (2, 3, 7, 5)
 
     def test_rejects_bad_coordinate_width(self):
-        volume = Tensor(np.zeros((2, 2, 2, 1)))
+        volume = np.zeros((2, 2, 2, 1))
         with pytest.raises(Exception):
             point_sample(volume, Tensor(np.zeros((4, 2))))
 
 
 class TestGradients:
-    def test_volume_gradient(self):
-        rng = np.random.default_rng(24)
-        volume = Tensor(rng.standard_normal((3, 4, 4, 2)),
-                        requires_grad=True)
-        coords = Tensor(rng.uniform(0.05, 0.95, (6, 3)))
-        w = rng.standard_normal((6, 2))
-        err = check_gradients(
-            lambda v: tsum(mul(point_sample(v, coords), Tensor(w))), volume)
-        assert err < 1e-6
-
     def test_coordinate_gradient(self):
         rng = np.random.default_rng(25)
-        volume = Tensor(rng.standard_normal((3, 5, 5, 2)))
+        volume = rng.standard_normal((3, 5, 5, 2))
         coords = Tensor(rng.uniform(0.1, 0.9, (5, 3)), requires_grad=True)
         w = rng.standard_normal((5, 2))
         err = check_gradients(
             lambda c: tsum(mul(point_sample(volume, c), Tensor(w))), coords)
         assert err < 1e-6
 
-    def test_border_points_get_zero_coordinate_gradient(self):
-        """Clamped points must not pretend the feature still varies."""
+    def test_coordinates_are_the_only_parent(self):
+        """The node records the coordinates alone; with constant
+        coordinates there is nothing to differentiate and no node."""
         rng = np.random.default_rng(26)
-        volume = Tensor(rng.standard_normal((2, 3, 3, 2)))
-        coords = Tensor(np.array([[1.4, 0.5, 0.5], [0.5, -0.3, 0.5]]),
-                        requires_grad=True)
-        tsum(point_sample(volume, coords)).backward()
-        assert coords.grad[0, 0] == 0.0
-        assert coords.grad[1, 1] == 0.0
-        assert coords.grad[0, 1] != 0.0
+        volume = rng.standard_normal((2, 3, 3, 2))
+        coords = Tensor(rng.uniform(0.0, 1.0, (4, 3)), requires_grad=True)
+        out = point_sample(volume, coords)
+        assert out.requires_grad and out._parents == (coords,)
+        assert not point_sample(volume, Tensor(coords.data)).requires_grad
 
 
 class TestCornerBlend:
     def test_bit_identical_to_stacked_formula(self):
-        """The corner-by-corner blend and both gradients equal the
-        stacked 8 x n x d formula bit for bit. d >= 2 throughout: numpy
+        """The corner-by-corner blend and the coordinate gradient equal
+        the stacked 8 x n x d formula bit for bit. d >= 2 throughout: numpy
         sums a stack with n * d == 1 pairwise, not corner by corner."""
         rng = np.random.default_rng(27)
         for case in range(60):
@@ -194,15 +162,13 @@ class TestCornerBlend:
             d = int(rng.integers(2, 6))
             n = 0 if case % 10 == 0 else int(rng.integers(1, 30))
             volume = rng.standard_normal((S, H, W, d))
-            pts = lattice_and_stray_points(rng, S, H, W, n).reshape(n, 1, 3)
+            pts = lattice_and_cube_points(rng, S, H, W, n).reshape(n, 1, 3)
             g = rng.standard_normal((n, 1, d))
-            vol_t = Tensor(volume, requires_grad=True)
             pts_t = Tensor(pts, requires_grad=True)
-            out = point_sample(vol_t, pts_t)
+            out = point_sample(volume, pts_t)
             out.backward(g)
-            want, want_vgrad, want_cgrad = stacked_point_sample(volume, pts, g)
+            want, want_cgrad = stacked_point_sample(volume, pts, g)
             assert np.array_equal(out.data, want)
-            assert np.array_equal(vol_t.grad, want_vgrad)
             assert np.array_equal(pts_t.grad, want_cgrad)
 
 
@@ -217,8 +183,8 @@ class TestBlocks:
 
     @pytest.mark.parametrize("d", [3, 256, tensor._BLOCK + 5])
     def test_bit_identical_at_block_edges(self, d):
-        """Forward, volume gradient and coordinate gradient at point counts
-        around one and three blocks. 3 and 256 are a width that does not
+        """Forward and coordinate gradient at point counts around one and
+        three blocks. 3 and 256 are a width that does not
         divide _BLOCK and the paper width; a width above _BLOCK makes
         every block two rows."""
         B = block_rows(d)
@@ -226,15 +192,13 @@ class TestBlocks:
         S, H, W = 3, 4, 5
         volume = rng.standard_normal((S, H, W, d))
         for n in sorted({0, 1, B - 1, B, B + 1, 3 * B + 7}):
-            pts = lattice_and_stray_points(rng, S, H, W, n)
+            pts = lattice_and_cube_points(rng, S, H, W, n)
             g = rng.standard_normal((n, d))
-            vol_t = Tensor(volume, requires_grad=True)
             pts_t = Tensor(pts, requires_grad=True)
-            out = point_sample(vol_t, pts_t)
+            out = point_sample(volume, pts_t)
             out.backward(g)
-            want, want_vgrad, want_cgrad = stacked_point_sample(volume, pts, g)
+            want, want_cgrad = stacked_point_sample(volume, pts, g)
             assert np.array_equal(out.data, want), n
-            assert np.array_equal(vol_t.grad, want_vgrad), n
             assert np.array_equal(pts_t.grad, want_cgrad), n
 
     @pytest.mark.parametrize("d", [2, 3, 256, 8193, tensor._BLOCK + 5])
@@ -261,8 +225,8 @@ class TestBlocks:
         d = 256
         n = 3 * block_rows(d) + 7
         volume = rng.standard_normal((5, 6, 7, d))
-        coords = rng.uniform(-0.1, 1.1, (n, 3))
-        got = point_sample(Tensor(volume), Tensor(coords)).data
+        coords = lattice_and_cube_points(rng, 5, 6, 7, n)
+        got = point_sample(volume, Tensor(coords)).data
         want = np.stack([trilinear_oracle(volume, c) for c in coords])
         assert np.abs(got - want).max() < 1e-12
 
@@ -273,13 +237,11 @@ def scale_lerp(coords, table):
 
 
 def off_kink_scales(rng, S, n):
-    """n scale coordinates at least 0.05 cells from every level and from
-    the border of [0, 1], a third of them outside it, so central
-    differences see one linear piece."""
+    """n scale coordinates in [0, 1], at least 0.05 cells from every
+    level, so central differences see one linear piece and stay in the
+    unit cube."""
     cells = max(S - 1, 1)
-    inside = (rng.integers(0, cells, n) + rng.uniform(0.05, 0.95, n)) / cells
-    outside = np.where(rng.random(n) < 0.5, -0.05 - rng.random(n), 1.05 + rng.random(n))
-    return np.where(np.arange(n) % 3 == 2, outside, inside)
+    return (rng.integers(0, cells, n) + rng.uniform(0.05, 0.95, n)) / cells
 
 
 class TestLevelWeights:
@@ -288,7 +250,7 @@ class TestLevelWeights:
         box corners use."""
         rng = np.random.default_rng(28)
         table = Tensor(rng.standard_normal((5, 3)))
-        coords = Tensor(rng.uniform(-0.2, 1.2, (9, 3)))
+        coords = Tensor(rng.uniform(0.0, 1.0, (9, 3)))
         w = rng.standard_normal((9, 3))
         err = check_gradients(lambda t: tsum(mul(scale_lerp(coords, t), Tensor(w))), table)
         assert err < 1e-6
@@ -314,39 +276,41 @@ class TestLevelWeights:
 
     @pytest.mark.parametrize("S", [1, 2, 5])
     def test_scale_gradient_at_border_and_one_level(self, S):
-        """Finite differences agree on s inside [0, 1] and beyond its
-        border, where the weights clamp to an end level and the gradient
-        is exactly zero; with one level the weights are constant."""
+        """Finite differences agree on s inside [0, 1]; at s = 0 and s = 1
+        the gradient is the one-sided slope toward the neighboring level;
+        with one level the weights are constant."""
         rng = np.random.default_rng(36)
         n = 12
         pts = rng.uniform(0.0, 1.0, (n, 3))
         pts[:, 2] = off_kink_scales(rng, S, n)
-        wb = Tensor(rng.standard_normal((n, S)))
-        assert check_gradients(lambda c: tsum(mul(level_weights(c, S), wb)), Tensor(pts)) < 1e-6
+        wb = rng.standard_normal((n, S))
+        assert check_gradients(lambda c: tsum(mul(level_weights(c, S), Tensor(wb))),
+                               Tensor(pts)) < 1e-6
+        pts[:2, 2] = (0.0, 1.0)
         coords = Tensor(pts, requires_grad=True)
-        tsum(mul(level_weights(coords, S), wb)).backward()
-        outside = (pts[:, 2] < 0.0) | (pts[:, 2] > 1.0)
-        assert np.all(coords.grad[outside] == 0.0)
+        tsum(mul(level_weights(coords, S), Tensor(wb))).backward()
         if S == 1:
             np.testing.assert_array_equal(level_weights(coords, 1).data, np.ones((n, 1)))
             assert np.all(coords.grad == 0.0)
         else:
-            assert np.all(coords.grad[~outside, 2] != 0.0)
+            assert coords.grad[0, 2] == (S - 1) * (wb[0, 1] - wb[0, 0])
+            assert coords.grad[1, 2] == (S - 1) * (wb[1, -1] - wb[1, -2])
+            assert np.all(coords.grad[:, 2] != 0.0)
 
     def test_rows_sum_to_one(self):
         """Each row is a convex blend of at most two neighboring levels,
-        and a point on a level or beyond the border is one-hot."""
+        and a point on a level, the ends of [0, 1] included, is one-hot."""
         rng = np.random.default_rng(37)
         for S in (1, 2, 5):
-            pts = rng.uniform(-0.5, 1.5, (4, 6, 3))
+            pts = rng.uniform(0.0, 1.0, (4, 6, 3))
             pts[0, :, 2] = np.arange(6) / 5 * (S > 1)
             blend = level_weights(Tensor(pts), S).data
             assert blend.shape == (4, 6, S)
             np.testing.assert_allclose(blend.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
             assert np.all(blend >= 0.0) and np.all((blend > 0.0).sum(axis=-1) <= 2)
             if S > 1:
-                hot = np.isin(pts[..., 2] * (S - 1), np.arange(S)) | (pts[..., 2] < 0.0) \
-                    | (pts[..., 2] > 1.0)
+                hot = np.isin(pts[..., 2] * (S - 1), np.arange(S))
+                assert hot[0, 0] and hot[0, -1]
                 assert np.all(blend[hot].max(axis=-1) == 1.0)
                 nz = [np.flatnonzero(row) for row in blend.reshape(-1, S)]
                 assert all(len(i) < 2 or i[1] == i[0] + 1 for i in nz)
@@ -355,30 +319,26 @@ class TestLevelWeights:
         with pytest.raises(ValueError, match="levels"):
             level_weights(Tensor(np.zeros((2, 3))), 0)
 
-    def test_clamps_like_point_sample(self):
-        """s < 0 and s > 1 clamp to the end levels with zero s-gradient;
-        s = 1 and s = 0 keep their one-sided gradient. Values and
-        gradients of the weights times a table match point_sample of the
-        table broadcast over a grid."""
+    def test_matches_point_sample_of_broadcast_table(self):
+        """s = 1 and s = 0 take the end levels with their one-sided
+        gradient. Values and gradients of the weights times a table match
+        point_sample of the table broadcast over a grid."""
         rng = np.random.default_rng(30)
         table = rng.standard_normal((5, 3))
-        pts = np.array([[0.3, 0.6, -0.4], [0.3, 0.6, 1.7], [0.3, 0.6, 1.0],
-                        [0.3, 0.6, 0.0], [0.8, 0.1, 0.6]])
-        g = rng.standard_normal((5, 3))
+        pts = np.array([[0.3, 0.6, 1.0], [0.3, 0.6, 0.0], [0.8, 0.1, 0.6],
+                        [0.2, 0.9, 0.375]])
+        g = rng.standard_normal((4, 3))
         coords = Tensor(pts, requires_grad=True)
         out = scale_lerp(coords, Tensor(table))
         out.backward(g)
-        np.testing.assert_array_equal(out.data[0], table[0])
-        np.testing.assert_array_equal(out.data[1], table[4])
-        np.testing.assert_array_equal(out.data[2], table[4])
-        np.testing.assert_array_equal(out.data[3], table[0])
-        assert coords.grad[0, 2] == 0.0 and coords.grad[1, 2] == 0.0
-        np.testing.assert_allclose(coords.grad[2, 2], 4 * g[2] @ (table[4] - table[3]),
+        np.testing.assert_array_equal(out.data[0], table[4])
+        np.testing.assert_array_equal(out.data[1], table[0])
+        np.testing.assert_allclose(coords.grad[0, 2], 4 * g[0] @ (table[4] - table[3]),
                                    rtol=1e-12)
-        np.testing.assert_allclose(coords.grad[3, 2], 4 * g[3] @ (table[1] - table[0]),
+        np.testing.assert_allclose(coords.grad[1, 2], 4 * g[1] @ (table[1] - table[0]),
                                    rtol=1e-12)
 
-        flat = Tensor(np.broadcast_to(table[:, None, None, :], (5, 3, 4, 3)))
+        flat = np.broadcast_to(table[:, None, None, :], (5, 3, 4, 3))
         ref_coords = Tensor(pts, requires_grad=True)
         ref = point_sample(flat, ref_coords)
         ref.backward(g)
@@ -388,9 +348,11 @@ class TestLevelWeights:
 
 class TestFold:
     def test_folded_sample_matches_separate_samples(self):
-        """point_sample(V + grid) + level_weights . scale equals sampling V and
-        the positional volume grid + scale separately, in values and in
-        the gradients for the coordinates and the scale table."""
+        """point_sample(V + grid) + level_weights . scale equals sampling V
+        and the positional volume grid + scale separately, in values and in
+        the coordinate gradient; the scale table's gradient is each point's
+        level weights, read off the corner oracle, times the output
+        gradient."""
         rng = np.random.default_rng(31)
         for _ in range(25):
             S, H, W = (int(v) for v in rng.integers(2, 6, 3))
@@ -399,22 +361,23 @@ class TestFold:
             V = rng.standard_normal((S, H, W, d))
             grid = rng.standard_normal((H, W, d))
             table = rng.standard_normal((S, d))
-            pts = lattice_and_stray_points(rng, S, H, W, n)
+            pts = lattice_and_cube_points(rng, S, H, W, n)
             g = rng.standard_normal((n, d))
 
             scale_a, coords_a = Tensor(table, requires_grad=True), Tensor(pts, requires_grad=True)
-            folded = add(point_sample(Tensor(V + grid), coords_a), scale_lerp(coords_a, scale_a))
+            folded = add(point_sample(V + grid, coords_a), scale_lerp(coords_a, scale_a))
             folded.backward(g)
 
-            scale_b, coords_b = Tensor(table, requires_grad=True), Tensor(pts, requires_grad=True)
-            pe = add(Tensor(grid), reshape(scale_b, (S, 1, 1, d)))
-            separate = add(point_sample(Tensor(V), coords_b), point_sample(pe, coords_b))
+            pe_volume = grid + table[:, None, None, :]
+            coords_b = Tensor(pts, requires_grad=True)
+            separate = add(point_sample(V, coords_b), point_sample(pe_volume, coords_b))
             separate.backward(g)
 
-            pe_volume = grid + table[:, None, None, :]
             oracle = np.stack([trilinear_oracle(V, c) + trilinear_oracle(pe_volume, c)
                                for c in pts])
+            one_hot_levels = np.broadcast_to(np.eye(S)[:, None, None, :], (S, H, W, S))
+            level_w = np.stack([trilinear_oracle(one_hot_levels, c) for c in pts])
             np.testing.assert_allclose(folded.data, oracle, rtol=0, atol=1e-12)
             np.testing.assert_allclose(folded.data, separate.data, rtol=0, atol=1e-12)
             np.testing.assert_allclose(coords_a.grad, coords_b.grad, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(scale_a.grad, scale_b.grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(scale_a.grad, level_w.T @ g, rtol=0, atol=1e-12)

@@ -18,6 +18,8 @@ from relattn.sampler import (
 from relattn.tensor import Tensor, add, tsum, mul
 from relattn.gradcheck import check_parameter_gradients
 
+from helpers import parameter
+
 
 def make_predictor(d=8, K=2, seed=60):
     reg = ParameterRegistry()
@@ -73,7 +75,7 @@ class TestPredictor:
             return tsum(mul(draw_offsets(dist, 3, eps=eps), Tensor(w)))
 
         for name in ("s.w1", "s.b1", "s.w2", "s.b2"):
-            t = reg.get(name).tensor
+            t = parameter(reg, name).tensor
             err = check_parameter_gradients(loss, t)
             assert err < 1e-6, name
 
