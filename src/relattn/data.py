@@ -128,7 +128,7 @@ def scale_from_box(box: tuple, image_size: tuple) -> int:
 def scene_feature_rng(dataset_seed: int, split: str, index: int) -> np.random.Generator:
     """Deterministic per-scene stream so train and eval synthesize identical
     feature volumes for the same scene."""
-    code = _SPLIT_CODES.get(split, 7)
+    code = _SPLIT_CODES[split]
     return np.random.default_rng(np.random.SeedSequence([dataset_seed, code, index]))
 
 
@@ -398,7 +398,10 @@ def load_dataset(path) -> Dataset:
             json_number(meta.get(key), int) for key in ("C", "P", "seed")):
         raise DatasetError("dataset meta must hold integer C, P and seed")
     C, P = meta["C"], meta["P"]
-    split = meta.get("split", "train")
+    # A dataset whose meta names no split is a training split.
+    split = meta.setdefault("split", "train")
+    if not (isinstance(split, str) and split in _SPLIT_CODES):
+        raise DatasetError(f"dataset meta key 'split' must be 'train' or 'test', got {split!r}")
     if not isinstance(raw["scenes"], list):
         raise DatasetError("dataset scenes must be a list")
     scenes = []

@@ -21,7 +21,7 @@ import numpy as np
 from .data import SCALE_LEVELS
 from .params import LinearParams, ParameterRegistry, xavier
 from .sampler import GroupOffsetPredictor, accumulate_points, distinct_lattice_points, \
-    draw_offsets, grid_steps, inference_grid_offsets
+    draw_offsets, inference_grid_offsets
 from .features import PositionalEmbeddings
 from .tensor import Tensor, add, concat, layer_norm, level_weights, matmul, point_sample, \
     relu, reshape, sample_attention, softmax, swap_last, take, transpose
@@ -256,7 +256,6 @@ class DecoderStack:
         result = DecodeResult(queries=qs)
         points = [Tensor(p0.reshape(n, 1, 1, 3))] * 2
         means = [Tensor(p0.reshape(n, 1, 3))] * 2
-        side = len(grid_steps(range_mult, step_mult)) if mode == "infer" else None
         levels = pe.scale.shape[0]
 
         for layer in range(self.layers):
@@ -281,7 +280,7 @@ class DecoderStack:
                 else:
                     # Each distinct lattice point once, weighted by its
                     # number of copies; the coordinates enter as constants.
-                    lattice = distinct_lattice_points(coords.data, side)
+                    lattice = distinct_lattice_points(coords.data)
                     distinct = Tensor(lattice.points)
                     feats = take(point_sample(pe.folded, distinct), lattice.index)
                     blend = take(level_weights(distinct, levels), lattice.index)

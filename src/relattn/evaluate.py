@@ -50,9 +50,11 @@ def load_split(cfg: RunConfig, data_dir: str, split: str) -> Dataset:
 
 
 def check_ks(ks) -> None:
-    """Every K must be a positive candidate budget."""
+    """Every K must be a positive candidate budget, each given once."""
     if any(k < 1 for k in ks):
         raise ValueError(f"every K must be >= 1, got {list(ks)}")
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"every K must be given once, got {list(ks)}")
 
 
 def evaluate_dataset(model: RelationModel, ds: Dataset, ks=DEFAULT_KS,
@@ -63,7 +65,7 @@ def evaluate_dataset(model: RelationModel, ds: Dataset, ks=DEFAULT_KS,
     check_ks(ks)
     cfg = model.config
     signatures = class_signatures(ds.seed, cfg.C, cfg.d)
-    split = ds.meta.get("split", "test")
+    split = ds.meta["split"]
     recalls = {k: [] for k in ks}
     zs_recalls = {k: [] for k in ks}
     per_pred = {k: [] for k in ks}

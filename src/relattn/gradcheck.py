@@ -11,8 +11,11 @@ class GradientCheckError(RuntimeError):
     """A finite-difference probe produced a non-finite value."""
 
 
-def check_parameter_gradients(loss_fn, tensor: Tensor, eps: float = 1e-5,
-                              coords=None) -> float:
+# Step of the central differences.
+EPS = 1e-5
+
+
+def check_parameter_gradients(loss_fn, tensor: Tensor, coords=None) -> float:
     """Compare tape gradients of the scalar ``loss_fn()`` with respect to
     ``tensor`` against central differences at its current data.
 
@@ -39,22 +42,22 @@ def check_parameter_gradients(loss_fn, tensor: Tensor, eps: float = 1e-5,
     with no_grad():
         for i in indices:
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + EPS
             hi = float(loss_fn().data)
-            flat[i] = orig - eps
+            flat[i] = orig - EPS
             lo = float(loss_fn().data)
             flat[i] = orig
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise GradientCheckError(f"non-finite value at coordinate {i}")
-            numeric = (hi - lo) / (2.0 * eps)
+            numeric = (hi - lo) / (2.0 * EPS)
             denom = max(abs(analytic[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst
 
 
-def check_gradients(fn, x: Tensor, eps: float = 1e-5, coords=None) -> float:
-    """Like check_parameter_gradients, for a scalar-valued ``fn(x)``: the
-    probe runs on a gradient-requiring copy of ``x``, so ``x`` is never
-    modified."""
+def check_gradients(fn, x: Tensor) -> float:
+    """Like check_parameter_gradients over every coordinate, for a
+    scalar-valued ``fn(x)``: the probe runs on a gradient-requiring copy
+    of ``x``, so ``x`` is never modified."""
     leaf = Tensor(np.array(x.data, copy=True), requires_grad=True)
-    return check_parameter_gradients(lambda: fn(leaf), leaf, eps, coords)
+    return check_parameter_gradients(lambda: fn(leaf), leaf)

@@ -13,18 +13,20 @@ from .params import Parameter, ParameterRegistry
 # cache while every operation of the update runs over it.
 _CHUNK = 32_768
 
+# The moment decay rates and the denominator's offset of every step.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+# `lr_scale_at` drops the rate by LR_DROP_FACTOR from LR_DROP_FRACTION of
+# the run on.
+LR_DROP_FRACTION, LR_DROP_FACTOR = 0.8, 0.1
+
 
 class AdamW:
-    def __init__(self, params, lr: float, betas: tuple = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 1e-4):
-        if isinstance(params, ParameterRegistry):
-            params = params.parameters()
-        self.params: list[Parameter] = list(params)
+    def __init__(self, registry: ParameterRegistry, lr: float, weight_decay: float = 1e-4):
+        self.params: list[Parameter] = registry.parameters()
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
         largest = max((p.data.size for p in self.params), default=0)
@@ -49,7 +51,7 @@ class AdamW:
         Returns the name of the first parameter whose updated values are
         not finite, or None."""
         self.t += 1
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        b1, b2, eps = BETA1, BETA2, EPS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         first_bad = None
@@ -94,10 +96,9 @@ class AdamW:
         return first_bad
 
 
-def lr_scale_at(iteration: int, total_iterations: int, drop_fraction: float = 0.8,
-                drop_factor: float = 0.1) -> float:
-    """Step decay: multiply the rate by ``drop_factor`` for the last
-    (1 - drop_fraction) of training."""
+def lr_scale_at(iteration: int, total_iterations: int) -> float:
+    """Step decay: multiply the rate by LR_DROP_FACTOR for the last
+    (1 - LR_DROP_FRACTION) of training."""
     if total_iterations <= 0:
         raise ValueError("total_iterations must be positive")
-    return drop_factor if iteration >= drop_fraction * total_iterations else 1.0
+    return LR_DROP_FACTOR if iteration >= LR_DROP_FRACTION * total_iterations else 1.0

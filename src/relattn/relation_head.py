@@ -53,15 +53,15 @@ def final_scores(predicate_logits: np.ndarray, relatedness_logits: np.ndarray) -
 
 class RelationHead:
     def __init__(self, registry: ParameterRegistry, d: int, heads: int, head_dim: int,
-                 num_predicates: int, rng: np.random.Generator, prefix: str = "head"):
+                 num_predicates: int, rng: np.random.Generator):
         self.heads, self.head_dim = heads, head_dim
         width = heads * head_dim
-        self.wq = LinearParams(registry, f"{prefix}.q", d, width, rng)
-        self.wk = LinearParams(registry, f"{prefix}.k", d, width, rng)
-        self.head_bias = registry.add(f"{prefix}.bias", np.zeros(heads))
-        self.to_predicates = LinearParams(registry, f"{prefix}.predicates", heads,
+        self.wq = LinearParams(registry, "head.q", d, width, rng)
+        self.wk = LinearParams(registry, "head.k", d, width, rng)
+        self.head_bias = registry.add("head.bias", np.zeros(heads))
+        self.to_predicates = LinearParams(registry, "head.predicates", heads,
                                           num_predicates, rng)
-        self.to_relatedness = LinearParams(registry, f"{prefix}.relatedness", heads, 1, rng)
+        self.to_relatedness = LinearParams(registry, "head.relatedness", heads, 1, rng)
 
     def attention_logits(self, sub: Tensor, obj: Tensor) -> Tensor:
         """Scaled dot-product logits per head between every subject query
@@ -98,8 +98,8 @@ class RelationHead:
         Relatedness always reduces by maximum.
         """
         if mode == "train":
-            if tau is None:
-                raise ValueError("train-mode reduction needs a temperature")
+            if tau is None or rng is None:
+                raise ValueError("train-mode reduction needs a temperature and an rng")
             weights = gumbel_softmax(pred, tau, rng=rng, hard=hard)
             out_pred = tsum(mul(weights, pred), axis=-1)
         elif mode == "infer":

@@ -56,21 +56,13 @@ class GroupOffsetPredictor:
         return OffsetDistribution(mu=mu, sigma=sigma)
 
 
-def draw_offsets(dist: OffsetDistribution, m: int,
-                 rng: np.random.Generator = None, eps: np.ndarray = None) -> Tensor:
+def draw_offsets(dist: OffsetDistribution, m: int, rng: np.random.Generator) -> Tensor:
     """m reparameterized offset samples per (entity, group): mu + sigma * eps
-    with standard-normal eps. Returns n x K x m x 3."""
+    with eps standard normal, drawn from `rng`. Returns n x K x m x 3."""
     if m < 1:
         raise ValueError(f"need at least one sample, got m={m}")
     n, K, _ = dist.mu.shape
-    if eps is None:
-        if rng is None:
-            raise ValueError("draw_offsets needs an rng when eps is not supplied")
-        eps = rng.standard_normal((n, K, m, 3))
-    else:
-        eps = np.asarray(eps, dtype=np.float64)
-        if eps.shape != (n, K, m, 3):
-            raise ValueError(f"eps shape {eps.shape} != {(n, K, m, 3)}")
+    eps = rng.standard_normal((n, K, m, 3))
     mu = reshape(dist.mu, (n, K, 1, 3))
     sigma = reshape(dist.sigma, (n, K, 1, 3))
     return add(mu, mul(sigma, Tensor(eps)))
@@ -83,11 +75,11 @@ def grid_steps(range_mult: int, step_mult: int) -> np.ndarray:
     return np.arange(-range_mult, range_mult + 1, step_mult, dtype=np.float64)
 
 
-def inference_grid_offsets(dist: OffsetDistribution, range_mult: int = 3,
-                           step_mult: int = 1) -> Tensor:
+def inference_grid_offsets(dist: OffsetDistribution, range_mult: int, step_mult: int) -> Tensor:
     """Deterministic offsets on the per-dimension lattice
     {mu_dim + j * sigma_dim : j in grid_steps}: the Cartesian product over
-    the three dimensions, 343 points per (entity, group) at defaults."""
+    the three dimensions, 343 points per (entity, group) at range_mult 3
+    and step_mult 1."""
     steps = grid_steps(range_mult, step_mult)
     jx, jy, js = np.meshgrid(steps, steps, steps, indexing="ij")
     lattice = np.stack([jx.ravel(), jy.ravel(), js.ravel()], axis=-1)  # m' x 3
@@ -130,10 +122,11 @@ def _run_lengths(values: np.ndarray) -> np.ndarray:
     return lengths.reshape(N, T)
 
 
-def distinct_lattice_points(points: np.ndarray, side: int) -> LatticePoints:
-    """The distinct points of n x K x side^3 x 3 lattice points, as
+def distinct_lattice_points(points: np.ndarray) -> LatticePoints:
+    """The distinct points of n x K x m x 3 lattice points, as
     `inference_grid_offsets` and `accumulate_points` lay them out (then
-    snapped or not).
+    snapped or not): m = side^3 points, side per axis. An m that is not a
+    cube raises ValueError.
 
     Each coordinate of a point depends only on its own lattice step, and
     is non-decreasing in it: sigma > 0, and the clamp, the sum over
@@ -143,7 +136,10 @@ def distinct_lattice_points(points: np.ndarray, side: int) -> LatticePoints:
     lengths. No sort over the points is needed. (Were a value to recur
     after another, its runs would stand as separate points with their own
     counts, which attention over them would weigh the same.)"""
-    lead = points.shape[:-2]
+    lead, total = points.shape[:-2], points.shape[-2]
+    side = round(total ** (1 / 3))
+    if side ** 3 != total:
+        raise ValueError(f"{total} lattice points per group is not a cube")
     grid = points.reshape(-1, side, side, side, 3)
     N = grid.shape[0]
     lx, ly, ls = (_run_lengths(v) for v in

@@ -84,19 +84,12 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    def backward(self, grad=None) -> None:
-        """Backpropagate from this node. Without an explicit seed gradient
-        the tensor must hold a single element."""
+    def backward(self) -> None:
+        """Backpropagate from this node, which must hold a single element."""
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
-        if grad is None:
-            if self.data.size != 1:
-                raise DimensionError("backward() without a gradient requires a scalar output")
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
-            if grad.shape != self.data.shape:
-                raise DimensionError(f"seed gradient shape {grad.shape} != tensor shape {self.shape}")
+        if self.data.size != 1:
+            raise DimensionError("backward() requires a scalar output")
 
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -114,7 +107,7 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -213,10 +206,8 @@ def matmul(a, b) -> Tensor:
 # -- shape ops ---------------------------------------------------------------
 
 
-def reshape(a, *shape) -> Tensor:
+def reshape(a, shape: tuple) -> Tensor:
     a = _coerce(a)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     data = a.data.reshape(shape)
     src_shape = a.data.shape
 
@@ -226,10 +217,8 @@ def reshape(a, *shape) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def transpose(a, *axes) -> Tensor:
+def transpose(a, axes: tuple) -> Tensor:
     a = _coerce(a)
-    if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-        axes = tuple(axes[0])
     inv = np.argsort(axes)
     data = a.data.transpose(axes)
 
@@ -293,20 +282,16 @@ def take(a, idx) -> Tensor:
 # -- reductions --------------------------------------------------------------
 
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = _coerce(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum(axis=axis)
     src_shape = a.data.shape
 
     def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, src_shape))
-            return
-        if not keepdims:
+        if axis is not None:
             axes = axis if isinstance(axis, tuple) else (axis,)
             axes = tuple(ax % len(src_shape) for ax in axes)
-            shape = tuple(1 if i in axes else s for i, s in enumerate(src_shape))
-            g = g.reshape(shape)
+            g = g.reshape(tuple(1 if i in axes else s for i, s in enumerate(src_shape)))
         a._accumulate(np.broadcast_to(g, src_shape))
 
     return _node(data, (a,), backward)
@@ -429,7 +414,11 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
+# Added to the variance before its inverse square root in `layer_norm`.
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x, gain, shift) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale
     and shift, with a fused backward pass."""
     x, gain, shift = _coerce(x), _coerce(gain), _coerce(shift)
@@ -438,7 +427,8 @@ def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
         raise DimensionError(
             f"layer_norm gain/shift must have shape ({d},), got {gain.shape} and {shift.shape}")
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
-    inv_std = ((centered * centered).sum(axis=-1, keepdims=True) * (1.0 / d) + eps) ** -0.5
+    variance = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / d)
+    inv_std = (variance + LAYER_NORM_EPS) ** -0.5
     norm = centered * inv_std
     data = norm * gain.data + shift.data
 
@@ -470,25 +460,18 @@ def _straight_through(soft: Tensor, hard_data: np.ndarray) -> Tensor:
     return _node(hard_data, (soft,), backward)
 
 
-def gumbel_softmax(logits, tau: float, rng: np.random.Generator = None,
-                   hard: bool = False, noise: np.ndarray = None) -> Tensor:
-    """Sample from softmax((logits + Gumbel noise) / tau) over the last axis.
+def gumbel_softmax(logits, tau: float, rng: np.random.Generator,
+                   hard: bool = False) -> Tensor:
+    """Sample from softmax((logits + Gumbel noise) / tau) over the last
+    axis, with the noise drawn from `rng`.
 
     With hard=True the output is exactly one-hot at the argmax while the
     gradient is taken from the soft sample (straight-through estimator).
-    Pass `noise` to pin the perturbation; otherwise `rng` must be given.
     """
     if tau <= 0:
         raise ValueError(f"gumbel_softmax temperature must be positive, got {tau}")
     logits = _coerce(logits)
-    if noise is None:
-        if rng is None:
-            raise ValueError("gumbel_softmax needs an rng when noise is not supplied")
-        noise = standard_gumbel(rng, logits.data.shape)
-    else:
-        noise = np.asarray(noise, dtype=logits.data.dtype)
-        if noise.shape != logits.data.shape:
-            raise DimensionError(f"noise shape {noise.shape} != logits shape {logits.shape}")
+    noise = standard_gumbel(rng, logits.data.shape)
     soft = softmax(div(add(logits, Tensor(noise)), tau), axis=-1)
     if not hard:
         return soft

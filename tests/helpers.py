@@ -1,5 +1,7 @@
 """Small lookups shared by test modules."""
 
+from relattn.tensor import Tensor, mul, tsum
+
 
 def metric_value(rows: list, metric: str, k: int) -> float | None:
     """The value of the aggregate metric row for metric@k in
@@ -13,3 +15,10 @@ def metric_value(rows: list, metric: str, k: int) -> float | None:
 def parameter(registry, name: str):
     """The registered parameter called ``name``."""
     return next(p for p in registry.parameters() if p.name == name)
+
+
+def backward_from(out, g) -> None:
+    """Backpropagate the upstream gradient ``g`` (an array of out's shape)
+    through ``out``: the gradient of sum(out * g) with respect to out is
+    g, bit for bit."""
+    tsum(mul(out, Tensor(g))).backward()

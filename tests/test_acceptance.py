@@ -202,8 +202,7 @@ def test_criterion_02_gradient_suite():
             lambda: rca_scalar(sub0), tensor, coords=coords))
     results["rca_params"] = worst_param
 
-    head = RelationHead(registry, d=d, heads=2, head_dim=4, num_predicates=3,
-                        rng=rng, prefix="acc_head")
+    head = RelationHead(registry, d=d, heads=2, head_dim=4, num_predicates=3, rng=rng)
     wts3 = Tensor(rng.standard_normal((2, n * K, n * K)))
 
     def head_scalar(x):
@@ -212,7 +211,7 @@ def test_criterion_02_gradient_suite():
 
     results["attention_logits"] = check_gradients(head_scalar, sub0)
     results["attention_bias"] = check_parameter_gradients(
-        lambda: head_scalar(sub0), parameter(registry, "acc_head.bias").tensor)
+        lambda: head_scalar(sub0), parameter(registry, "head.bias").tensor)
 
     results["full_forward"] = _full_forward_gradients()
 

@@ -172,6 +172,40 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "m.csv").exists()
 
+    def test_eval_rejects_repeated_k(self, pipeline, tmp_path, capsys):
+        """`--k 20 20` would write every K=20 row twice. It is refused
+        before the checkpoint is read: the checkpoint path here does not
+        exist, which would be a runtime failure (exit 2) if it were loaded
+        first."""
+        _, _, data_dir, _ = pipeline
+        code = main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                     "--data", str(data_dir), "--k", "20", "20",
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "once" in err[0]
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sample-points"])
+    @pytest.mark.parametrize("split", [["test"], "val"], ids=["list", "unknown"])
+    def test_rejects_unknown_dataset_split(self, pipeline, tmp_path, capsys, command, split):
+        """A test split whose meta names a split other than train or test
+        is an input error on one line naming the key, before any output;
+        a list used to end in an unhashable-type traceback."""
+        _, _, data_dir, run_dir = pipeline
+        bad_dir = tmp_path / "data"
+        bad_dir.mkdir()
+        raw = json.loads((data_dir / "test.json").read_text())
+        raw["meta"]["split"] = split
+        (bad_dir / "test.json").write_text(json.dumps(raw))
+        out = tmp_path / "out.csv"
+        code = main([command, "--checkpoint", str(run_dir / "model.ckpt"),
+                     "--data", str(bad_dir), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'split'" in err[0]
+        assert not out.exists()
+
     def test_dataset_meta_without_classes(self, pipeline, tmp_path, capsys):
         _, cfg_path, data_dir, _ = pipeline
         bad_dir = tmp_path / "data"

@@ -302,6 +302,36 @@ class TestSerialization:
         with pytest.raises(DatasetError, match="key 'seen_triples'"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("split", [["test"], "val", "", None, 1],
+                             ids=["list", "unknown", "empty", "null", "number"])
+    def test_load_requires_train_or_test_split(self, tmp_path, split):
+        """meta.split is "train" or "test"; any other value raises a
+        DatasetError naming the key, where a list used to fail deep in
+        evaluation as unhashable and an unknown string drew features from
+        a stream of its own."""
+        _, test = generate_dataset(small_spec())
+        path = tmp_path / "bad.json"
+        save_dataset(path, test)
+        doc = json.loads(path.read_text())
+        doc["meta"]["split"] = split
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="key 'split'"):
+            load_dataset(path)
+
+    def test_absent_split_loads_as_train(self, tmp_path):
+        """A dataset whose meta names no split is a training split, in its
+        meta and in every scene, so its features and its evaluation rows
+        agree."""
+        _, test = generate_dataset(small_spec())
+        path = tmp_path / "test.json"
+        save_dataset(path, test)
+        doc = json.loads(path.read_text())
+        del doc["meta"]["split"]
+        path.write_text(json.dumps(doc))
+        loaded = load_dataset(path)
+        assert loaded.meta["split"] == "train"
+        assert {scene.split for scene in loaded.scenes} == {"train"}
+
     def test_load_rejects_bad_priors(self, tmp_path):
         train, _ = generate_dataset(small_spec())
         path = tmp_path / "bad.json"

@@ -437,7 +437,7 @@ class TestDistinctLatticeInfer:
             assert points.shape == (len(entities), cfg.K, side ** 3, 3)
             if cfg.scale_interpolation == "nearest":
                 points = snap_scale(Tensor(points)).data
-            lattice = distinct_lattice_points(points, side)
+            lattice = distinct_lattice_points(points)
             counts = np.isfinite(lattice.log_counts).sum(axis=-1)
             for i, k in np.ndindex(counts.shape):
                 rows = lattice.index[i, k, :counts[i, k]]

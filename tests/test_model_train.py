@@ -14,6 +14,7 @@ from relattn.data import (
     GenSpec,
     SceneSample,
     generate_dataset,
+    load_dataset,
     save_dataset,
 )
 from relattn.evaluate import evaluate, evaluate_dataset, load_model
@@ -328,6 +329,27 @@ class TestTraining:
         for ks in ((0,), (20, -5)):
             with pytest.raises(ValueError):
                 evaluate_dataset(model, test_ds, ks=ks)
+
+    def test_evaluate_dataset_rejects_repeated_k(self, tiny_data):
+        """A K given twice would write each of its rows twice."""
+        _, train_ds, test_ds = tiny_data
+        model = RelationModel(resolve_config(tiny_config(), train_ds),
+                              np.random.default_rng(0))
+        with pytest.raises(ValueError, match="once"):
+            evaluate_dataset(model, test_ds, ks=(20, 50, 20))
+
+    def test_split_less_dataset_rows_name_its_feature_split(self, tiny_data, tmp_path):
+        """A test file whose meta names no split loads as a training split,
+        and its metric rows say so: the label and the feature stream come
+        from one default."""
+        _, train_ds, test_ds = tiny_data
+        model = RelationModel(resolve_config(tiny_config(), train_ds),
+                              np.random.default_rng(0))
+        path = tmp_path / "test.json"
+        save_dataset(path, Dataset(test_ds.scenes, test_ds.priors, test_ds.seen_triples,
+                                   {k: v for k, v in test_ds.meta.items() if k != "split"}))
+        rows = evaluate_dataset(model, load_dataset(path), ks=(20,))
+        assert {row[0] for row in rows} == {"train"}
 
     def test_relationless_split_is_rejected(self, tiny_data, tmp_path):
         _, train_ds, _ = tiny_data

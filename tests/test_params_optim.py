@@ -11,6 +11,15 @@ from helpers import parameter
 from oracles import adamw_oracle
 
 
+def optimizer(*specs, **kwargs):
+    """An AdamW over a registry of (name, initial values[, lr_mult])
+    parameters. Returns it and the parameters, in order."""
+    reg = ParameterRegistry()
+    for spec in specs:
+        reg.add(*spec)
+    return AdamW(reg, **kwargs), reg.parameters()
+
+
 class TestRegistry:
     def test_add_returns_trainable_tensor(self):
         reg = ParameterRegistry()
@@ -108,9 +117,7 @@ class TestAdamW:
             vh = v / (1 - beta2 ** t)
             x = x - lr * mh / (np.sqrt(vh) + eps) - lr * wd * x
 
-        p = Parameter("w", x0.copy())
-        opt = AdamW([p], lr=lr, betas=(beta1, beta2), eps=eps,
-                    weight_decay=wd)
+        opt, (p,) = optimizer(("w", x0.copy()), lr=lr, weight_decay=wd)
         for g in (g1, g2):
             p.tensor.grad = g.copy()
             opt.step()
@@ -119,25 +126,22 @@ class TestAdamW:
     def test_weight_decay_is_decoupled(self):
         """Decay shrinks the weight even when the gradient is zero-moment
         free, independent of the adaptive denominator."""
-        p = Parameter("w", np.array([4.0]))
-        opt = AdamW([p], lr=0.5, weight_decay=0.1)
+        opt, (p,) = optimizer(("w", np.array([4.0])), lr=0.5, weight_decay=0.1)
         p.tensor.grad = np.array([0.0])
         opt.step()
         np.testing.assert_allclose(p.data, [4.0 - 0.5 * 0.1 * 4.0])
 
     def test_skips_parameters_without_gradient(self):
-        a = Parameter("a", np.array([1.0]))
-        b = Parameter("b", np.array([1.0]))
-        opt = AdamW([a, b], lr=0.1, weight_decay=0.0)
+        opt, (a, b) = optimizer(("a", np.array([1.0])), ("b", np.array([1.0])),
+                                lr=0.1, weight_decay=0.0)
         a.tensor.grad = np.array([1.0])
         opt.step()
         assert a.data[0] != 1.0
         assert b.data[0] == 1.0
 
     def test_lr_mult_scales_update(self):
-        a = Parameter("a", np.array([0.0]))
-        b = Parameter("b", np.array([0.0]), lr_mult=0.1)
-        opt = AdamW([a, b], lr=0.1, weight_decay=0.0)
+        opt, (a, b) = optimizer(("a", np.array([0.0])), ("b", np.array([0.0]), 0.1),
+                                lr=0.1, weight_decay=0.0)
         a.tensor.grad = np.array([1.0])
         b.tensor.grad = np.array([1.0])
         opt.step()
@@ -145,7 +149,7 @@ class TestAdamW:
 
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
-            AdamW([], lr=0.0)
+            AdamW(ParameterRegistry(), lr=0.0)
 
     def test_bit_equal_to_out_of_place_formula(self):
         """Several steps over a mix of parameters: one spanning more than
@@ -157,9 +161,9 @@ class TestAdamW:
         shapes = [(2 * _CHUNK + 77,), (5, 4), (3,), (6, 7), (4, 9)]
         lr_mults = [0.1, 1.0, 1.0, 1.0, 0.5]
         init = [rng.standard_normal(s) for s in shapes]
-        params = [Parameter(f"p{i}", w.copy(), lr_mult=mult)
-                  for i, (w, mult) in enumerate(zip(init, lr_mults))]
-        opt = AdamW(params, lr=0.01, weight_decay=0.05)
+        opt, params = optimizer(*((f"p{i}", w.copy(), mult)
+                                  for i, (w, mult) in enumerate(zip(init, lr_mults))),
+                                lr=0.01, weight_decay=0.05)
         scales = [1.0, 1.0, 0.1, 0.1]
         grad_steps = []
         for _ in scales:
@@ -187,9 +191,8 @@ class TestAdamW:
                     assert np.array_equal(g, c)
 
     def test_updates_the_parameter_array_in_place(self):
-        p = Parameter("w", np.ones((3, 2)))
+        opt, (p,) = optimizer(("w", np.ones((3, 2))), lr=0.1)
         before = p.tensor.data
-        opt = AdamW([p], lr=0.1)
         p.tensor.grad = np.ones((3, 2))
         opt.step()
         assert p.tensor.data is before
@@ -200,9 +203,8 @@ class TestAdamW:
         or read-only source is copied once and the step still lands."""
         source = np.arange(1.0, 7.0).reshape(2, 3).T
         frozen = np.broadcast_to(np.ones(3), (2, 3))
-        a, b = Parameter("a", source), Parameter("b", frozen)
+        opt, (a, b) = optimizer(("a", source), ("b", frozen), lr=0.1)
         assert a.data.flags.c_contiguous and b.data.flags.writeable
-        opt = AdamW([a, b], lr=0.1)
         a.tensor.grad = np.ones((3, 2))
         b.tensor.grad = np.ones((2, 3))
         opt.step()
@@ -218,9 +220,8 @@ class TestAdamW:
     def test_reports_first_non_finite_parameter(self, bad):
         """A NaN or infinite gradient reaches the updated weight; the step
         names the first such parameter and still updates the others."""
-        params = [Parameter(name, np.ones(size)) for name, size in
-                  (("a", 4), ("b", _CHUNK + 10), ("c", 4))]
-        opt = AdamW(params, lr=0.1)
+        opt, params = optimizer(("a", np.ones(4)), ("b", np.ones(_CHUNK + 10)),
+                                ("c", np.ones(4)), lr=0.1)
         for p in params:
             p.tensor.grad = np.ones(p.data.size)
         assert opt.step() is None

@@ -15,7 +15,7 @@ from relattn.relation_head import (
     annealing_temperature,
     final_scores,
 )
-from relattn.tensor import Tensor, gumbel_softmax, standard_gumbel
+from relattn.tensor import Tensor, gumbel_softmax
 
 
 def make_head(d=8, heads=4, head_dim=4, P=3, seed=80):
@@ -130,8 +130,7 @@ class TestReduce:
         draws = np.random.default_rng(5)
         out_pred, out_rel = head.reduce_pairs(pred, rel, "train", tau=1.0,
                                               rng=copy.deepcopy(draws))
-        noise = standard_gumbel(draws, pred.shape)
-        weights = gumbel_softmax(pred, 1.0, noise=noise)
+        weights = gumbel_softmax(pred, 1.0, draws)
         np.testing.assert_allclose(weights.data.sum(axis=-1),
                                    np.ones(weights.shape[:-1]), atol=1e-12)
         np.testing.assert_allclose(
@@ -147,8 +146,7 @@ class TestReduce:
         draws = np.random.default_rng(6)
         out_pred, _ = head.reduce_pairs(pred, rel, "train", tau=0.7, rng=copy.deepcopy(draws),
                                         hard=True)
-        noise = standard_gumbel(draws, pred.shape)
-        weights = gumbel_softmax(pred, 0.7, noise=noise, hard=True)
+        weights = gumbel_softmax(pred, 0.7, draws, hard=True)
         w = weights.data
         assert set(np.unique(w)) <= {0.0, 1.0}
         np.testing.assert_allclose(w.sum(axis=-1),
@@ -157,11 +155,15 @@ class TestReduce:
         np.testing.assert_array_equal(out_pred.data, picked)
 
     def test_train_requires_temperature(self):
+        """Training needs a temperature and a generator for the Gumbel
+        noise; an unknown mode raises too."""
         rng = np.random.default_rng(87)
         _, head = make_head()
         pred, rel = self.grouped(rng)
         with pytest.raises(ValueError):
-            head.reduce_pairs(pred, rel, "train")
+            head.reduce_pairs(pred, rel, "train", rng=rng)
+        with pytest.raises(ValueError, match="rng"):
+            head.reduce_pairs(pred, rel, "train", tau=1.0)
         with pytest.raises(ValueError):
             head.reduce_pairs(pred, rel, "blend")
 

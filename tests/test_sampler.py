@@ -1,5 +1,7 @@
 """Stochastic representative-point sampling."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from relattn.sampler import (
     GroupOffsetPredictor,
     OffsetDistribution,
     accumulate_points,
+    distinct_lattice_points,
     draw_offsets,
     grid_steps,
     inference_grid_offsets,
@@ -67,12 +70,13 @@ class TestPredictor:
         rng = np.random.default_rng(63)
         state = Tensor(rng.standard_normal((2, 2, 4)))
         box = Tensor(rng.standard_normal((2, 1, 4)))
-        eps = rng.standard_normal((2, 2, 3, 3))
+        draws = copy.deepcopy(rng)  # the offsets' noise is rng's next draw
+        rng.standard_normal((2, 2, 3, 3))
         w = rng.standard_normal((2, 2, 3, 3))
 
         def loss():
             dist = pred(add(state, box))
-            return tsum(mul(draw_offsets(dist, 3, eps=eps), Tensor(w)))
+            return tsum(mul(draw_offsets(dist, 3, copy.deepcopy(draws)), Tensor(w)))
 
         for name in ("s.w1", "s.b1", "s.w2", "s.b2"):
             t = parameter(reg, name).tensor
@@ -87,9 +91,8 @@ class TestDrawOffsets:
         return OffsetDistribution(mu=mu, sigma=sigma)
 
     def test_reparameterization_formula(self):
-        rng = np.random.default_rng(64)
-        eps = rng.standard_normal((2, 1, 4, 3))
-        out = draw_offsets(self.dist(), 4, eps=eps).data
+        eps = np.random.default_rng(64).standard_normal((2, 1, 4, 3))
+        out = draw_offsets(self.dist(), 4, np.random.default_rng(64)).data
         want = self.dist().mu.data[:, :, None, :] + 0.05 * eps
         np.testing.assert_allclose(out, want, rtol=1e-12)
 
@@ -102,14 +105,6 @@ class TestDrawOffsets:
         with pytest.raises(ValueError):
             draw_offsets(self.dist(), 0, rng=np.random.default_rng(0))
 
-    def test_rejects_missing_rng(self):
-        with pytest.raises(ValueError):
-            draw_offsets(self.dist(), 3)
-
-    def test_rejects_wrong_eps_shape(self):
-        with pytest.raises(ValueError):
-            draw_offsets(self.dist(), 3, eps=np.zeros((2, 1, 2, 3)))
-
 
 class TestInferenceGrid:
     def test_default_grid_has_343_points(self):
@@ -117,7 +112,7 @@ class TestInferenceGrid:
         np.testing.assert_array_equal(steps, [-3, -2, -1, 0, 1, 2, 3])
         mu = Tensor(np.zeros((1, 1, 3)))
         sigma = Tensor(np.full((1, 1, 3), 0.1))
-        grid = inference_grid_offsets(OffsetDistribution(mu, sigma))
+        grid = inference_grid_offsets(OffsetDistribution(mu, sigma), 3, 1)
         assert grid.shape == (1, 1, 343, 3)
 
     def test_grid_scales_with_sigma_around_mu(self):
@@ -153,3 +148,23 @@ class TestAccumulate:
         delta = Tensor(np.array([[[0.1, -0.1, 0.0]]]), requires_grad=True)
         tsum(accumulate_points(prev, delta)).backward()
         np.testing.assert_allclose(delta.grad, [[[1.0, 1.0, 1.0]]])
+
+
+class TestDistinctLatticePoints:
+    @pytest.mark.parametrize("side", [1, 2, 4, 7, 15])
+    def test_side_follows_the_point_count(self, side):
+        """A lattice of side^3 distinct points per group keeps them all,
+        each once, in lattice order."""
+        steps = np.arange(side) / side
+        jx, jy, js = np.meshgrid(steps, steps, steps + 0.5 / side, indexing="ij")
+        lattice = np.stack([jx.ravel(), jy.ravel(), js.ravel()], axis=-1)
+        points = np.broadcast_to(lattice, (2, 1, side ** 3, 3))
+        got = distinct_lattice_points(points)
+        np.testing.assert_array_equal(got.points, np.concatenate([lattice, lattice]))
+        np.testing.assert_array_equal(got.index[1, 0], side ** 3 + np.arange(side ** 3))
+        np.testing.assert_array_equal(got.log_counts, np.zeros((2, 1, side ** 3)))
+
+    @pytest.mark.parametrize("m", [2, 26, 28, 342])
+    def test_rejects_a_point_count_that_is_not_a_cube(self, m):
+        with pytest.raises(ValueError, match="not a cube"):
+            distinct_lattice_points(np.zeros((1, 2, m, 3)))

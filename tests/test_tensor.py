@@ -1,6 +1,8 @@
 """Tensor core: forward values against numpy, gradients against finite
 differences, and the error contract."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,8 @@ from relattn.tensor import (
     tsum,
 )
 from relattn.gradcheck import check_gradients
+
+from helpers import backward_from
 
 
 def leaf(rng, *shape):
@@ -67,9 +71,9 @@ class TestForward:
         b = rng.standard_normal((5, 3, 4))
         np.testing.assert_allclose(matmul(Tensor(a), Tensor(b)).data, a @ b)
         np.testing.assert_allclose(
-            reshape(Tensor(a), 5, 6).data, a.reshape(5, 6))
+            reshape(Tensor(a), (5, 6)).data, a.reshape(5, 6))
         np.testing.assert_allclose(
-            transpose(Tensor(a), 1, 0, 2).data, a.transpose(1, 0, 2))
+            transpose(Tensor(a), (1, 0, 2)).data, a.transpose(1, 0, 2))
         np.testing.assert_allclose(
             swap_last(Tensor(a)).data, np.swapaxes(a, -1, -2))
 
@@ -300,11 +304,14 @@ class TestGumbel:
         assert y.sum() == 1.0
 
     def test_pinned_noise_reproduces(self):
+        """Equally seeded generators give the same sample, the softmax of
+        the logits plus their Gumbel draw over tau."""
         logits = Tensor(np.array([0.3, -0.2, 1.0]))
-        noise = standard_gumbel(np.random.default_rng(2), (3,))
-        a = gumbel_softmax(logits, tau=0.7, noise=noise).data
-        b = gumbel_softmax(logits, tau=0.7, noise=noise).data
+        a = gumbel_softmax(logits, 0.7, np.random.default_rng(2)).data
+        b = gumbel_softmax(logits, 0.7, np.random.default_rng(2)).data
         np.testing.assert_array_equal(a, b)
+        noise = standard_gumbel(np.random.default_rng(2), (3,))
+        np.testing.assert_array_equal(a, softmax((logits.data + noise) / 0.7).data)
 
     def test_hard_sample_passes_gradient_straight_through(self):
         """The hard sample is one-hot at the soft sample's argmax, and an
@@ -312,13 +319,14 @@ class TestGumbel:
         through the soft sample."""
         rng = np.random.default_rng(17)
         logits = rng.standard_normal((3, 5))
-        noise = standard_gumbel(rng, (3, 5))
+        draws = copy.deepcopy(rng)  # the Gumbel noise is rng's next draw
+        standard_gumbel(rng, (3, 5))
         upstream = rng.standard_normal((3, 5))
 
         def sample_and_grad(hard):
             x = Tensor(logits, requires_grad=True)
-            y = gumbel_softmax(x, tau=0.6, hard=hard, noise=noise)
-            y.backward(upstream)
+            y = gumbel_softmax(x, 0.6, copy.deepcopy(draws), hard=hard)
+            backward_from(y, upstream)
             return y.data, x.grad
 
         soft, soft_grad = sample_and_grad(False)
@@ -327,10 +335,11 @@ class TestGumbel:
         np.testing.assert_array_equal(hard_grad, soft_grad)
 
     def test_soft_sample_gradient(self):
-        noise = standard_gumbel(np.random.default_rng(3), (4,))
+        """Every probe redraws the same noise from an equally seeded
+        generator."""
         x = Tensor(np.random.default_rng(16).standard_normal(4),
                    requires_grad=True)
         err = check_gradients(
-            lambda t: tsum(mul(gumbel_softmax(t, tau=0.8, noise=noise),
+            lambda t: tsum(mul(gumbel_softmax(t, 0.8, np.random.default_rng(3)),
                                Tensor(np.array([1.0, 2.0, 3.0, 4.0])))), x)
         assert err < 1e-6
