@@ -121,7 +121,7 @@ def _cmd_sample_points(args) -> int:
     signatures = class_signatures(ds.seed, cfg.C, cfg.d)
     volume = scene_volume(ds.seed, scene, signatures, cfg.feature_noise_std)
     with no_grad():
-        decode = model.forward(scene, volume, "infer").decode
+        decode = model.forward(scene, volume).decode
     rows = ((e, g, layer, role, *pts[e, g, t])
             for role, layers in zip(("subject", "object"), decode.points)
             for layer, pts in enumerate(layers)

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .data import SCALE_LEVELS
+from .features import PositionalEmbeddings, build_positional_embeddings
 from .params import LinearParams, ParameterRegistry, xavier
-from .sampler import GroupOffsetPredictor, accumulate_points, distinct_lattice_points, \
-    draw_offsets, inference_grid_offsets
-from .features import PositionalEmbeddings
+from .sampler import GroupOffsetPredictor, TrainDraw, accumulate_points, \
+    distinct_lattice_points, draw_offsets, inference_grid_offsets
 from .tensor import Tensor, add, concat, layer_norm, level_weights, matmul, point_sample, \
     relu, reshape, sample_attention, softmax, swap_last, take, transpose
 
@@ -193,13 +194,19 @@ class RcaLayer:
 
 
 class DecoderStack:
-    """Owns per-layer samplers and attention blocks, plus the box-embedding
-    projection and corner/role embeddings."""
+    """Owns the class and scale embeddings, per-layer samplers and attention
+    blocks, plus the box-embedding projection and corner/role embeddings."""
 
-    def __init__(self, registry: ParameterRegistry, d: int, K: int, layers: int,
-                 h_G: int, d_G: int, h_R: int, d_R: int, sampler_lr_mult: float,
+    def __init__(self, registry: ParameterRegistry, config: RunConfig,
                  rng: np.random.Generator):
-        self.d, self.layers = d, layers
+        C, K, d = config.C, config.K, config.d
+        self.sub_embeds = registry.add("embeds.subject", rng.normal(0.0, 0.02, size=(C, K, d)))
+        self.obj_embeds = registry.add("embeds.object", rng.normal(0.0, 0.02, size=(C, K, d)))
+        self.scale_embeds = registry.add("embeds.scale",
+                                         rng.normal(0.0, 0.02, size=(SCALE_LEVELS, d)))
+        self.d, self.layers = d, config.L_d
+        self.range_mult, self.step_mult = config.infer_range_mult, config.infer_step_mult
+        self.nearest_scale = config.scale_interpolation == "nearest"
         self.box_proj = LinearParams(registry, "decoder.box_proj", 2 * d, d, rng)
         self.corner_embeds = registry.add("decoder.corner_embeds",
                                           rng.normal(0.0, 0.02, size=(2, d)))
@@ -208,17 +215,17 @@ class DecoderStack:
         # Per layer, one sampler and one GCA block per role, as
         # (subject, object) pairs, then one RCA block over both roles.
         self.samplers, self.gca, self.rca = [], [], []
-        for layer in range(layers):
+        for layer in range(self.layers):
             prefix = f"decoder.layer{layer}"
             self.samplers.append(tuple(
                 GroupOffsetPredictor(registry, f"{prefix}.sampler_{r}", d, K, rng,
-                                     lr_mult=sampler_lr_mult) for r in ROLES))
+                                     lr_mult=config.lr_multiplier_sampler) for r in ROLES))
             self.gca.append(tuple(
-                GcaLayer(registry, f"{prefix}.gca_{r}", d, h_G, d_G, rng) for r in ROLES))
-            self.rca.append(RcaLayer(registry, f"{prefix}.rca", d, h_R, d_R, rng))
+                GcaLayer(registry, f"{prefix}.gca_{r}", d, config.h_G, config.d_G, rng)
+                for r in ROLES))
+            self.rca.append(RcaLayer(registry, f"{prefix}.rca", d, config.h_R, config.d_R, rng))
 
-    def init_state(self, detections: list, volume: np.ndarray, pe: PositionalEmbeddings,
-                   sub_embeds: Tensor, obj_embeds: Tensor) -> tuple:
+    def init_state(self, detections: list, volume: np.ndarray, pe: PositionalEmbeddings) -> tuple:
         """Initial (subject, object) states from class embeddings + center
         features, and (subject, object) box embeddings, each n x 1 x d, from
         positional codes at the two box corners. Also returns the n x 3
@@ -227,8 +234,8 @@ class DecoderStack:
         classes = np.array([det.class_label for det in detections], dtype=np.intp)
         p0 = initial_points(detections)
         center_feats = point_sample(volume, Tensor(p0.reshape(n, 1, 3)))  # n x 1 x d
-        sub = add(sub_embeds[classes], center_feats)
-        obj = add(obj_embeds[classes], center_feats)
+        sub = add(self.sub_embeds[classes], center_feats)
+        obj = add(self.obj_embeds[classes], center_feats)
 
         xy = np.array([det.box for det in detections], dtype=np.float64).reshape(n, 2, 2)
         corners = Tensor(np.concatenate(  # 2 x n x 3: top-left, bottom-right
@@ -241,16 +248,11 @@ class DecoderStack:
         boxes = tuple(add(box, self.role_embeds[r]) for r in range(len(ROLES)))
         return (sub, obj), boxes, p0
 
-    def decode(self, detections: list, volume: np.ndarray, pe: PositionalEmbeddings,
-               sub_embeds: Tensor, obj_embeds: Tensor, mode: str,
-               rng: np.random.Generator = None, m: int = None,
-               range_mult: int = 3, step_mult: int = 1,
-               scale_interpolation: str = "trilinear") -> DecodeResult:
-        if mode not in ("train", "infer"):
-            raise ValueError(f"unknown decode mode {mode!r}")
-        if mode == "train" and (m is None or rng is None):
-            raise ValueError("train-mode decoding needs a sample count m and an rng")
-        states, boxes, p0 = self.init_state(detections, volume, pe, sub_embeds, obj_embeds)
+    def decode(self, detections: list, volume: np.ndarray, draw: TrainDraw | None) -> DecodeResult:
+        """Sample points drawn at random with a training draw, or on the
+        inference lattice without one."""
+        pe = build_positional_embeddings(volume, self.scale_embeds)
+        states, boxes, p0 = self.init_state(detections, volume, pe)
         qs = queries(states, boxes)
         n = len(detections)
         result = DecodeResult(queries=qs)
@@ -262,22 +264,18 @@ class DecoderStack:
             updated = []
             for r, (x, q) in enumerate(zip(states, qs)):
                 dist = self.samplers[layer][r](q)
-                if mode == "train":
-                    offsets = draw_offsets(dist, m, rng)
+                if draw is None:
+                    offsets = inference_grid_offsets(dist, self.range_mult, self.step_mult)
                 else:
-                    offsets = inference_grid_offsets(dist, range_mult, step_mult)
+                    offsets = draw_offsets(dist, draw.m, draw.rng)
                 points[r] = accumulate_points(points[r], offsets)
                 means[r] = add(means[r], dist.mu)
                 result.means[r].append(means[r])
                 result.points[r].append(points[r].data)
-                coords = snap_scale(points[r]) if scale_interpolation == "nearest" else points[r]
+                coords = snap_scale(points[r]) if self.nearest_scale else points[r]
                 # Features plus sinusoid in one sample of the folded volume;
                 # GCA joins the scale table through the level weights.
-                if mode == "train":
-                    feats = point_sample(pe.folded, coords)
-                    blend = level_weights(coords, levels)
-                    log_counts = None
-                else:
+                if draw is None:
                     # Each distinct lattice point once, weighted by its
                     # number of copies; the coordinates enter as constants.
                     lattice = distinct_lattice_points(coords.data)
@@ -285,6 +283,10 @@ class DecoderStack:
                     feats = take(point_sample(pe.folded, distinct), lattice.index)
                     blend = take(level_weights(distinct, levels), lattice.index)
                     log_counts = lattice.log_counts
+                else:
+                    feats = point_sample(pe.folded, coords)
+                    blend = level_weights(coords, levels)
+                    log_counts = None
                 updated.append(self.gca[layer][r](x, q, feats, blend, pe.scale, log_counts))
             states = self.rca[layer](updated, queries(updated, boxes))
             qs = queries(states, boxes)

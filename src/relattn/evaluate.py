@@ -8,7 +8,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig
-from .data import Dataset, load_dataset
+from .data import Dataset, DatasetError, load_dataset
 from .evalkit import aggregate_mean_recall, aggregate_recall, per_predicate_mean, \
     per_predicate_recall_at_k, ranked_triplets, recall_at_k, write_metrics_csv, \
     zero_shot_filter
@@ -42,9 +42,14 @@ def load_model(checkpoint_path: str) -> tuple:
 
 
 def load_split(cfg: RunConfig, data_dir: str, split: str) -> Dataset:
-    """Load a split of a dataset directory; raises ConfigError when its
-    class or predicate count differs from the model's config."""
-    ds = load_dataset(os.path.join(data_dir, f"{split}.json"))
+    """Load a split of a dataset directory; raises DatasetError when the
+    file's meta names another split (whose feature stream it would read),
+    and ConfigError when its class or predicate count differs from the
+    model's config."""
+    path = os.path.join(data_dir, f"{split}.json")
+    ds = load_dataset(path)
+    if ds.meta["split"] != split:
+        raise DatasetError(f"{path} holds the {ds.meta['split']!r} split, not {split!r}")
     resolve_config(cfg, ds)
     return ds
 
@@ -73,7 +78,7 @@ def evaluate_dataset(model: RelationModel, ds: Dataset, ks=DEFAULT_KS,
     for scene in ds.scenes:
         volume = scene_volume(ds.seed, scene, signatures, cfg.feature_noise_std)
         with no_grad():
-            output = model.forward(scene, volume, "infer")
+            output = model.forward(scene, volume)
         ranked = ranked_triplets(output.prediction.scores, graph_constraint=graph_constraint)
         classes = [e.class_label for e in scene.entities]
         zs_gt = zero_shot_filter(scene.triplets, classes, ds.seen_triples)

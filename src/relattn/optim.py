@@ -22,7 +22,7 @@ LR_DROP_FRACTION, LR_DROP_FACTOR = 0.8, 0.1
 
 
 class AdamW:
-    def __init__(self, registry: ParameterRegistry, lr: float, weight_decay: float = 1e-4):
+    def __init__(self, registry: ParameterRegistry, lr: float, weight_decay: float):
         self.params: list[Parameter] = registry.parameters()
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")

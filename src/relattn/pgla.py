@@ -32,8 +32,7 @@ class PglaState:
     metric: str              # "recall" or "precision"
 
     @classmethod
-    def create(cls, priors: np.ndarray, lam: float = 1.0,
-               metric: str = "recall") -> "PglaState":
+    def create(cls, priors: np.ndarray, lam: float, metric: str) -> "PglaState":
         priors = check_priors(priors)
         if lam <= 0:
             raise ValueError(f"lambda must be positive, got {lam}")
@@ -87,7 +86,7 @@ def _budgets(priors: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def batch_performance(scores: np.ndarray, gt: GroundTruthRelations,
-                      priors: np.ndarray, metric: str = "recall") -> tuple:
+                      priors: np.ndarray, metric: str) -> tuple:
     """Per-predicate performance of one scene under prior-matched budgets.
 
     For predicate p with budget kappa_p (cumulative GT counts in

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, RunConfig
 from .evalkit import offdiagonal
 from .params import LinearParams, ParameterRegistry
+from .sampler import TrainDraw
 from .tensor import Tensor, _sigmoid_np, add, gumbel_softmax, matmul, mul, reshape, \
     swap_last, tmax, transpose, tsum
 
@@ -52,15 +53,14 @@ def final_scores(predicate_logits: np.ndarray, relatedness_logits: np.ndarray) -
 
 
 class RelationHead:
-    def __init__(self, registry: ParameterRegistry, d: int, heads: int, head_dim: int,
-                 num_predicates: int, rng: np.random.Generator):
-        self.heads, self.head_dim = heads, head_dim
-        width = heads * head_dim
-        self.wq = LinearParams(registry, "head.q", d, width, rng)
-        self.wk = LinearParams(registry, "head.k", d, width, rng)
+    def __init__(self, registry: ParameterRegistry, config: RunConfig,
+                 rng: np.random.Generator):
+        self.heads, self.head_dim, self.hard = config.h_A, config.d_A, config.gumbel_hard
+        heads, width = self.heads, self.heads * self.head_dim
+        self.wq = LinearParams(registry, "head.q", config.d, width, rng)
+        self.wk = LinearParams(registry, "head.k", config.d, width, rng)
         self.head_bias = registry.add("head.bias", np.zeros(heads))
-        self.to_predicates = LinearParams(registry, "head.predicates", heads,
-                                          num_predicates, rng)
+        self.to_predicates = LinearParams(registry, "head.predicates", heads, config.P, rng)
         self.to_relatedness = LinearParams(registry, "head.relatedness", heads, 1, rng)
 
     def attention_logits(self, sub: Tensor, obj: Tensor) -> Tensor:
@@ -88,35 +88,28 @@ class RelationHead:
         rel = reshape(self.to_relatedness(pairs), (n, n, K * K))
         return pred, rel
 
-    def reduce_pairs(self, pred: Tensor, rel: Tensor, mode: str, tau: float = None,
-                     rng: np.random.Generator = None, hard: bool = False) -> tuple:
+    def reduce_pairs(self, pred: Tensor, rel: Tensor, draw: TrainDraw | None) -> tuple:
         """Collapse the K^2 state-pair axis.
 
-        Training weighs predicate logits by a Gumbel-softmax sample at
-        temperature tau (exactly one-hot when hard=True, via the
+        A training draw weighs predicate logits by a Gumbel-softmax sample
+        at its temperature (exactly one-hot with `gumbel_hard`, via the
         straight-through estimator); inference takes the maximum.
         Relatedness always reduces by maximum.
         """
-        if mode == "train":
-            if tau is None or rng is None:
-                raise ValueError("train-mode reduction needs a temperature and an rng")
-            weights = gumbel_softmax(pred, tau, rng=rng, hard=hard)
-            out_pred = tsum(mul(weights, pred), axis=-1)
-        elif mode == "infer":
+        if draw is None:
             out_pred = tmax(pred, axis=-1)
         else:
-            raise ValueError(f"unknown reduction mode {mode!r}")
+            weights = gumbel_softmax(pred, draw.tau, rng=draw.rng, hard=self.hard)
+            out_pred = tsum(mul(weights, pred), axis=-1)
         out_rel = tmax(rel, axis=-1)
         return out_pred, out_rel
 
-    def forward(self, sub: Tensor, obj: Tensor, mode: str, tau: float = None,
-                rng: np.random.Generator = None, hard: bool = False) -> RelationPrediction:
+    def forward(self, sub: Tensor, obj: Tensor, draw: TrainDraw | None) -> RelationPrediction:
         """Predictions from the n x K x d subject and object queries. The
         scores are read, never differentiated, so they are taken from the
         logits' arrays, off the tape."""
         n, K, _ = sub.shape
         logits = self.attention_logits(sub, obj)
-        pred, rel = self.reduce_pairs(*self.group_pairs(logits, n, K), mode,
-                                      tau=tau, rng=rng, hard=hard)
+        pred, rel = self.reduce_pairs(*self.group_pairs(logits, n, K), draw)
         return RelationPrediction(predicate_logits=pred, relatedness_logits=rel,
                                   scores=final_scores(pred.data, rel.data))

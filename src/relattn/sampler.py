@@ -24,6 +24,15 @@ SIGMA_MAX = 1.0
 LOG_STD_INIT = -1.5
 
 
+@dataclass(frozen=True)
+class TrainDraw:
+    """One training forward's generator, sample points per state and
+    Gumbel-softmax temperature; a forward without one runs inference."""
+    rng: np.random.Generator
+    m: int
+    tau: float
+
+
 @dataclass
 class OffsetDistribution:
     mu: Tensor     # n x K x 3

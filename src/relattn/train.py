@@ -20,6 +20,7 @@ from .optim import AdamW, lr_scale_at
 from .pgla import PglaState, adjust_logits, compute_wb, update_confusion, \
     update_performance
 from .relation_head import annealing_temperature
+from .sampler import TrainDraw
 from .tensor import add, mul
 
 
@@ -136,10 +137,9 @@ def train(cfg: RunConfig, data_dir: str, out_dir: str, trace: bool = False) -> T
         if not order:
             order = list(run_rng.permutation(len(scenes)))
         scene = scenes[order.pop()]
-        m = int(run_rng.integers(cfg.points_min, cfg.points_max + 1))
-        tau = annealing_temperature(it, cfg.iterations)
-        volume = volumes.volume(scene)
-        output = model.forward(scene, volume, "train", rng=run_rng, m=m, tau=tau)
+        draw = TrainDraw(run_rng, m=int(run_rng.integers(cfg.points_min, cfg.points_max + 1)),
+                         tau=annealing_temperature(it, cfg.iterations))
+        output = model.forward(scene, volumes.volume(scene), draw)
         total, breakdown, pgla_state = training_loss(output, scene, cfg, gammas, pgla_state,
                                                      run_rng)
         if not np.isfinite(breakdown["total"]):
@@ -147,6 +147,8 @@ def train(cfg: RunConfig, data_dir: str, out_dir: str, trace: bool = False) -> T
         model.registry.zero_grad()
         total.backward()
         bad = opt.step(lr_scale=lr_scale_at(it, cfg.iterations))
+        # Free this iteration's tape before the next forward builds one.
+        del output, total
         if bad is not None:
             raise TrainingError(f"non-finite values in parameter {bad} after the step"
                                 f" at iteration {it}")

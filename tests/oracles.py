@@ -262,9 +262,8 @@ def full_lattice_infer_oracle(model, scene, volume):
     cfg, decoder = model.config, model.decoder
     n = len(scene.entities)
     with no_grad():
-        pe = build_positional_embeddings(volume, model.scale_embeds)
-        states, boxes, p0 = decoder.init_state(scene.entities, volume, pe,
-                                               model.sub_embeds, model.obj_embeds)
+        pe = build_positional_embeddings(volume, decoder.scale_embeds)
+        states, boxes, p0 = decoder.init_state(scene.entities, volume, pe)
         qs = queries(states, boxes)
         points = [Tensor(p0.reshape(n, 1, 1, 3)), Tensor(p0.reshape(n, 1, 1, 3))]
         for layer in range(decoder.layers):
@@ -281,5 +280,5 @@ def full_lattice_infer_oracle(model, scene, volume):
                 updated.append(decoder.gca[layer][r](states[r], qs[r], feats, blend, pe.scale))
             states = decoder.rca[layer](updated, queries(updated, boxes))
             qs = queries(states, boxes)
-        scores = model.head.forward(*qs, mode="infer").scores
+        scores = model.head.forward(*qs, None).scores
     return (qs[0].data, qs[1].data), scores

@@ -38,6 +38,7 @@ from relattn.params import ParameterRegistry
 from relattn.pgla import PglaState, adjust_logits, batch_performance, compute_wb, \
     update_confusion, update_performance
 from relattn.relation_head import RelationHead, annealing_temperature
+from relattn.sampler import TrainDraw
 from relattn.tensor import Tensor, add, gumbel_softmax, level_weights, mul, point_sample, tsum
 from relattn.train import train
 
@@ -202,7 +203,7 @@ def test_criterion_02_gradient_suite():
             lambda: rca_scalar(sub0), tensor, coords=coords))
     results["rca_params"] = worst_param
 
-    head = RelationHead(registry, d=d, heads=2, head_dim=4, num_predicates=3, rng=rng)
+    head = RelationHead(registry, RunConfig(d=d, h_A=2, d_A=4, P=3), rng)
     wts3 = Tensor(rng.standard_normal((2, n * K, n * K)))
 
     def head_scalar(x):
@@ -243,7 +244,7 @@ def _full_forward_gradients() -> float:
     gt = GroundTruthRelations.from_triplets(scene.triplets, 2, cfg.P)
     priors = np.array([0.5, 0.3, 0.2])
     gammas = predicate_gammas(priors, cfg.gamma_base)
-    state = dataclasses.replace(PglaState.create(priors),
+    state = dataclasses.replace(PglaState.create(priors, lam=1.0, metric="recall"),
                                 r=np.array([0.6, 0.3, 0.1]))
     W, B = compute_wb(state)
     rng_d = np.random.default_rng(77)
@@ -253,7 +254,7 @@ def _full_forward_gradients() -> float:
 
     def loss_fn():
         rng = np.random.default_rng(55)
-        out = model.forward(scene, volume, "train", rng=rng, m=3, tau=1.5)
+        out = model.forward(scene, volume, TrainDraw(rng, m=3, tau=1.5))
         logits = adjust_logits(out.prediction.predicate_logits, gt, W, B, D)
         focal = focal_bce(logits, gt, cfg.alpha, gammas)
         mask = mask_loss(out.prediction.relatedness_logits, gt, cfg.alpha,
@@ -308,7 +309,8 @@ def test_criterion_04_adjustment_recovery():
     """Uniform performance reduces the adjustment to plain prior offsets."""
     rng = np.random.default_rng(204)
     priors = rng.dirichlet(np.ones(6) * 3)
-    state = dataclasses.replace(PglaState.create(priors), r=np.full(6, 0.42))
+    state = dataclasses.replace(PglaState.create(priors, lam=1.0, metric="recall"),
+                                r=np.full(6, 0.42))
     W, B = compute_wb(state)
     w_exact = bool(np.all(W == 1.0))
     b_err = float(np.abs(B - np.log(priors)).max())
@@ -341,13 +343,13 @@ def test_criterion_05_budget_oracle():
                     for i in range(n) for j in range(n)
                     if i != j and rng.random() < 0.3]
         gt = GroundTruthRelations.from_triplets(triplets, n, P)
-        values, updated = batch_performance(scores, gt, priors)
+        values, updated = batch_performance(scores, gt, priors, "recall")
         want, present = budget_recall_oracle(scores, triplets, priors)
         if not (np.array_equal(values, want) and np.array_equal(updated, present)):
             mismatches += 1
     bounded = True
     priors = np.array([0.5, 0.3, 0.2])
-    state = PglaState.create(priors)
+    state = PglaState.create(priors, lam=1.0, metric="recall")
     for _ in range(100):
         scores = rng.standard_normal((3, 4, 4))
         triplets = [(0, int(rng.integers(0, 3)), 1),
@@ -367,7 +369,7 @@ def test_criterion_06_confusion_properties():
     """Confusion logits vanish for dominant truths, gate off rarer rivals,
     and match direct evaluation on a frozen spot case."""
     priors = np.array([0.5, 0.3, 0.2])
-    state = PglaState.create(priors)
+    state = PglaState.create(priors, lam=1.0, metric="recall")
     logits = np.full((3, 3, 3), -1.0)
     logits[1, 0, 2] = 5.0
     logits[0, 2, 1] = 4.0
@@ -383,7 +385,7 @@ def test_criterion_06_confusion_properties():
         np.zeros((3, 3))))
 
     spot_priors = np.array([1.0 / 21.0, 20.0 / 21.0])
-    spot = PglaState.create(spot_priors)
+    spot = PglaState.create(spot_priors, lam=1.0, metric="recall")
     spot_logits = np.zeros((2, 2, 2))
     spot_logits[0, 0, 1] = 1.0
     spot_logits[1, 0, 1] = 3.0

@@ -206,6 +206,30 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:") and "'split'" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "sample-points"])
+    @pytest.mark.parametrize("split, other", [("test", "train"), ("train", "test")])
+    def test_rejects_file_of_the_other_split(self, pipeline, tmp_path, capsys, command,
+                                             split, other):
+        """`--split` names the file, and the file's meta must name the same
+        split: a mismatch is an input error on one line naming both, before
+        any scene is evaluated. It used to run on, labelling the rows with
+        the meta's split and drawing features from that split's stream."""
+        _, _, data_dir, run_dir = pipeline
+        bad_dir = tmp_path / "data"
+        bad_dir.mkdir()
+        raw = json.loads((data_dir / f"{split}.json").read_text())
+        raw["meta"]["split"] = other
+        (bad_dir / f"{split}.json").write_text(json.dumps(raw))
+        out = tmp_path / "out.csv"
+        code = main([command, "--checkpoint", str(run_dir / "model.ckpt"),
+                     "--data", str(bad_dir), "--split", split, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert repr(split) in err[0] and repr(other) in err[0]
+        assert captured.out == "" and not out.exists()
+
     def test_dataset_meta_without_classes(self, pipeline, tmp_path, capsys):
         _, cfg_path, data_dir, _ = pipeline
         bad_dir = tmp_path / "data"

@@ -17,7 +17,7 @@ from relattn.features import build_positional_embeddings
 from relattn.gradcheck import check_gradients, check_parameter_gradients
 from relattn.model import RelationModel
 from relattn.params import ParameterRegistry
-from relattn.sampler import distinct_lattice_points, grid_steps
+from relattn.sampler import TrainDraw, distinct_lattice_points, grid_steps
 from relattn.tensor import Tensor, add, level_weights, mul, no_grad, point_sample, tsum
 
 from helpers import parameter
@@ -32,21 +32,28 @@ def detections():
     ]
 
 
-def volume_and_pe(rng, d=8, H=6, W=6):
-    vol = rng.standard_normal((5, H, W, d))
-    pe = build_positional_embeddings(vol, Tensor(np.zeros((5, d))))
-    return vol, pe
+def volume(rng, d=8, H=6, W=6):
+    return rng.standard_normal((5, H, W, d))
 
 
-def make_stack(d=8, K=2, layers=2, seed=70):
+def train_draw(seed, m):
+    """A training draw for the decoder, which reads its generator and
+    sample count; tau, the relation head's temperature, plays no part."""
+    return TrainDraw(np.random.default_rng(seed), m=m, tau=1.0)
+
+
+def make_stack(d=8, K=2, layers=2, seed=70, **settings):
+    """A decoder over C = 3 classes whose class embeddings are redrawn
+    wider than at init, from a generator of their own, so stacks of any
+    depth built from one seed share them."""
     reg = ParameterRegistry()
-    rng = np.random.default_rng(seed)
-    stack = DecoderStack(reg, d=d, K=K, layers=layers, h_G=2, d_G=4,
-                         h_R=2, d_R=4, sampler_lr_mult=0.1, rng=rng)
-    C = 3
-    sub = Tensor(rng.normal(0, 0.5, (C, K, d)), requires_grad=True)
-    obj = Tensor(rng.normal(0, 0.5, (C, K, d)), requires_grad=True)
-    return reg, stack, sub, obj
+    cfg = RunConfig(C=3, K=K, d=d, L_d=layers, h_G=2, d_G=4, h_R=2, d_R=4,
+                    lr_multiplier_sampler=0.1, **settings)
+    stack = DecoderStack(reg, cfg, np.random.default_rng(seed))
+    embeds = np.random.default_rng(seed + 1)
+    for table in (stack.sub_embeds, stack.obj_embeds):
+        table.data[...] = embeds.normal(0, 0.5, table.shape)
+    return reg, stack
 
 
 class TestInitialPoints:
@@ -75,10 +82,10 @@ class TestInitState:
         where code(c) samples the sinusoid grid and the scale table at c,
         one corner at a time here."""
         rng = np.random.default_rng(69)
-        reg, stack, sub, obj = make_stack()
+        reg, stack = make_stack()
         vol = rng.standard_normal((5, 6, 6, 8))
         pe = build_positional_embeddings(vol, Tensor(rng.standard_normal((5, 8))))
-        _, boxes, _ = stack.init_state(detections(), vol, pe, sub, obj)
+        _, boxes, _ = stack.init_state(detections(), vol, pe)
         w = parameter(reg, "decoder.box_proj.weight").data
         b = parameter(reg, "decoder.box_proj.bias").data
         corner = parameter(reg, "decoder.corner_embeds").data
@@ -307,35 +314,22 @@ class TestRca:
 class TestDecode:
     def test_infer_is_deterministic(self):
         rng = np.random.default_rng(74)
-        _, stack, sub, obj = make_stack()
-        vol, pe = volume_and_pe(rng)
-        a = stack.decode(detections(), vol, pe, sub, obj, mode="infer",
-                         range_mult=1, step_mult=1)
-        b = stack.decode(detections(), vol, pe, sub, obj, mode="infer",
-                         range_mult=1, step_mult=1)
+        _, stack = make_stack(infer_range_mult=1)
+        vol = volume(rng)
+        a = stack.decode(detections(), vol, None)
+        b = stack.decode(detections(), vol, None)
         np.testing.assert_array_equal(a.queries[0].data, b.queries[0].data)
         np.testing.assert_array_equal(a.queries[1].data, b.queries[1].data)
-
-    def test_train_mode_requires_rng_and_m(self):
-        rng = np.random.default_rng(75)
-        _, stack, sub, obj = make_stack()
-        vol, pe = volume_and_pe(rng)
-        with pytest.raises(ValueError):
-            stack.decode(detections(), vol, pe, sub, obj, mode="train")
-        with pytest.raises(ValueError):
-            stack.decode(detections(), vol, pe, sub, obj, mode="bogus")
 
     def test_permuting_entities_permutes_outputs(self):
         """The decoder treats entities as a set."""
         rng = np.random.default_rng(76)
-        _, stack, sub, obj = make_stack()
-        vol, pe = volume_and_pe(rng)
+        _, stack = make_stack(infer_range_mult=1)
+        vol = volume(rng)
         dets = detections()
         perm = [2, 0, 1]
-        a = stack.decode(dets, vol, pe, sub, obj, mode="infer",
-                         range_mult=1, step_mult=1)
-        b = stack.decode([dets[i] for i in perm], vol, pe, sub, obj,
-                         mode="infer", range_mult=1, step_mult=1)
+        a = stack.decode(dets, vol, None)
+        b = stack.decode([dets[i] for i in perm], vol, None)
         np.testing.assert_allclose(b.queries[0].data, a.queries[0].data[perm],
                                    atol=1e-10)
         np.testing.assert_allclose(b.queries[1].data, a.queries[1].data[perm],
@@ -343,10 +337,8 @@ class TestDecode:
 
     def test_collected_points_stay_in_unit_cube(self):
         rng = np.random.default_rng(77)
-        _, stack, sub, obj = make_stack(layers=2)
-        vol, pe = volume_and_pe(rng)
-        res = stack.decode(detections(), vol, pe, sub, obj, mode="train",
-                           rng=np.random.default_rng(0), m=4)
+        _, stack = make_stack(layers=2)
+        res = stack.decode(detections(), volume(rng), train_draw(0, m=4))
         assert [len(layers) for layers in res.points] == [2, 2]
         for pts in res.points[0] + res.points[1]:
             assert pts.shape == (3, 2, 4, 3)
@@ -359,14 +351,13 @@ class TestDecode:
         one-layer stack from the same seed shares layer 0, so its output
         queries are the ones layer 1 reads."""
         rng = np.random.default_rng(78)
-        _, stack, sub, obj = make_stack(layers=2)
-        _, first, _, _ = make_stack(layers=1)
-        vol, pe = volume_and_pe(rng)
-        res = stack.decode(detections(), vol, pe, sub, obj, mode="train",
-                           rng=np.random.default_rng(1), m=3)
-        mid = first.decode(detections(), vol, pe, sub, obj, mode="train",
-                           rng=np.random.default_rng(1), m=3).queries
-        states, boxes, p0 = stack.init_state(detections(), vol, pe, sub, obj)
+        _, stack = make_stack(layers=2)
+        _, first = make_stack(layers=1)
+        vol = volume(rng)
+        res = stack.decode(detections(), vol, train_draw(1, m=3))
+        mid = first.decode(detections(), vol, train_draw(1, m=3)).queries
+        pe = build_positional_embeddings(vol, stack.scale_embeds)
+        states, boxes, p0 = stack.init_state(detections(), vol, pe)
         init = queries(states, boxes)
         for r, means in enumerate(res.means):
             reads = [q[r] for q in (init, mid)]
@@ -378,13 +369,11 @@ class TestDecode:
 
     def test_nearest_scale_option_changes_sampling(self):
         rng = np.random.default_rng(79)
-        _, stack, sub, obj = make_stack()
-        vol, pe = volume_and_pe(rng)
-        tri = stack.decode(detections(), vol, pe, sub, obj, mode="infer",
-                           range_mult=1, step_mult=1)
-        near = stack.decode(detections(), vol, pe, sub, obj, mode="infer",
-                            range_mult=1, step_mult=1,
-                            scale_interpolation="nearest")
+        _, stack = make_stack(infer_range_mult=1)
+        _, nearest = make_stack(infer_range_mult=1, scale_interpolation="nearest")
+        vol = volume(rng)
+        tri = stack.decode(detections(), vol, None)
+        near = nearest.decode(detections(), vol, None)
         assert not np.allclose(tri.queries[0].data, near.queries[0].data)
 
 
@@ -426,7 +415,7 @@ class TestDistinctLatticeInfer:
         scene = SceneSample(image_size=(256, 256), entities=entities, triplets=[])
         volume = np.random.default_rng(92).standard_normal((5, 6, 6, cfg.d))
         with no_grad():
-            out = model.forward(scene, volume, "infer")
+            out = model.forward(scene, volume)
         want_queries, want_scores = full_lattice_infer_oracle(model, scene, volume)
         np.testing.assert_allclose(out.prediction.scores, want_scores, rtol=0, atol=1e-12)
         for got, want in zip(out.decode.queries, want_queries):

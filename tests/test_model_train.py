@@ -2,6 +2,8 @@
 determinism, and checkpoint round trips."""
 
 import dataclasses
+import hashlib
+import math
 import os
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from relattn.losses import predicate_gammas
 from relattn.model import RelationModel
 from relattn.optim import AdamW
 from relattn.pgla import PglaState
+from relattn.sampler import TrainDraw
 from relattn import tensor
 from relattn.tensor import no_grad
 from relattn.train import TrainingError, resolve_config, train, training_loss
@@ -59,12 +62,12 @@ class TestForward:
         n = len(scene.entities)
         sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
         volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
-        out = model.forward(scene, volume, "train", rng=rng, m=3, tau=2.0)
+        out = model.forward(scene, volume, TrainDraw(rng, m=3, tau=2.0))
         assert out.prediction.predicate_logits.data.shape == (cfg.P, n, n)
         assert out.prediction.relatedness_logits.data.shape == (n, n)
         assert out.prediction.scores.shape == (cfg.P, n, n)
         with no_grad():
-            inf = model.forward(scene, volume, "infer")
+            inf = model.forward(scene, volume)
         assert inf.prediction.scores.shape == (cfg.P, n, n)
         np.testing.assert_array_equal(np.diagonal(inf.prediction.scores,
                                                   axis1=1, axis2=2), 0.0)
@@ -77,15 +80,15 @@ class TestForward:
         sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
         volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
         with no_grad():
-            a = model.forward(scene, volume, "infer").prediction.scores
-            b = model.forward(scene, volume, "infer").prediction.scores
+            a = model.forward(scene, volume).prediction.scores
+            b = model.forward(scene, volume).prediction.scores
         np.testing.assert_array_equal(a, b)
 
     def test_empty_scene_returns_empty_prediction(self):
         cfg = tiny_config()
         model = RelationModel(cfg, np.random.default_rng(0))
         scene = SceneSample(image_size=(256, 256), entities=[], triplets=[])
-        out = model.forward(scene, np.zeros(1), "infer")
+        out = model.forward(scene, np.zeros(1))
         assert out.prediction.scores.shape == (cfg.P, 0, 0)
 
     def test_construction_requires_resolved_sizes(self):
@@ -105,9 +108,9 @@ class TestGradientCoverage:
                                                     len(s.entities)))
         sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
         volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
-        out = model.forward(scene, volume, "train", rng=rng, m=3, tau=2.0)
+        out = model.forward(scene, volume, TrainDraw(rng, m=3, tau=2.0))
         gammas = predicate_gammas(train_ds.priors, cfg.gamma_base)
-        state = PglaState.create(train_ds.priors)
+        state = PglaState.create(train_ds.priors, lam=1.0, metric="recall")
         total, breakdown, _ = training_loss(out, scene, cfg, gammas, state, rng)
         model.registry.zero_grad()
         total.backward()
@@ -123,7 +126,7 @@ class TestGradientCoverage:
         scene = next(s for s in train_ds.scenes if s.triplets)
         sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
         volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
-        out = model.forward(scene, volume, "train", rng=rng, m=2, tau=1.0)
+        out = model.forward(scene, volume, TrainDraw(rng, m=2, tau=1.0))
         gammas = predicate_gammas(train_ds.priors, cfg.gamma_base)
         total, breakdown, state = training_loss(out, scene, cfg, gammas, None, rng)
         assert state is None
@@ -162,10 +165,10 @@ class TestTapeSize:
         scene = train_ds.scenes[0]
         sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
         volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
-        out = model.forward(scene, volume, "train", rng=rng, m=3, tau=1.0)
+        out = model.forward(scene, volume, TrainDraw(rng, m=3, tau=1.0))
         gammas = predicate_gammas(train_ds.priors, cfg.gamma_base)
-        total, _, _ = training_loss(out, scene, cfg, gammas,
-                                    PglaState.create(train_ds.priors), rng)
+        state = PglaState.create(train_ds.priors, lam=1.0, metric="recall")
+        total, _, _ = training_loss(out, scene, cfg, gammas, state, rng)
         return total
 
     def test_desk_training_loss_tape_size(self, tiny_data):
@@ -192,6 +195,51 @@ class TestTapeSize:
         assert len(recorded) == tape_nodes(total)
 
 
+class TestDrawOrder:
+    """One seeded desk-model training step and one inference forward,
+    against values recorded before the forward took a training draw. The
+    step's draws all come from one generator, in a fixed order: sample
+    offsets, then Gumbel noise, then mask negatives; reordering them, or
+    drawing one more value, changes these numbers."""
+
+    FIRST_STEP = {"focal_predicate": "0x1.158e4242f4380p+0",
+                  "mask": "0x1.d39a8bacb3228p-4",
+                  "margin_rank": "0x1.b69164f0ad1c2p-3",
+                  "rep_point_margin": "0x1.079d57d0b411ap-5",
+                  "total": "0x1.71d7025a5aae3p+0"}
+    GRAD_NORM = "0x1.2815868b72089p+3"
+    # sha256 of the 2 x 4 x 4 float64 scores of the first test scene.
+    SCORES_SHA256 = "362b972f0be0a3bf2b7937af36afc618c9e6ee9f2cb7dc99665e6377e1e6246e"
+
+    def test_first_step_and_inference_are_pinned(self, tiny_data):
+        _, train_ds, test_ds = tiny_data
+        cfg = resolve_config(RunConfig.from_dict(
+            {"K": 2, "d": 32, "L_d": 1, "h_G": 4, "d_G": 8, "h_R": 4, "d_R": 8,
+             "h_A": 8, "d_A": 8, "learning_rate": 1e-3, "seed": 5}), train_ds)
+        rng = np.random.default_rng(15)
+        model = RelationModel(cfg, rng)
+        scene = next(s for s in train_ds.scenes if s.triplets)
+        sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
+        volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
+        out = model.forward(scene, volume, TrainDraw(rng, m=3, tau=1.0))
+        gammas = predicate_gammas(train_ds.priors, cfg.gamma_base)
+        state = PglaState.create(train_ds.priors, lam=cfg.lam, metric=cfg.pgla_metric)
+        total, breakdown, _ = training_loss(out, scene, cfg, gammas, state, rng)
+        model.registry.zero_grad()
+        total.backward()
+        norm = math.sqrt(sum(float((p.tensor.grad * p.tensor.grad).sum())
+                             for p in model.registry.parameters()))
+        assert {k: v.hex() for k, v in breakdown.items()} == self.FIRST_STEP
+        assert norm.hex() == self.GRAD_NORM
+
+        scene = test_ds.scenes[0]
+        volume = scene_volume(test_ds.seed, scene, sigs, cfg.feature_noise_std)
+        with no_grad():
+            scores = model.forward(scene, volume).prediction.scores
+        assert scores.shape == (2, 4, 4)
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == self.SCORES_SHA256
+
+
 class TestVisualGenomeSize:
     def test_forward_and_loss_at_fifty_predicates(self):
         """One training forward, the loss and its backward, and one
@@ -209,7 +257,7 @@ class TestVisualGenomeSize:
         model = RelationModel(cfg, rng)
         sigs = class_signatures(train_ds.seed, cfg.C, cfg.d)
         volume = scene_volume(train_ds.seed, scene, sigs, cfg.feature_noise_std)
-        out = model.forward(scene, volume, "train", rng=rng, m=4, tau=1.0)
+        out = model.forward(scene, volume, TrainDraw(rng, m=4, tau=1.0))
         pred = out.prediction
         assert pred.predicate_logits.shape == (P, n, n)
         assert pred.relatedness_logits.shape == (n, n)
@@ -222,8 +270,8 @@ class TestVisualGenomeSize:
             assert [m.shape for m in means] == [(n, cfg.K, 3)] * cfg.L_d
 
         gammas = predicate_gammas(train_ds.priors, cfg.gamma_base)
-        total, breakdown, state = training_loss(
-            out, scene, cfg, gammas, PglaState.create(train_ds.priors), rng)
+        state = PglaState.create(train_ds.priors, lam=1.0, metric="recall")
+        total, breakdown, state = training_loss(out, scene, cfg, gammas, state, rng)
         assert all(np.isfinite(v) for v in breakdown.values())
         assert state.confusion.shape == (P, P)
         model.registry.zero_grad()
@@ -232,7 +280,7 @@ class TestVisualGenomeSize:
             assert p.tensor.grad is not None and np.isfinite(p.tensor.grad).all(), p.name
 
         with no_grad():
-            scores = model.forward(scene, volume, "infer").prediction.scores
+            scores = model.forward(scene, volume).prediction.scores
         assert scores.shape == (P, n, n) and np.isfinite(scores).all()
         np.testing.assert_array_equal(np.diagonal(scores, axis1=1, axis2=2), 0.0)
 
@@ -295,8 +343,8 @@ class TestTraining:
         sigs = class_signatures(test_ds.seed, cfg.C, cfg.d)
         volume = scene_volume(test_ds.seed, scene, sigs, cfg.feature_noise_std)
         with no_grad():
-            x = model.forward(scene, volume, "infer").prediction.scores
-            y = fresh.forward(scene, volume, "infer").prediction.scores
+            x = model.forward(scene, volume).prediction.scores
+            y = fresh.forward(scene, volume).prediction.scores
         np.testing.assert_array_equal(x, y)
 
     def test_non_finite_gradient_stops_training(self, tiny_data, tmp_path,

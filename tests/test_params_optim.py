@@ -149,7 +149,7 @@ class TestAdamW:
 
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
-            AdamW(ParameterRegistry(), lr=0.0)
+            AdamW(ParameterRegistry(), lr=0.0, weight_decay=1e-4)
 
     def test_bit_equal_to_out_of_place_formula(self):
         """Several steps over a mix of parameters: one spanning more than
@@ -191,7 +191,7 @@ class TestAdamW:
                     assert np.array_equal(g, c)
 
     def test_updates_the_parameter_array_in_place(self):
-        opt, (p,) = optimizer(("w", np.ones((3, 2))), lr=0.1)
+        opt, (p,) = optimizer(("w", np.ones((3, 2))), lr=0.1, weight_decay=1e-4)
         before = p.tensor.data
         p.tensor.grad = np.ones((3, 2))
         opt.step()
@@ -203,7 +203,7 @@ class TestAdamW:
         or read-only source is copied once and the step still lands."""
         source = np.arange(1.0, 7.0).reshape(2, 3).T
         frozen = np.broadcast_to(np.ones(3), (2, 3))
-        opt, (a, b) = optimizer(("a", source), ("b", frozen), lr=0.1)
+        opt, (a, b) = optimizer(("a", source), ("b", frozen), lr=0.1, weight_decay=1e-4)
         assert a.data.flags.c_contiguous and b.data.flags.writeable
         a.tensor.grad = np.ones((3, 2))
         b.tensor.grad = np.ones((2, 3))
@@ -221,7 +221,7 @@ class TestAdamW:
         """A NaN or infinite gradient reaches the updated weight; the step
         names the first such parameter and still updates the others."""
         opt, params = optimizer(("a", np.ones(4)), ("b", np.ones(_CHUNK + 10)),
-                                ("c", np.ones(4)), lr=0.1)
+                                ("c", np.ones(4)), lr=0.1, weight_decay=1e-4)
         for p in params:
             p.tensor.grad = np.ones(p.data.size)
         assert opt.step() is None

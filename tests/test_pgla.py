@@ -145,7 +145,7 @@ class TestAdjustLogits:
         logits + log priors."""
         rng = np.random.default_rng(105)
         priors = np.array([0.6, 0.3, 0.1])
-        st = PglaState.create(priors)
+        st = PglaState.create(priors, lam=1.0, metric="recall")
         W, B = compute_wb(st)
         gt = gt_for([(0, 1, 1), (1, 0, 2)], 3, 3)
         x = rng.standard_normal((3, 3, 3))
@@ -181,7 +181,7 @@ class TestBatchPerformance:
         scores[1, 0, 1] = 9.0
         gt = gt_for([(0, 1, 1)], 2, 2)
         values, updated = batch_performance(scores, gt,
-                                            np.array([0.9, 0.1]))
+                                            np.array([0.9, 0.1]), "recall")
         assert updated[1] and not updated[0]
         np.testing.assert_array_equal(values, [0.0, 1.0])
 
@@ -195,7 +195,7 @@ class TestBatchPerformance:
         scores[0, 0, 1] = 2.0   # truth of predicate 0: rank 3
         scores[1, 1, 0] = 1.0   # truth of predicate 1: rank 4
         gt = gt_for([(0, 0, 1), (1, 1, 0)], 2, 2)
-        values, updated = batch_performance(scores, gt, priors)
+        values, updated = batch_performance(scores, gt, priors, "recall")
         assert updated.all()
         np.testing.assert_array_equal(values, [0.0, 0.0])
 
@@ -212,7 +212,7 @@ class TestBatchPerformance:
                     if i != j and rng.random() < 0.3:
                         triplets.append((i, int(rng.integers(0, P)), j))
             gt = gt_for(triplets, n, P)
-            values, updated = batch_performance(scores, gt, priors)
+            values, updated = batch_performance(scores, gt, priors, "recall")
             want, present = budget_recall_oracle(scores, triplets, priors)
             np.testing.assert_array_equal(updated, present)
             np.testing.assert_array_equal(values, want)
@@ -230,8 +230,7 @@ class TestBatchPerformance:
                     if i != j and rng.random() < 0.35:
                         triplets.append((i, int(rng.integers(0, P)), j))
             gt = gt_for(triplets, n, P)
-            values, updated = batch_performance(scores, gt, priors,
-                                                metric="precision")
+            values, updated = batch_performance(scores, gt, priors, "precision")
             want, present = budget_precision_oracle(scores, triplets, priors)
             np.testing.assert_array_equal(updated, present)
             np.testing.assert_array_equal(values, want)
@@ -254,8 +253,7 @@ class TestBatchPerformance:
         scores = np.round(rng.standard_normal((P, n, n)) + 4.0 * gt.targets)
         for metric, oracle in (("recall", budget_recall_oracle),
                                ("precision", budget_precision_oracle)):
-            values, updated = batch_performance(scores, gt, priors,
-                                                metric=metric)
+            values, updated = batch_performance(scores, gt, priors, metric)
             want, present = oracle(scores, triplets, priors)
             np.testing.assert_array_equal(updated, present)
             np.testing.assert_array_equal(values, want)
@@ -274,15 +272,14 @@ class TestBatchPerformance:
         scores[0, 0, 1] = 5.0
         scores[0, 1, 0] = 4.0   # predicate 0 fills every top slot
         gt = gt_for([(0, 1, 1)], 2, 2)  # predicate 1 has budget 1
-        values, updated = batch_performance(scores, gt, priors,
-                                            metric="precision")
+        values, updated = batch_performance(scores, gt, priors, "precision")
         assert not updated[1]
 
 
 class TestEma:
     def test_momentum_follows_priors(self):
         priors = np.array([0.5, 0.3, 0.2])
-        st = PglaState.create(priors)
+        st = PglaState.create(priors, lam=1.0, metric="recall")
         np.testing.assert_allclose(st.rho, 0.9999 ** (-np.log(priors)),
                                    rtol=1e-12)
         assert np.all(st.rho > 0) and np.all(st.rho < 1)
@@ -312,7 +309,7 @@ class TestEma:
 class TestConfusion:
     def test_zero_when_truth_dominates(self):
         priors = np.array([0.5, 0.3, 0.2])
-        st = PglaState.create(priors)
+        st = PglaState.create(priors, lam=1.0, metric="recall")
         logits = np.full((3, 3, 3), -2.0)
         logits[1, 0, 2] = 4.0
         gt = gt_for([(0, 1, 2)], 3, 3)
@@ -322,7 +319,7 @@ class TestConfusion:
     def test_rarer_columns_are_gated_off(self):
         """Confusion toward less frequent predicates never registers."""
         priors = np.array([0.7, 0.3])
-        st = PglaState.create(priors)
+        st = PglaState.create(priors, lam=1.0, metric="recall")
         logits = np.zeros((2, 2, 2))
         logits[1, 0, 1] = 10.0  # rare predicate outscores the frequent GT
         gt = gt_for([(0, 0, 1)], 2, 2)
@@ -333,7 +330,7 @@ class TestConfusion:
         """Truth logit 1 against a twenty-times-more-frequent rival at 3:
         the batch entry is 2 * tanh(log 20), folded once by the EMA."""
         priors = np.array([1.0 / 21.0, 20.0 / 21.0])
-        st = PglaState.create(priors)
+        st = PglaState.create(priors, lam=1.0, metric="recall")
         logits = np.zeros((2, 2, 2))
         logits[0, 0, 1] = 1.0
         logits[1, 0, 1] = 3.0
@@ -348,7 +345,7 @@ class TestConfusion:
     def test_diagonal_stays_zero_and_entries_nonnegative(self):
         rng = np.random.default_rng(109)
         priors = np.array([0.5, 0.3, 0.2])
-        st = PglaState.create(priors)
+        st = PglaState.create(priors, lam=1.0, metric="recall")
         for _ in range(20):
             logits = rng.standard_normal((3, 4, 4)) * 3
             triplets = [(0, int(rng.integers(0, 3)), 1),
@@ -365,7 +362,7 @@ class TestConfusion:
         P, n = 50, 25
         priors = 1.0 / np.arange(1, P + 1) ** 1.2
         priors = rng.permutation(priors / priors.sum())
-        st = PglaState.create(priors)
+        st = PglaState.create(priors, lam=1.0, metric="recall")
         for _ in range(4):
             triplets = [(i, int(rng.choice(P, p=priors)), j)
                         for i in range(n) for j in range(n)
@@ -380,7 +377,7 @@ class TestConfusion:
 
     def test_instances_average_within_batch(self):
         priors = np.array([1.0 / 21.0, 20.0 / 21.0])
-        st = PglaState.create(priors)
+        st = PglaState.create(priors, lam=1.0, metric="recall")
         logits = np.zeros((2, 3, 3))
         logits[0, 0, 1] = 1.0
         logits[1, 0, 1] = 3.0   # surplus 2
@@ -396,12 +393,12 @@ class TestConfusion:
 class TestStateValidation:
     def test_create_rejects_bad_priors(self):
         with pytest.raises(ValueError):
-            PglaState.create(np.array([0.5, 0.6]))
+            PglaState.create(np.array([0.5, 0.6]), lam=1.0, metric="recall")
         with pytest.raises(ValueError):
-            PglaState.create(np.array([1.0, 0.0]))
+            PglaState.create(np.array([1.0, 0.0]), lam=1.0, metric="recall")
 
     def test_create_rejects_bad_lambda_and_metric(self):
         with pytest.raises(ValueError):
-            PglaState.create(np.array([0.5, 0.5]), lam=0.0)
+            PglaState.create(np.array([0.5, 0.5]), lam=0.0, metric="recall")
         with pytest.raises(ValueError):
-            PglaState.create(np.array([0.5, 0.5]), metric="accuracy")
+            PglaState.create(np.array([0.5, 0.5]), lam=1.0, metric="accuracy")

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from relattn.config import ConfigError
+from relattn.config import ConfigError, RunConfig
 from relattn.decoder import queries
 from relattn.params import ParameterRegistry
 from relattn.relation_head import (
@@ -15,14 +15,20 @@ from relattn.relation_head import (
     annealing_temperature,
     final_scores,
 )
+from relattn.sampler import TrainDraw
 from relattn.tensor import Tensor, gumbel_softmax
 
 
-def make_head(d=8, heads=4, head_dim=4, P=3, seed=80):
+def make_head(d=8, heads=4, head_dim=4, P=3, seed=80, hard=False):
     reg = ParameterRegistry()
-    head = RelationHead(reg, d=d, heads=heads, head_dim=head_dim,
-                        num_predicates=P, rng=np.random.default_rng(seed))
-    return reg, head
+    cfg = RunConfig(d=d, h_A=heads, d_A=head_dim, P=P, gumbel_hard=hard)
+    return reg, RelationHead(reg, cfg, np.random.default_rng(seed))
+
+
+def draw(rng, tau):
+    """A training draw for the head, which reads its generator and
+    temperature; m, the decoder's sample count, plays no part."""
+    return TrainDraw(rng, m=1, tau=tau)
 
 
 def states(rng, n=3, K=2, d=8):
@@ -119,7 +125,7 @@ class TestReduce:
         rng = np.random.default_rng(84)
         _, head = make_head()
         pred, rel = self.grouped(rng)
-        out_pred, out_rel = head.reduce_pairs(pred, rel, "infer")
+        out_pred, out_rel = head.reduce_pairs(pred, rel, None)
         np.testing.assert_array_equal(out_pred.data, pred.data.max(axis=-1))
         np.testing.assert_array_equal(out_rel.data, rel.data.max(axis=-1))
 
@@ -128,8 +134,7 @@ class TestReduce:
         _, head = make_head()
         pred, rel = self.grouped(rng)
         draws = np.random.default_rng(5)
-        out_pred, out_rel = head.reduce_pairs(pred, rel, "train", tau=1.0,
-                                              rng=copy.deepcopy(draws))
+        out_pred, out_rel = head.reduce_pairs(pred, rel, draw(copy.deepcopy(draws), 1.0))
         weights = gumbel_softmax(pred, 1.0, draws)
         np.testing.assert_allclose(weights.data.sum(axis=-1),
                                    np.ones(weights.shape[:-1]), atol=1e-12)
@@ -141,11 +146,10 @@ class TestReduce:
 
     def test_hard_mode_picks_single_slot(self):
         rng = np.random.default_rng(86)
-        _, head = make_head()
+        _, head = make_head(hard=True)
         pred, rel = self.grouped(rng)
         draws = np.random.default_rng(6)
-        out_pred, _ = head.reduce_pairs(pred, rel, "train", tau=0.7, rng=copy.deepcopy(draws),
-                                        hard=True)
+        out_pred, _ = head.reduce_pairs(pred, rel, draw(copy.deepcopy(draws), 0.7))
         weights = gumbel_softmax(pred, 0.7, draws, hard=True)
         w = weights.data
         assert set(np.unique(w)) <= {0.0, 1.0}
@@ -153,19 +157,6 @@ class TestReduce:
                                    np.ones(w.shape[:-1]), atol=1e-12)
         picked = (w * pred.data).sum(axis=-1)
         np.testing.assert_array_equal(out_pred.data, picked)
-
-    def test_train_requires_temperature(self):
-        """Training needs a temperature and a generator for the Gumbel
-        noise; an unknown mode raises too."""
-        rng = np.random.default_rng(87)
-        _, head = make_head()
-        pred, rel = self.grouped(rng)
-        with pytest.raises(ValueError):
-            head.reduce_pairs(pred, rel, "train", rng=rng)
-        with pytest.raises(ValueError, match="rng"):
-            head.reduce_pairs(pred, rel, "train", tau=1.0)
-        with pytest.raises(ValueError):
-            head.reduce_pairs(pred, rel, "blend")
 
 
 class TestScores:
@@ -186,11 +177,11 @@ class TestScores:
         _, head = make_head()
         sub, obj, sbox, obox = states(rng)
         query = queries((sub, obj), (sbox, obox))
-        out = head.forward(*query, mode="infer")
+        out = head.forward(*query, None)
         assert out.predicate_logits.shape == (3, 3, 3)
         assert out.relatedness_logits.shape == (3, 3)
         assert out.scores.shape == (3, 3, 3)
-        tr = head.forward(*query, mode="train", tau=2.0, rng=np.random.default_rng(0))
+        tr = head.forward(*query, draw(np.random.default_rng(0), 2.0))
         assert tr.predicate_logits.shape == (3, 3, 3)
         np.testing.assert_array_equal(np.diagonal(tr.scores,
                                                   axis1=1, axis2=2), 0.0)
