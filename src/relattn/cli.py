@@ -34,6 +34,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _out_file(path: str) -> str:
+    """An --out file path that can be written, checked as the arguments
+    are parsed, before any work."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is a directory, not a file path")
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise argparse.ArgumentTypeError(f"{path}: {folder} is not a writable directory")
+    return path
+
+
+def _out_dir(path: str) -> str:
+    """An --out directory that can be made or written, checked as the
+    arguments are parsed: its nearest existing path must be a writable
+    directory."""
+    existing = path
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing) or "."
+    if not os.path.isdir(existing) or not os.access(existing, os.W_OK):
+        raise argparse.ArgumentTypeError(f"{path}: {existing} is not a writable directory")
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="relattn",
                      description="Train and evaluate relationship decoders on synthetic scenes.")
@@ -41,12 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p_gen.add_argument("--spec", required=True, help="generator spec JSON")
-    p_gen.add_argument("--out", required=True, help="output directory for train/test JSON")
+    p_gen.add_argument("--out", required=True, type=_out_dir,
+                       help="output directory for train/test JSON")
 
     p_train = sub.add_parser("train", help="train a model")
     p_train.add_argument("--config", required=True, help="run configuration JSON")
     p_train.add_argument("--data", required=True, help="dataset directory")
-    p_train.add_argument("--out", required=True, help="output directory")
+    p_train.add_argument("--out", required=True, type=_out_dir, help="output directory")
     p_train.add_argument("--trace-pgla", action="store_true",
                          help="also write pgla_trace.csv")
 
@@ -57,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--k", type=int, nargs="+", default=list(DEFAULT_KS))
     p_eval.add_argument("--graph-constraint", action="store_true",
                         help="keep only each pair's best predicate before ranking")
-    p_eval.add_argument("--out", required=True, help="metrics CSV path")
+    p_eval.add_argument("--out", required=True, type=_out_file, help="metrics CSV path")
 
     p_pts = sub.add_parser("sample-points",
                            help="dump inference-grid representative points for one scene")
@@ -65,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pts.add_argument("--data", required=True)
     p_pts.add_argument("--split", default="test", choices=("train", "test"))
     p_pts.add_argument("--scene", type=int, default=0)
-    p_pts.add_argument("--out", required=True, help="points CSV path")
+    p_pts.add_argument("--out", required=True, type=_out_file, help="points CSV path")
     return parser
 
 
@@ -90,17 +114,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _check_out(path: str) -> None:
-    """Refuse an --out file path that cannot be written, before any work."""
-    folder = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        raise _UsageError(f"--out {path} is a directory, not a file path")
-    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
-        raise _UsageError(f"--out {path}: {folder} is not a writable directory")
-
-
 def _cmd_eval(args) -> int:
-    _check_out(args.out)
     rows = evaluate(args.checkpoint, args.data, split=args.split, ks=tuple(args.k),
                     graph_constraint=args.graph_constraint, out_csv=args.out)
     for _split, _task, metric, k, pred, value in rows:
@@ -112,7 +126,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sample_points(args) -> int:
-    _check_out(args.out)
     model, cfg = load_model(args.checkpoint)
     ds = load_split(cfg, args.data, args.split)
     if not 0 <= args.scene < len(ds.scenes):

@@ -123,11 +123,13 @@ class RunConfig:
     feature_noise_std: float = 0.05
 
     def validate(self) -> None:
-        if self.iterations <= 0:
-            raise ConfigError(f"iterations must be positive, got {self.iterations}")
-        for name in ("K", "d", "L_d", "h_G", "d_G", "h_R", "d_R", "h_A", "d_A"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("iterations", "learning_rate", "lr_multiplier_sampler"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("C", "P", "K", "d", "L_d", "h_G", "d_G", "h_R", "d_R", "h_A", "d_A"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.d % 4 != 0:
             raise ConfigError(f"d must be divisible by 4 for positional channels, got {self.d}")
         if self.scale_interpolation not in ("trilinear", "nearest"):
@@ -137,18 +139,11 @@ class RunConfig:
                 f"need 1 <= points_min <= points_max, got [{self.points_min}, {self.points_max}]")
         if self.infer_range_mult < 0 or self.infer_step_mult < 1:
             raise ConfigError("inference grid needs range_mult >= 0 and step_mult >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.lr_multiplier_sampler <= 0:
-            raise ConfigError(
-                f"lr_multiplier_sampler must be positive, got {self.lr_multiplier_sampler}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        for name in ("gamma_base", "weight_decay", "seed", "feature_noise_std"):
+        for name in ("gamma_base", "weight_decay", "seed", "feature_noise_std", "neg_ratio"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.neg_ratio < 0:
-            raise ConfigError(f"neg_ratio must be non-negative, got {self.neg_ratio}")
         if self.pgla_metric not in ("recall", "precision"):
             raise ConfigError(f"unknown pgla_metric {self.pgla_metric!r}")
         if self.lam <= 0:
@@ -159,10 +154,6 @@ class RunConfig:
         for key, weight in self.loss_weights.items():
             if weight < 0:
                 raise ConfigError(f"loss_weights {key!r} must be non-negative, got {weight}")
-        if self.C is not None and self.C < 1:
-            raise ConfigError(f"C must be >= 1, got {self.C}")
-        if self.P is not None and self.P < 1:
-            raise ConfigError(f"P must be >= 1, got {self.P}")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)

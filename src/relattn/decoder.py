@@ -25,7 +25,7 @@ from .params import LinearParams, ParameterRegistry, xavier
 from .sampler import GroupOffsetPredictor, TrainDraw, accumulate_points, \
     distinct_lattice_points, draw_offsets, inference_grid_offsets
 from .tensor import Tensor, add, concat, layer_norm, level_weights, matmul, point_sample, \
-    relu, reshape, sample_attention, softmax, swap_last, take, transpose
+    relu, reshape, sample_attention, softmax, swap_last, transpose
 
 
 ROLES = ("sub", "obj")
@@ -54,6 +54,12 @@ def norm_params(registry: ParameterRegistry, prefix: str, d: int) -> tuple:
     """Layer-norm gain and shift, registered as ``prefix.gain``/``.shift``."""
     return (registry.add(f"{prefix}.gain", np.ones(d)),
             registry.add(f"{prefix}.shift", np.zeros(d)))
+
+
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """Rows of ``heads`` equal column slices, heads first: [... x width]
+    to heads x rows x width/heads."""
+    return transpose(reshape(x, (-1, heads, x.shape[-1] // heads)), (1, 0, 2))
 
 
 def queries(states: tuple, boxes: tuple) -> tuple:
@@ -126,12 +132,12 @@ class GcaLayer:
         blend = reshape(blend, (N, m, table.shape[0]))
         if log_counts is not None:
             log_counts = log_counts.reshape(N, m)
-        q = transpose(reshape(self.wq(query), (N, h, dh)), (1, 0, 2))  # h,N,dh
+        q = split_heads(self.wq(query), h)  # h,N,dh
         wk = transpose(reshape(self.k_weight, (d, h, dh)), (1, 2, 0))  # h,dh,d
         q_key = transpose(matmul(q * (1.0 / math.sqrt(dh)), wk), (1, 0, 2))  # N,h,d
         pooled, weights = sample_attention(q_key, feats, blend, table, log_counts)
         pooled = transpose(pooled, (1, 0, 2))  # h,N,d
-        wv = transpose(reshape(self.v_weight, (d, h, dh)), (1, 0, 2))  # h,d,dh
+        wv = split_heads(self.v_weight, h)  # h,d,dh
         ctx = reshape(transpose(matmul(pooled, wv), (1, 0, 2)), (n, K, h * dh))
         out = layer_norm(add(state, self.out(add(ctx, self.v_bias))), *self.ln)
         if return_weights:
@@ -163,15 +169,12 @@ class RcaLayer:
         self.ln_attn = [norm_params(registry, f"{prefix}.ln.attn_{r}", d) for r in ROLES]
         self.ln_ffn = [norm_params(registry, f"{prefix}.ln.ffn_{r}", d) for r in ROLES]
 
-    def _split_heads(self, x: Tensor, N: int) -> Tensor:
-        return transpose(reshape(x, (N, self.heads, self.head_dim)), (1, 0, 2))
-
     def __call__(self, states: tuple, queries: tuple, return_weights: bool = False):
         n, K, d = states[0].shape
         N = n * K
         inputs = [reshape(q, (N, d)) for q in queries]
-        q = self._split_heads(self.wq(inputs[0]), N)
-        k = self._split_heads(self.wk(inputs[1]), N)
+        q = split_heads(self.wq(inputs[0]), self.heads)
+        k = split_heads(self.wk(inputs[1]), self.heads)
         logits = matmul(q, swap_last(k)) * (1.0 / math.sqrt(self.head_dim))  # h,N,N
         over_keys = softmax(logits, axis=-1)
         over_queries = softmax(logits, axis=1)
@@ -181,7 +184,7 @@ class RcaLayer:
         updated = []
         for r, x in enumerate(states):
             other = 1 - r
-            values = self._split_heads(self.wv[other](inputs[other]), N)
+            values = split_heads(self.wv[other](inputs[other]), self.heads)
             ctx = transpose(matmul(reads[r], values), (1, 0, 2))  # N,h,dh
             ctx = reshape(ctx, (N, self.heads * self.head_dim))
             x = layer_norm(add(reshape(x, (N, d)), self.out[r](ctx)), *self.ln_attn[r])
@@ -254,10 +257,9 @@ class DecoderStack:
         pe = build_positional_embeddings(volume, self.scale_embeds)
         states, boxes, p0 = self.init_state(detections, volume, pe)
         qs = queries(states, boxes)
-        n = len(detections)
-        result = DecodeResult(queries=qs)
-        points = [Tensor(p0.reshape(n, 1, 1, 3))] * 2
-        means = [Tensor(p0.reshape(n, 1, 3))] * 2
+        layer_means, layer_points = ([], []), ([], [])
+        points = [Tensor(p0[:, None, None])] * 2
+        means = [Tensor(p0[:, None])] * 2
         levels = pe.scale.shape[0]
 
         for layer in range(self.layers):
@@ -270,26 +272,21 @@ class DecoderStack:
                     offsets = draw_offsets(dist, draw.m, draw.rng)
                 points[r] = accumulate_points(points[r], offsets)
                 means[r] = add(means[r], dist.mu)
-                result.means[r].append(means[r])
-                result.points[r].append(points[r].data)
+                layer_means[r].append(means[r])
+                layer_points[r].append(points[r].data)
                 coords = snap_scale(points[r]) if self.nearest_scale else points[r]
-                # Features plus sinusoid in one sample of the folded volume;
-                # GCA joins the scale table through the level weights.
+                log_counts = None
                 if draw is None:
                     # Each distinct lattice point once, weighted by its
                     # number of copies; the coordinates enter as constants.
                     lattice = distinct_lattice_points(coords.data)
-                    distinct = Tensor(lattice.points)
-                    feats = take(point_sample(pe.folded, distinct), lattice.index)
-                    blend = take(level_weights(distinct, levels), lattice.index)
-                    log_counts = lattice.log_counts
-                else:
-                    feats = point_sample(pe.folded, coords)
-                    blend = level_weights(coords, levels)
-                    log_counts = None
+                    coords, log_counts = Tensor(lattice.points), lattice.log_counts
+                # Features plus sinusoid in one sample of the folded volume;
+                # GCA joins the scale table through the level weights.
+                feats = point_sample(pe.folded, coords)
+                blend = level_weights(coords, levels)
                 updated.append(self.gca[layer][r](x, q, feats, blend, pe.scale, log_counts))
             states = self.rca[layer](updated, queries(updated, boxes))
             qs = queries(states, boxes)
 
-        result.queries = qs
-        return result
+        return DecodeResult(queries=qs, means=layer_means, points=layer_points)

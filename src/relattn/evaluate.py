@@ -29,10 +29,10 @@ def load_model(checkpoint_path: str) -> tuple:
         raise CheckpointError(f"checkpoint {checkpoint_path} records no run configuration")
     try:
         cfg = RunConfig.from_dict(meta["config"])
+        model = RelationModel(cfg, np.random.default_rng([cfg.seed, 0]))
     except ConfigError as exc:
         raise CheckpointError(
             f"checkpoint {checkpoint_path} records an invalid run configuration: {exc}") from exc
-    model = RelationModel(cfg, np.random.default_rng([cfg.seed, 0]))
     try:
         model.registry.load_state_dict(state)
     except ValueError as exc:

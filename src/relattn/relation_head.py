@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, RunConfig
+from .decoder import split_heads
 from .evalkit import offdiagonal
 from .params import LinearParams, ParameterRegistry
 from .sampler import TrainDraw
@@ -68,9 +69,8 @@ class RelationHead:
         and every object query (each n x K x d), plus a learned per-head
         bias: h x nK x nK."""
         n, K, d = sub.shape
-        N, h, dh = n * K, self.heads, self.head_dim
-        q = transpose(reshape(self.wq(reshape(sub, (N, d))), (N, h, dh)), (1, 0, 2))
-        k = transpose(reshape(self.wk(reshape(obj, (N, d))), (N, h, dh)), (1, 0, 2))
+        q = split_heads(self.wq(reshape(sub, (n * K, d))), self.heads)
+        k = split_heads(self.wk(reshape(obj, (n * K, d))), self.heads)
         scaled = matmul(q, swap_last(k)) * (1.0 / math.sqrt(self.head_dim))
         return add(scaled, reshape(self.head_bias, (self.heads, 1, 1)))
 

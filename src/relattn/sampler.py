@@ -110,10 +110,9 @@ def accumulate_points(prev: Tensor, delta: Tensor) -> Tensor:
 class LatticePoints:
     """The distinct points of a lattice, (entity, group) by (entity,
     group), and how often each occurs. m is the largest group's distinct
-    count; a group with fewer pads its row of ``index`` with its first
-    point and its row of ``log_counts`` with -inf."""
-    points: np.ndarray      # M x 3, each group's distinct points in lattice order
-    index: np.ndarray       # n x K x m rows of ``points``
+    count; a group with fewer pads its rows with its first point, whose
+    log count there is -inf."""
+    points: np.ndarray      # n x K x m x 3, each group's distinct points in lattice order
     log_counts: np.ndarray  # n x K x m log of each point's number of copies
 
 
@@ -154,15 +153,16 @@ def distinct_lattice_points(points: np.ndarray) -> LatticePoints:
     lx, ly, ls = (_run_lengths(v) for v in
                   (grid[:, :, 0, 0, 0], grid[:, 0, :, 0, 1], grid[:, 0, 0, :, 2]))
     counts = (lx[:, :, None, None] * ly[:, None, :, None] * ls[:, None, None, :]).reshape(N, -1)
-    rows, cols = np.nonzero(counts)
-    per_group = np.bincount(rows, minlength=N)
-    first = np.cumsum(per_group) - per_group
-    slots = np.arange(rows.size) - first[rows]
+    distinct = counts > 0
+    per_group = distinct.sum(axis=1)
     m = int(per_group.max())
-    index = np.repeat(first[:, None], m, axis=1)
-    index[rows, slots] = np.arange(rows.size)
+    filled = np.arange(m) < per_group[:, None]
+    # Lattice point 0 starts a run on every axis, so it is each group's
+    # first distinct point; padding rows repeat it.
+    flat = grid.reshape(N, -1, 3)
+    padded = np.repeat(flat[:, :1], m, axis=1)
+    padded[filled] = flat[distinct]
     log_counts = np.full((N, m), -np.inf)
-    log_counts[rows, slots] = np.log(counts[rows, cols])
-    return LatticePoints(points=grid.reshape(N, -1, 3)[rows, cols],
-                         index=index.reshape(lead + (m,)),
+    log_counts[filled] = np.log(counts[distinct])
+    return LatticePoints(points=padded.reshape(lead + (m, 3)),
                          log_counts=log_counts.reshape(lead + (m,)))

@@ -44,14 +44,12 @@ TRACE_COLUMNS = ("iteration", "predicate", "r", "W", "B")
 
 def resolve_config(cfg: RunConfig, ds: Dataset) -> RunConfig:
     """Fill C and P from the dataset, or verify them when set."""
-    if cfg.C is None:
-        cfg.C = ds.C
-    elif cfg.C != ds.C:
-        raise ConfigError(f"config C={cfg.C} but dataset has C={ds.C}")
-    if cfg.P is None:
-        cfg.P = ds.P
-    elif cfg.P != ds.P:
-        raise ConfigError(f"config P={cfg.P} but dataset has P={ds.P}")
+    for name in ("C", "P"):
+        have, want = getattr(cfg, name), getattr(ds, name)
+        if have is None:
+            setattr(cfg, name, want)
+        elif have != want:
+            raise ConfigError(f"config {name}={have} but dataset has {name}={want}")
     cfg.validate()
     return cfg
 

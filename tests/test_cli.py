@@ -322,16 +322,26 @@ class TestExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["eval", "sample-points"])
+    @pytest.mark.parametrize("command", ["eval", "sample-points", "train", "gen-data"])
     def test_unwritable_out(self, pipeline, tmp_path, capsys, command):
-        """An --out in a missing directory, or one that is a directory, is
-        refused before the checkpoint is read: the checkpoint path here
-        does not exist, which would be a runtime failure (exit 2) if it
-        were loaded first."""
-        _, _, data_dir, _ = pipeline
-        for out in (tmp_path / "missing" / "out.csv", tmp_path):
-            code = main([command, "--checkpoint", str(tmp_path / "absent.ckpt"),
-                         "--data", str(data_dir), "--out", str(out)])
+        """An --out file in a missing directory, or one that is a
+        directory, and an --out directory that is a file or lies under one,
+        are refused before any input is read: the checkpoint, dataset and
+        spec paths here do not exist, which would be a runtime failure
+        (exit 2) or another error if they were read first."""
+        _, cfg_path, _, _ = pipeline
+        absent = tmp_path / "absent"
+        (tmp_path / "file").write_text("")
+        inputs = {"eval": ["--checkpoint", str(absent), "--data", str(absent)],
+                  "sample-points": ["--checkpoint", str(absent), "--data", str(absent)],
+                  "train": ["--config", str(cfg_path), "--data", str(absent)],
+                  "gen-data": ["--spec", str(absent)]}[command]
+        if command in ("eval", "sample-points"):
+            outs = (tmp_path / "missing" / "out.csv", tmp_path)
+        else:
+            outs = (tmp_path / "file", tmp_path / "file" / "run")
+        for out in outs:
+            code = main([command, *inputs, "--out", str(out)])
             assert code == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and "--out" in err
@@ -349,7 +359,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["eval", "sample-points"])
     @pytest.mark.parametrize("case", ["invalid-config", "wrong-parameters",
-                                      "mistyped-config"])
+                                      "mistyped-config", "unresolved-config"])
     def test_unusable_checkpoint(self, pipeline, tmp_path, capsys, command, case):
         """A checkpoint that records an invalid or mistyped configuration,
         or holds parameters that do not fit its model, is a malformed
@@ -360,6 +370,8 @@ class TestExitCodes:
             config["d"] = 30
         elif case == "mistyped-config":
             config["pgla"] = "yes"
+        elif case == "unresolved-config":
+            config["C"] = None
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, {"a": np.zeros(2)}, {"config": config})
         code = main([command, "--checkpoint", str(ckpt), "--data", str(data_dir),
@@ -370,7 +382,8 @@ class TestExitCodes:
         assert len(err) < 300
         assert {"invalid-config": "d must be divisible by 4",
                 "wrong-parameters": "1 unexpected ['a']",
-                "mistyped-config": "'pgla' must be true or false"}[case] in err
+                "mistyped-config": "'pgla' must be true or false",
+                "unresolved-config": "needs C and P resolved"}[case] in err
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command, field, value", [

@@ -429,11 +429,11 @@ class TestDistinctLatticeInfer:
             lattice = distinct_lattice_points(points)
             counts = np.isfinite(lattice.log_counts).sum(axis=-1)
             for i, k in np.ndindex(counts.shape):
-                rows = lattice.index[i, k, :counts[i, k]]
+                got = lattice.points[i, k, :counts[i, k]]
                 unique, copies = np.unique(points[i, k], axis=0, return_counts=True)
                 assert counts[i, k] == len(unique)
-                order = np.lexsort(lattice.points[rows].T[::-1])
-                np.testing.assert_array_equal(lattice.points[rows][order], unique)
+                order = np.lexsort(got.T[::-1])
+                np.testing.assert_array_equal(got[order], unique)
                 np.testing.assert_allclose(np.exp(lattice.log_counts[i, k, :counts[i, k]])[order],
                                            copies, rtol=1e-12)
             distinct.append(counts)

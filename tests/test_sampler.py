@@ -160,9 +160,27 @@ class TestDistinctLatticePoints:
         lattice = np.stack([jx.ravel(), jy.ravel(), js.ravel()], axis=-1)
         points = np.broadcast_to(lattice, (2, 1, side ** 3, 3))
         got = distinct_lattice_points(points)
-        np.testing.assert_array_equal(got.points, np.concatenate([lattice, lattice]))
-        np.testing.assert_array_equal(got.index[1, 0], side ** 3 + np.arange(side ** 3))
+        np.testing.assert_array_equal(got.points, points)
+        np.testing.assert_array_equal(got.points[1, 0, :side ** 3], lattice)
         np.testing.assert_array_equal(got.log_counts, np.zeros((2, 1, side ** 3)))
+
+    def test_padding_repeats_the_first_point(self):
+        """A group with fewer distinct points than the largest fills its
+        remaining rows with its first point, which is lattice point 0, and
+        only those rows hold a -inf log count."""
+        mu = Tensor(np.array([[[0.5, 0.5, 0.5], [0.0, 1.0, 0.02]]]))
+        sigma = Tensor(np.full((1, 2, 3), 0.1))
+        offsets = inference_grid_offsets(OffsetDistribution(mu, sigma), 3, 1)
+        points = accumulate_points(Tensor(np.zeros((1, 2, 1, 3))), offsets).data
+        got = distinct_lattice_points(points)
+        distinct = [len(np.unique(points[0, k], axis=0)) for k in range(2)]
+        assert distinct == [343, 80] and got.points.shape == (1, 2, 343, 3)
+        np.testing.assert_array_equal(np.isneginf(got.log_counts[0]),
+                                      np.arange(343) >= np.array(distinct)[:, None])
+        np.testing.assert_array_equal(got.points[0, 1, 80:],
+                                      np.broadcast_to(points[0, 1, 0], (263, 3)))
+        np.testing.assert_array_equal(got.points[0, :, 0], points[0, :, 0])
+        np.testing.assert_allclose(np.exp(got.log_counts).sum(axis=-1), 343, rtol=1e-12)
 
     @pytest.mark.parametrize("m", [2, 26, 28, 342])
     def test_rejects_a_point_count_that_is_not_a_cube(self, m):

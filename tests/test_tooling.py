@@ -29,7 +29,7 @@ SHARED_NAMES = {
     "tensor.exp": "sampler.GroupOffsetPredictor.__call__",
     "tensor.matmul": "tensor.linear",
     "tensor.reshape": "sampler.draw_offsets",
-    "tensor.take": "decoder.DecoderStack.decode",
+    "tensor.take": "tensor.Tensor.__getitem__",
     "tensor.transpose": "tensor.swap_last",
 }
 LIBRARY_ATTRIBUTES = frozenset(name for owner in (np, np.ndarray, np.random.Generator, dict,
