@@ -20,12 +20,12 @@ import numpy as np
 
 from .config import RunConfig
 from .data import SCALE_LEVELS
-from .features import PositionalEmbeddings, build_positional_embeddings
+from .features import build_positional_embeddings, sinusoidal_grid
 from .params import LinearParams, ParameterRegistry, xavier
 from .sampler import GroupOffsetPredictor, TrainDraw, accumulate_points, \
     distinct_lattice_points, draw_offsets, inference_grid_offsets
 from .tensor import Tensor, add, concat, layer_norm, level_weights, matmul, point_sample, \
-    relu, reshape, sample_attention, softmax, swap_last, transpose
+    relu, reshape, sample_attention, softmax, transpose
 
 
 ROLES = ("sub", "obj")
@@ -60,6 +60,12 @@ def split_heads(x: Tensor, heads: int) -> Tensor:
     """Rows of ``heads`` equal column slices, heads first: [... x width]
     to heads x rows x width/heads."""
     return transpose(reshape(x, (-1, heads, x.shape[-1] // heads)), (1, 0, 2))
+
+
+def split_keys(x: Tensor, heads: int) -> Tensor:
+    """Keys laid out for a query product, heads first with rows last:
+    [... x width] to heads x width/heads x rows."""
+    return transpose(reshape(x, (-1, heads, x.shape[-1] // heads)), (1, 2, 0))
 
 
 def queries(states: tuple, boxes: tuple) -> tuple:
@@ -133,10 +139,8 @@ class GcaLayer:
         if log_counts is not None:
             log_counts = log_counts.reshape(N, m)
         q = split_heads(self.wq(query), h)  # h,N,dh
-        wk = transpose(reshape(self.k_weight, (d, h, dh)), (1, 2, 0))  # h,dh,d
-        q_key = transpose(matmul(q * (1.0 / math.sqrt(dh)), wk), (1, 0, 2))  # N,h,d
-        pooled, weights = sample_attention(q_key, feats, blend, table, log_counts)
-        pooled = transpose(pooled, (1, 0, 2))  # h,N,d
+        q_key = matmul(q * (1.0 / math.sqrt(dh)), split_keys(self.k_weight, h))  # h,N,d
+        pooled, weights = sample_attention(q_key, feats, blend, table, log_counts)  # h,N,d
         wv = split_heads(self.v_weight, h)  # h,d,dh
         ctx = reshape(transpose(matmul(pooled, wv), (1, 0, 2)), (n, K, h * dh))
         out = layer_norm(add(state, self.out(add(ctx, self.v_bias))), *self.ln)
@@ -174,13 +178,13 @@ class RcaLayer:
         N = n * K
         inputs = [reshape(q, (N, d)) for q in queries]
         q = split_heads(self.wq(inputs[0]), self.heads)
-        k = split_heads(self.wk(inputs[1]), self.heads)
-        logits = matmul(q, swap_last(k)) * (1.0 / math.sqrt(self.head_dim))  # h,N,N
+        k = split_keys(self.wk(inputs[1]), self.heads)
+        logits = matmul(q, k) * (1.0 / math.sqrt(self.head_dim))  # h,N,N
         over_keys = softmax(logits, axis=-1)
         over_queries = softmax(logits, axis=1)
         # Subjects read object values over keys; objects read subject
         # values over queries.
-        reads = (over_keys, swap_last(over_queries))
+        reads = (over_keys, transpose(over_queries, (0, 2, 1)))
         updated = []
         for r, x in enumerate(states):
             other = 1 - r
@@ -228,11 +232,11 @@ class DecoderStack:
                 for r in ROLES))
             self.rca.append(RcaLayer(registry, f"{prefix}.rca", d, config.h_R, config.d_R, rng))
 
-    def init_state(self, detections: list, volume: np.ndarray, pe: PositionalEmbeddings) -> tuple:
+    def init_state(self, detections: list, volume: np.ndarray) -> tuple:
         """Initial (subject, object) states from class embeddings + center
         features, and (subject, object) box embeddings, each n x 1 x d, from
-        positional codes at the two box corners. Also returns the n x 3
-        initial points."""
+        positional codes (sinusoid plus scale embedding) at the two box
+        corners. Also returns the n x 3 initial points."""
         n, d = len(detections), self.d
         classes = np.array([det.class_label for det in detections], dtype=np.intp)
         p0 = initial_points(detections)
@@ -243,8 +247,9 @@ class DecoderStack:
         xy = np.array([det.box for det in detections], dtype=np.float64).reshape(n, 2, 2)
         corners = Tensor(np.concatenate(  # 2 x n x 3: top-left, bottom-right
             [xy.transpose(1, 0, 2), np.broadcast_to(p0[:, 2:], (2, n, 1))], axis=-1))
-        scale = matmul(level_weights(corners, pe.scale.shape[0]), pe.scale)
-        codes = add(add(point_sample(pe.grid, corners), scale),
+        grid = sinusoidal_grid(*volume.shape[1:])[None]  # 1 x H x W x d
+        scale = matmul(level_weights(corners, SCALE_LEVELS), self.scale_embeds)
+        codes = add(add(point_sample(grid, corners), scale),
                     reshape(self.corner_embeds, (2, 1, d)))
         box = reshape(self.box_proj(reshape(transpose(codes, (1, 0, 2)), (n, 2 * d))),
                       (n, 1, d))
@@ -254,13 +259,12 @@ class DecoderStack:
     def decode(self, detections: list, volume: np.ndarray, draw: TrainDraw | None) -> DecodeResult:
         """Sample points drawn at random with a training draw, or on the
         inference lattice without one."""
-        pe = build_positional_embeddings(volume, self.scale_embeds)
-        states, boxes, p0 = self.init_state(detections, volume, pe)
+        folded = build_positional_embeddings(volume)
+        states, boxes, p0 = self.init_state(detections, volume)
         qs = queries(states, boxes)
         layer_means, layer_points = ([], []), ([], [])
         points = [Tensor(p0[:, None, None])] * 2
         means = [Tensor(p0[:, None])] * 2
-        levels = pe.scale.shape[0]
 
         for layer in range(self.layers):
             updated = []
@@ -283,9 +287,10 @@ class DecoderStack:
                     coords, log_counts = Tensor(lattice.points), lattice.log_counts
                 # Features plus sinusoid in one sample of the folded volume;
                 # GCA joins the scale table through the level weights.
-                feats = point_sample(pe.folded, coords)
-                blend = level_weights(coords, levels)
-                updated.append(self.gca[layer][r](x, q, feats, blend, pe.scale, log_counts))
+                feats = point_sample(folded, coords)
+                blend = level_weights(coords, SCALE_LEVELS)
+                updated.append(self.gca[layer][r](x, q, feats, blend, self.scale_embeds,
+                                                  log_counts))
             states = self.rca[layer](updated, queries(updated, boxes))
             qs = queries(states, boxes)
 

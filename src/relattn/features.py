@@ -3,19 +3,18 @@
 Volumes are 5 x H x W x d: five scale levels over a grid at 1/8 of the
 image resolution. Synthetic appearance features place one Gaussian blob
 per entity on its scale level; positional embeddings are fixed 2-d
-sinusoids shared across levels plus a learnable per-level embedding.
+sinusoids shared across levels, folded into the volume here, plus the
+decoder's learnable per-level embedding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConfigError
 from .data import SCALE_LEVELS, SceneSample, grid_shape, scene_feature_rng
-from .tensor import Tensor
 
 _PE_CACHE: dict = {}
 
@@ -50,36 +49,21 @@ def sinusoidal_grid(H: int, W: int, d: int) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
-class PositionalEmbeddings:
-    """The positional code of one scene in factored form.
+def build_positional_embeddings(volume: np.ndarray) -> np.ndarray:
+    """The 5 x H x W x d feature volume (an array: data, not a tape node)
+    with the cached sinusoid grid folded in, once per forward.
 
-    The code at (x, y, s) is the sinusoid at (x, y) plus the scale
-    embedding at level s. It is never built as a 5 x H x W x d volume:
+    The positional code at (x, y, s) is the sinusoid at (x, y) plus the
+    decoder's scale embedding at level s. It is never built as a volume:
     `point_sample` is linear in the volume and the sinusoid is the same
     on every level, so sampling features plus code at c equals
     `point_sample(folded, c) + level_weights(c, 5) @ scale`. Nor is the
     scale part formed per sample: GCA takes the level weights and the
     table apart (see `GcaLayer`).
     """
-
-    folded: np.ndarray  # 5 x H x W x d feature volume plus the sinusoid grid
-    grid: np.ndarray    # 1 x H x W x d sinusoid grid
-    scale: Tensor       # 5 x d learnable scale embeddings
-
-
-def build_positional_embeddings(volume: np.ndarray, scale_embeds: Tensor) -> PositionalEmbeddings:
-    """Factored positional code for a 5 x H x W x d feature volume (an
-    array: data, not a tape node), with the cached sinusoid grid folded
-    into the volume once per forward."""
     if volume.ndim != 4 or volume.shape[0] != SCALE_LEVELS:
         raise ConfigError(f"feature volume must be {SCALE_LEVELS} x H x W x d, got {volume.shape}")
-    _, H, W, d = volume.shape
-    if scale_embeds.shape != (SCALE_LEVELS, d):
-        raise ConfigError(
-            f"scale embeddings must be {(SCALE_LEVELS, d)}, got {scale_embeds.shape}")
-    grid = sinusoidal_grid(H, W, d)
-    return PositionalEmbeddings(folded=volume + grid, grid=grid[None], scale=scale_embeds)
+    return volume + sinusoidal_grid(*volume.shape[1:])
 
 
 def class_signatures(dataset_seed: int, C: int, d: int) -> np.ndarray:

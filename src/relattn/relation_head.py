@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .decoder import split_heads
+from .decoder import split_heads, split_keys
 from .evalkit import offdiagonal
 from .params import LinearParams, ParameterRegistry
 from .sampler import TrainDraw
 from .tensor import Tensor, _sigmoid_np, add, gumbel_softmax, matmul, mul, reshape, \
-    swap_last, tmax, transpose, tsum
+    tmax, transpose, tsum
 
 TAU_START = 10.0
 TAU_END = 0.5
@@ -70,8 +70,8 @@ class RelationHead:
         bias: h x nK x nK."""
         n, K, d = sub.shape
         q = split_heads(self.wq(reshape(sub, (n * K, d))), self.heads)
-        k = split_heads(self.wk(reshape(obj, (n * K, d))), self.heads)
-        scaled = matmul(q, swap_last(k)) * (1.0 / math.sqrt(self.head_dim))
+        k = split_keys(self.wk(reshape(obj, (n * K, d))), self.heads)
+        scaled = matmul(q, k) * (1.0 / math.sqrt(self.head_dim))
         return add(scaled, reshape(self.head_bias, (self.heads, 1, 1)))
 
     def group_pairs(self, logits: Tensor, n: int, K: int) -> tuple:

@@ -114,9 +114,6 @@ class Tensor:
 
     # -- operator sugar --------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -228,13 +225,6 @@ def transpose(a, axes: tuple) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def swap_last(a) -> Tensor:
-    """Transpose the trailing two axes, keeping batch axes fixed."""
-    a = _coerce(a)
-    axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    return transpose(a, axes)
-
-
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = [_coerce(t) for t in tensors]
     try:
@@ -297,7 +287,7 @@ def tsum(a, axis=None) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def tmax(a, axis=None, keepdims=False) -> Tensor:
+def tmax(a, axis, keepdims=False) -> Tensor:
     """Maximum reduction. Ties split the gradient equally, a valid
     subgradient that keeps the check deterministic."""
     a = _coerce(a)
@@ -305,12 +295,10 @@ def tmax(a, axis=None, keepdims=False) -> Tensor:
     src_shape = a.data.shape
 
     def backward(g):
-        full = data if keepdims or axis is None else np.expand_dims(
-            data, axis if isinstance(axis, tuple) else (axis,))
+        full = data if keepdims else np.expand_dims(data, axis)
         mask = (a.data == full).astype(a.data.dtype)
-        counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-        gg = g if keepdims or axis is None else np.expand_dims(
-            g, axis if isinstance(axis, tuple) else (axis,))
+        counts = mask.sum(axis=axis, keepdims=True)
+        gg = g if keepdims else np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(gg, src_shape) * mask / counts)
 
     return _node(data, (a,), backward)
@@ -654,16 +642,18 @@ def sample_attention(queries, feats, blend, table, log_counts=None) -> tuple:
     """Softmax attention of each state's queries over the state's own
     samples x = feats + blend . table, without forming x.
 
-    queries: N x h x d, h queries for each of N states, already scaled;
-    feats: N x m x d samples; blend: N x m x S their level weights;
-    table: S x d. x enters only through two products,
+    queries: h x N x d, h queries for each of N states, heads first as
+    `decoder.split_heads` lays them out, already scaled; feats: N x m x d
+    samples; blend: N x m x S their level weights; table: S x d. x enters
+    only through two products,
 
     - scores = queries . xT = queries . featsT + (queries . tableT) . blendT,
     - pooled = w . x = w . feats + (w . blend) . table,
 
     with w the softmax of the scores over the m samples. Returns the
-    N x h x d pooled samples, one tape node with the gradients of all four
-    inputs, and the N x h x m weights w as a constant tensor.
+    h x N x d pooled samples, heads first like the queries, one tape node
+    with the gradients of all four inputs, and the N x h x m weights w as
+    a constant tensor.
 
     log_counts, an optional N x m constant array, is added to the scores.
     A sample that stands for c equal samples carries log c: the softmax
@@ -673,9 +663,11 @@ def sample_attention(queries, feats, blend, table, log_counts=None) -> tuple:
     since the counts are constants.
     """
     queries, feats, blend, table = (_coerce(t) for t in (queries, feats, blend, table))
-    # Scores are taken as (N, m, h) products against contiguous (N, d, h)
-    # keys, the fastest layout for numpy's batched matmul here.
-    k = np.ascontiguousarray(np.swapaxes(queries.data, 1, 2))
+    # The products run state first: scores are taken as (N, m, h) products
+    # against contiguous (N, d, h) keys, the fastest layout for numpy's
+    # batched matmul here.
+    q = queries.data.transpose(1, 0, 2)  # N,h,d
+    k = np.ascontiguousarray(np.swapaxes(q, 1, 2))
     table_k = table.data @ k  # N,S,h
     scores = feats.data @ k
     scores += blend.data @ table_k
@@ -690,6 +682,7 @@ def sample_attention(queries, feats, blend, table, log_counts=None) -> tuple:
     pooled += w_blend @ table.data
 
     def backward(g):
+        g = g.transpose(1, 0, 2)  # N,h,d
         g_blend = g @ table.data.T  # N,h,S
         gw = g @ np.swapaxes(feats.data, 1, 2)
         gw += g_blend @ np.swapaxes(blend.data, 1, 2)
@@ -697,13 +690,13 @@ def sample_attention(queries, feats, blend, table, log_counts=None) -> tuple:
         gs_blend = gs @ blend.data  # N,h,S
         wt, gst = np.swapaxes(w, 1, 2), np.swapaxes(gs, 1, 2)
         if queries.requires_grad:
-            queries._accumulate(gs @ feats.data + gs_blend @ table.data)
+            queries._accumulate((gs @ feats.data + gs_blend @ table.data).transpose(1, 0, 2))
         if feats.requires_grad:
-            feats._accumulate(wt @ g + gst @ queries.data)
+            feats._accumulate(wt @ g + gst @ q)
         if blend.requires_grad:
             blend._accumulate(wt @ g_blend + gst @ np.swapaxes(table_k, 1, 2))
         if table.requires_grad:
             table._accumulate(np.einsum("nhs,nhd->sd", w_blend, g)
-                              + np.einsum("nhs,nhd->sd", gs_blend, queries.data))
+                              + np.einsum("nhs,nhd->sd", gs_blend, q))
 
-    return _node(pooled, (queries, feats, blend, table), backward), Tensor(w)
+    return _node(pooled.transpose(1, 0, 2), (queries, feats, blend, table), backward), Tensor(w)

@@ -32,7 +32,6 @@ class TrainingError(RuntimeError):
 class TrainResult:
     checkpoint_path: str
     log_path: str
-    trace_path: str | None
     iterations: int
     final_losses: dict
 
@@ -160,10 +159,7 @@ def train(cfg: RunConfig, data_dir: str, out_dir: str, trace: bool = False) -> T
     save_checkpoint(ckpt_path, model.registry.arrays(), meta={"config": cfg.to_dict()})
     log_path = os.path.join(out_dir, "train_log.csv")
     write_csv(log_path, LOG_COLUMNS, log_rows)
-    trace_path = None
     if trace:
-        trace_path = os.path.join(out_dir, "pgla_trace.csv")
-        write_csv(trace_path, TRACE_COLUMNS, trace_rows)
+        write_csv(os.path.join(out_dir, "pgla_trace.csv"), TRACE_COLUMNS, trace_rows)
     return TrainResult(checkpoint_path=ckpt_path, log_path=log_path,
-                       trace_path=trace_path, iterations=cfg.iterations,
-                       final_losses=breakdown)
+                       iterations=cfg.iterations, final_losses=breakdown)

@@ -254,6 +254,7 @@ def full_lattice_infer_oracle(model, scene, volume):
     included, and attends over all of them with equal standing. Returns
     the final (subject, object) query arrays and the relation scores.
     """
+    from relattn.data import SCALE_LEVELS
     from relattn.decoder import queries, snap_scale
     from relattn.features import build_positional_embeddings
     from relattn.sampler import accumulate_points, inference_grid_offsets
@@ -262,8 +263,8 @@ def full_lattice_infer_oracle(model, scene, volume):
     cfg, decoder = model.config, model.decoder
     n = len(scene.entities)
     with no_grad():
-        pe = build_positional_embeddings(volume, decoder.scale_embeds)
-        states, boxes, p0 = decoder.init_state(scene.entities, volume, pe)
+        folded = build_positional_embeddings(volume)
+        states, boxes, p0 = decoder.init_state(scene.entities, volume)
         qs = queries(states, boxes)
         points = [Tensor(p0.reshape(n, 1, 1, 3)), Tensor(p0.reshape(n, 1, 1, 3))]
         for layer in range(decoder.layers):
@@ -275,9 +276,10 @@ def full_lattice_infer_oracle(model, scene, volume):
                 coords = points[r]
                 if cfg.scale_interpolation == "nearest":
                     coords = snap_scale(coords)
-                feats = point_sample(pe.folded, coords)
-                blend = level_weights(coords, pe.scale.shape[0])
-                updated.append(decoder.gca[layer][r](states[r], qs[r], feats, blend, pe.scale))
+                feats = point_sample(folded, coords)
+                blend = level_weights(coords, SCALE_LEVELS)
+                updated.append(decoder.gca[layer][r](states[r], qs[r], feats, blend,
+                                                     decoder.scale_embeds))
             states = decoder.rca[layer](updated, queries(updated, boxes))
             qs = queries(states, boxes)
         scores = model.head.forward(*qs, None).scores

@@ -495,7 +495,8 @@ def test_criterion_09_lambda_tradeoff(tail_data, tail_runs):
     signs_match = True
     cfgs = [desk_config(seed=5, lam=lam) for lam in lams]
     for lam, cfg, (result, rows) in zip(lams, cfgs, tail_runs(cfgs)):
-        with open(result.trace_path, encoding="utf-8", newline="") as fh:
+        trace_path = os.path.join(os.path.dirname(result.log_path), "pgla_trace.csv")
+        with open(trace_path, encoding="utf-8", newline="") as fh:
             last = [row for row in csv.DictReader(fh)
                     if int(row["iteration"]) == cfg.iterations - 1]
         r = np.array([float(row["r"]) for row in last])

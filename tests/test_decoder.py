@@ -13,7 +13,7 @@ from relattn.decoder import (
     queries,
     snap_scale,
 )
-from relattn.features import build_positional_embeddings
+from relattn.features import sinusoidal_grid
 from relattn.gradcheck import check_gradients, check_parameter_gradients
 from relattn.model import RelationModel
 from relattn.params import ParameterRegistry
@@ -84,8 +84,10 @@ class TestInitState:
         rng = np.random.default_rng(69)
         reg, stack = make_stack()
         vol = rng.standard_normal((5, 6, 6, 8))
-        pe = build_positional_embeddings(vol, Tensor(rng.standard_normal((5, 8))))
-        _, boxes, _ = stack.init_state(detections(), vol, pe)
+        scale = parameter(reg, "embeds.scale").data
+        scale[...] = rng.standard_normal((5, 8))
+        _, boxes, _ = stack.init_state(detections(), vol)
+        grid = sinusoidal_grid(6, 6, 8)[None]
         w = parameter(reg, "decoder.box_proj.weight").data
         b = parameter(reg, "decoder.box_proj.bias").data
         corner = parameter(reg, "decoder.corner_embeds").data
@@ -95,7 +97,7 @@ class TestInitState:
             codes = []
             for k, (x, y) in enumerate(((x0, y0), (x1, y1))):
                 c = Tensor(np.array([x, y, det.scale_level / 4.0]))
-                code = point_sample(pe.grid, c).data + level_weights(c, 5).data @ pe.scale.data
+                code = point_sample(grid, c).data + level_weights(c, 5).data @ scale
                 codes.append(code + corner[k])
             box = np.concatenate(codes) @ w + b
             np.testing.assert_allclose(boxes[0].data[i, 0], box + role[0], atol=1e-12)
@@ -356,8 +358,7 @@ class TestDecode:
         vol = volume(rng)
         res = stack.decode(detections(), vol, train_draw(1, m=3))
         mid = first.decode(detections(), vol, train_draw(1, m=3)).queries
-        pe = build_positional_embeddings(vol, stack.scale_embeds)
-        states, boxes, p0 = stack.init_state(detections(), vol, pe)
+        states, boxes, p0 = stack.init_state(detections(), vol)
         init = queries(states, boxes)
         for r, means in enumerate(res.means):
             reads = [q[r] for q in (init, mid)]

@@ -13,7 +13,7 @@ from relattn.features import (
     sinusoidal_grid,
     synthesize_features,
 )
-from relattn.tensor import Tensor, level_weights, matmul, point_sample
+from relattn.tensor import Tensor, add, level_weights, matmul, point_sample
 
 
 class TestSinusoidalGrid:
@@ -48,28 +48,25 @@ class TestSinusoidalGrid:
 
 class TestPositionalEmbeddings:
     def test_scale_embedding_shifts_each_level(self):
-        """At every lattice node, the folded sample plus the level weights
-        times the scale table is the feature plus the sinusoid plus that
+        """The folded volume is the volume plus the sinusoid on every
+        level, and at every lattice node its sample plus the level weights
+        times a scale table is the feature plus the sinusoid plus that
         level's scale embedding."""
         rng = np.random.default_rng(50)
         volume = rng.standard_normal((5, 4, 4, 8))
-        scale = rng.standard_normal((5, 8))
-        pe = build_positional_embeddings(volume, Tensor(scale))
+        scale = Tensor(rng.standard_normal((5, 8)))
+        folded = build_positional_embeddings(volume)
         base = sinusoidal_grid(4, 4, 8)
-        np.testing.assert_array_equal(pe.grid[0], base)
-        np.testing.assert_array_equal(pe.folded, volume + base)
+        np.testing.assert_array_equal(folded, volume + base)
         for s in range(5):
-            nodes = np.array([[x / 3, y / 3, s / 4] for y in range(4) for x in range(4)])
-            got = (point_sample(pe.folded, Tensor(nodes))
-                   + matmul(level_weights(Tensor(nodes), 5), pe.scale)).data.reshape(4, 4, 8)
-            np.testing.assert_allclose(got, volume[s] + base + scale[s], atol=1e-12)
+            nodes = Tensor(np.array([[x / 3, y / 3, s / 4] for y in range(4) for x in range(4)]))
+            got = add(point_sample(folded, nodes),
+                      matmul(level_weights(nodes, 5), scale)).data.reshape(4, 4, 8)
+            np.testing.assert_allclose(got, volume[s] + base + scale.data[s], atol=1e-12)
 
-    def test_rejects_wrong_scale_shape(self):
-        volume = np.zeros((5, 4, 4, 8))
+    def test_rejects_wrong_volume_shape(self):
         with pytest.raises(ConfigError):
-            build_positional_embeddings(volume, Tensor(np.zeros((4, 8))))
-        with pytest.raises(ConfigError):
-            build_positional_embeddings(np.zeros((4, 4, 4, 8)), Tensor(np.zeros((5, 8))))
+            build_positional_embeddings(np.zeros((4, 4, 4, 8)))
 
 
 class TestVolumes:

@@ -175,7 +175,7 @@ class TestTapeSize:
         """One desk-config training step records a fixed number of tape
         nodes; a change that grows the tape has to update this count."""
         _, train_ds, _ = tiny_data
-        assert tape_nodes(self.desk_training_loss(train_ds)) == 256
+        assert tape_nodes(self.desk_training_loss(train_ds)) == 250
 
     def test_every_recorded_node_reaches_the_loss(self, tiny_data, monkeypatch):
         """Every node that one training step records lies on a path to the
@@ -306,14 +306,14 @@ class TestTraining:
         result = train(tiny_config(), data_dir, str(out), trace=True)
         assert os.path.exists(result.checkpoint_path)
         assert os.path.exists(result.log_path)
-        assert os.path.exists(result.trace_path)
+        assert os.path.exists(out / "pgla_trace.csv")
         assert result.iterations == 12
         assert np.isfinite(result.final_losses["total"])
         log_lines = Path(result.log_path).read_text().splitlines()
         assert log_lines[0] == ("iteration,focal_predicate,mask,margin_rank,"
                                 "rep_point_margin,total")
         assert len(log_lines) == 13
-        trace_lines = Path(result.trace_path).read_text().splitlines()
+        trace_lines = (out / "pgla_trace.csv").read_text().splitlines()
         assert trace_lines[0] == "iteration,predicate,r,W,B"
         assert len(trace_lines) == 1 + 12 * 2
 

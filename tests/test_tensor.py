@@ -27,7 +27,6 @@ from relattn.tensor import (
     softplus,
     standard_gumbel,
     sub,
-    swap_last,
     take,
     tmax,
     transpose,
@@ -74,8 +73,6 @@ class TestForward:
             reshape(Tensor(a), (5, 6)).data, a.reshape(5, 6))
         np.testing.assert_allclose(
             transpose(Tensor(a), (1, 0, 2)).data, a.transpose(1, 0, 2))
-        np.testing.assert_allclose(
-            swap_last(Tensor(a)).data, np.swapaxes(a, -1, -2))
 
     def test_reductions(self):
         rng = np.random.default_rng(3)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from relattn.gradcheck import check_gradients
 from relattn.tensor import Tensor, add, level_weights, matmul, mul, reshape, sample_attention, \
-    softmax, swap_last, take, transpose, tsum
+    softmax, take, transpose, tsum
 
 from helpers import backward_from
 
@@ -164,7 +164,7 @@ class TestSampleAttention:
     @given(N=dims, h=dims, m=dims, d=dims, S=dims, seed=seeds)
     def test_matches_composed_tape_ops(self, N, h, m, d, S, seed):
         """The fused op equals the same attention built from matmul, add,
-        swap_last and softmax, whose gradients are checked against central
+        transpose and softmax, whose gradients are checked against central
         differences on their own: pooled samples, weights, and the
         gradients of the queries, samples, level weights and table, to
         rounding. (A direct central-difference check of the fused op on
@@ -172,16 +172,16 @@ class TestSampleAttention:
         saturates, gradient entries near 1e-8 carry relative errors far
         above the tolerance on either form.)"""
         rng = np.random.default_rng(seed)
-        data = [rng.standard_normal(shape) for shape in ((N, h, d), (N, m, d), (N, m, S), (S, d))]
-        g = rng.standard_normal((N, h, d))
+        data = [rng.standard_normal(shape) for shape in ((h, N, d), (N, m, d), (N, m, S), (S, d))]
+        g = rng.standard_normal((h, N, d))
         fused = [Tensor(x, requires_grad=True) for x in data]
         pooled, weights = sample_attention(*fused)
         backward_from(pooled, g)
         q, feats, blend, table = composed = [Tensor(x, requires_grad=True) for x in data]
-        keys = swap_last(q)
+        keys = transpose(q, (1, 2, 0))
         scores = add(matmul(feats, keys), matmul(blend, matmul(table, keys)))
-        w = swap_last(softmax(scores, axis=1))
-        want = add(matmul(w, feats), matmul(matmul(w, blend), table))
+        w = transpose(softmax(scores, axis=1), (0, 2, 1))
+        want = transpose(add(matmul(w, feats), matmul(matmul(w, blend), table)), (1, 0, 2))
         backward_from(want, g)
         np.testing.assert_allclose(weights.data, w.data, rtol=0, atol=1e-13)
         np.testing.assert_allclose(pooled.data, want.data, rtol=0, atol=1e-12)
@@ -204,9 +204,9 @@ class TestSampleAttention:
         rng = np.random.default_rng(seed)
         counts = rng.integers(1, 4, (N, m))
         log_counts = np.concatenate([np.log(counts), np.full((N, pad), -np.inf)], axis=1)
-        q, table = rng.standard_normal((N, h, d)), rng.standard_normal((S, d))
+        q, table = rng.standard_normal((h, N, d)), rng.standard_normal((S, d))
         feats, blend = rng.standard_normal((N, m + pad, d)), rng.standard_normal((N, m + pad, S))
-        g = rng.standard_normal((N, h, d))
+        g = rng.standard_normal((h, N, d))
         distinct = [Tensor(x, requires_grad=True) for x in (q, feats, blend, table)]
         pooled, weights = sample_attention(*distinct, log_counts)
         backward_from(pooled, g)
@@ -214,16 +214,16 @@ class TestSampleAttention:
         for i in range(N):
             copies = np.repeat(np.arange(m), counts[i])
             each = [Tensor(x, requires_grad=True)
-                    for x in (q[i:i + 1], feats[i:i + 1, copies], blend[i:i + 1, copies], table)]
+                    for x in (q[:, i:i + 1], feats[i:i + 1, copies], blend[i:i + 1, copies], table)]
             want, w = sample_attention(*each)
-            backward_from(want, g[i:i + 1])
+            backward_from(want, g[:, i:i + 1])
             table_grad += each[3].grad
             tol = 1e-12 * max(1.0, np.abs(want.data).max())
-            np.testing.assert_allclose(pooled.data[i], want.data[0], rtol=0, atol=tol)
+            np.testing.assert_allclose(pooled.data[:, i], want.data[:, 0], rtol=0, atol=tol)
             summed = np.zeros((h, m))
             np.add.at(summed, (slice(None), copies), w.data[0])
             np.testing.assert_allclose(weights.data[i, :, :m], summed, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(distinct[0].grad[i], each[0].grad[0], rtol=0,
+            np.testing.assert_allclose(distinct[0].grad[:, i], each[0].grad[:, 0], rtol=0,
                                        atol=1e-12 * max(1.0, np.abs(each[0].grad).max()))
             for got, full in ((distinct[1].grad, each[1].grad), (distinct[2].grad, each[2].grad)):
                 folded = np.zeros((m, full.shape[-1]))

@@ -1,6 +1,7 @@
 """The benchmark's instrumentation still finds every entry point it wraps,
-every program function has a caller in the program, and the program
-passes every optional parameter it declares."""
+every program function has a caller in the program, the program passes
+every optional parameter it declares, and it reads every dataclass field
+it declares."""
 
 import ast
 import importlib.util
@@ -22,7 +23,7 @@ SHARED_NAMES = {
     "decoder.DecoderStack.decode": "model.RelationModel.forward",
     "params.Parameter.data": "optim.AdamW.step",
     "params.ParameterRegistry.add": "params.LinearParams.__init__",
-    "tensor.Tensor.ndim": "tensor.swap_last",
+    "tensor.Tensor.ndim": "tensor.matmul",
     "tensor.Tensor.shape": "decoder.GcaLayer.__call__",
     "tensor.add": "tensor.linear",
     "tensor.concat": "decoder.snap_scale",
@@ -30,7 +31,7 @@ SHARED_NAMES = {
     "tensor.matmul": "tensor.linear",
     "tensor.reshape": "sampler.draw_offsets",
     "tensor.take": "tensor.Tensor.__getitem__",
-    "tensor.transpose": "tensor.swap_last",
+    "tensor.transpose": "decoder.split_heads",
 }
 LIBRARY_ATTRIBUTES = frozenset(name for owner in (np, np.ndarray, np.random.Generator, dict,
                                                   list, set, str, bytes, tuple)
@@ -135,6 +136,34 @@ def test_names_shared_with_the_library_have_a_program_caller():
     for qualname, caller in SHARED_NAMES.items():
         name = qualname.rsplit(".", 1)[-1]
         assert referenced_names(defs[caller])[name] > 0, f"{caller} no longer calls {name}"
+
+
+def dataclass_fields(tree):
+    """(class name, field name) of each field of each dataclass defined at
+    the top level of an AST."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    """Each field of a dataclass under `src/relattn/` is read as `.field`
+    somewhere in `src/` or `perfbench/`: a field that the program only
+    fills is dead weight in its interface, and one that only tests read
+    is a test convenience. Reads are matched by the bare attribute name,
+    as the caller check above matches functions."""
+    trees = program_trees()
+    reads = Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = [f"{path.name} {cls}.{name}" for path, tree in trees.items()
+              if path.parent.name == "relattn"
+              for cls, name in dataclass_fields(tree) if reads[name] == 0]
+    assert unread == []
 
 
 def callee(call: ast.Call) -> str | None:
