@@ -22,10 +22,10 @@ from .config import RunConfig
 from .data import SCALE_LEVELS
 from .features import build_positional_embeddings, sinusoidal_grid
 from .params import LinearParams, ParameterRegistry, xavier
-from .sampler import GroupOffsetPredictor, TrainDraw, accumulate_points, \
+from .sampler import GroupOffsetPredictor, LatticePoints, TrainDraw, accumulate_points, \
     distinct_lattice_points, draw_offsets, inference_grid_offsets
 from .tensor import Tensor, add, concat, layer_norm, level_weights, matmul, point_sample, \
-    relu, reshape, sample_attention, softmax, transpose
+    relu, reshape, sample_attention, segment_attention, softmax, transpose
 
 
 ROLES = ("sub", "obj")
@@ -107,7 +107,9 @@ class GcaLayer:
 
     and the table meets the samples only through their S level weights.
     `sample_attention` takes both products, the softmax between them and
-    their gradients as one tape node.
+    their gradients as one tape node. At inference each state reads its
+    own segment of distinct lattice points, each weighted by its number
+    of copies, through the forward-only `segment_attention`.
 
     ``k`` has no bias: a key bias adds the same logit to every sample of
     a query and cancels in the softmax. Neither ``k`` nor ``v`` runs as a
@@ -127,25 +129,30 @@ class GcaLayer:
         self.ln = norm_params(registry, f"{prefix}.ln", d)
 
     def __call__(self, state: Tensor, query: Tensor, feats: Tensor, blend: Tensor,
-                 table: Tensor, log_counts: np.ndarray = None, return_weights: bool = False):
-        """feats: n x K x m x d samples; blend: their n x K x m x S level
-        weights; table: the S x d scale table; log_counts: None, or the
-        n x K x m log number of copies each sample stands for (-inf on
-        padding), as `sample_attention` reads them."""
+                 table: Tensor, lattice: LatticePoints | None = None,
+                 return_weights: bool = False):
+        """table: the S x d scale table. With lattice None, feats: n x K x
+        m x d samples and blend: their n x K x m x S level weights, and the
+        weights returned are n x K x h x m. With a lattice, feats: M x d
+        samples of its distinct points and blend: their M x S level
+        weights, and the weights returned are M x h."""
         n, K, d = state.shape
-        N, m, h, dh = n * K, feats.shape[2], self.heads, self.head_dim
-        feats = reshape(feats, (N, m, d))
-        blend = reshape(blend, (N, m, table.shape[0]))
-        if log_counts is not None:
-            log_counts = log_counts.reshape(N, m)
+        N, h, dh = n * K, self.heads, self.head_dim
         q = split_heads(self.wq(query), h)  # h,N,dh
         q_key = matmul(q * (1.0 / math.sqrt(dh)), split_keys(self.k_weight, h))  # h,N,d
-        pooled, weights = sample_attention(q_key, feats, blend, table, log_counts)  # h,N,d
+        if lattice is None:
+            m, S = feats.shape[2], table.shape[0]
+            pooled, weights = sample_attention(q_key, reshape(feats, (N, m, d)),
+                                               reshape(blend, (N, m, S)), table)  # h,N,d
+            weights = reshape(weights, (n, K, h, m))
+        else:
+            pooled, weights = segment_attention(q_key, feats, blend, table,
+                                                lattice.log_counts, lattice.starts)
         wv = split_heads(self.v_weight, h)  # h,d,dh
         ctx = reshape(transpose(matmul(pooled, wv), (1, 0, 2)), (n, K, h * dh))
         out = layer_norm(add(state, self.out(add(ctx, self.v_bias))), *self.ln)
         if return_weights:
-            return out, reshape(weights, (n, K, h, m))
+            return out, weights
         return out
 
 
@@ -279,18 +286,18 @@ class DecoderStack:
                 layer_means[r].append(means[r])
                 layer_points[r].append(points[r].data)
                 coords = snap_scale(points[r]) if self.nearest_scale else points[r]
-                log_counts = None
+                lattice = None
                 if draw is None:
                     # Each distinct lattice point once, weighted by its
                     # number of copies; the coordinates enter as constants.
                     lattice = distinct_lattice_points(coords.data)
-                    coords, log_counts = Tensor(lattice.points), lattice.log_counts
+                    coords = Tensor(lattice.points)
                 # Features plus sinusoid in one sample of the folded volume;
                 # GCA joins the scale table through the level weights.
                 feats = point_sample(folded, coords)
                 blend = level_weights(coords, SCALE_LEVELS)
                 updated.append(self.gca[layer][r](x, q, feats, blend, self.scale_embeds,
-                                                  log_counts))
+                                                  lattice))
             states = self.rca[layer](updated, queries(updated, boxes))
             qs = queries(states, boxes)
 

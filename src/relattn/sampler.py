@@ -12,6 +12,7 @@ copies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,12 +109,13 @@ def accumulate_points(prev: Tensor, delta: Tensor) -> Tensor:
 
 @dataclass
 class LatticePoints:
-    """The distinct points of a lattice, (entity, group) by (entity,
-    group), and how often each occurs. m is the largest group's distinct
-    count; a group with fewer pads its rows with its first point, whose
-    log count there is -inf."""
-    points: np.ndarray      # n x K x m x 3, each group's distinct points in lattice order
-    log_counts: np.ndarray  # n x K x m log of each point's number of copies
+    """The distinct points of a lattice and how often each occurs, with no
+    padding: the N (entity, group) groups in order, each one contiguous
+    segment ``points[starts[g]:starts[g + 1]]`` of its distinct points in
+    lattice order."""
+    points: np.ndarray      # M x 3 distinct points, group by group
+    log_counts: np.ndarray  # M log of each point's number of copies
+    starts: np.ndarray      # N + 1 row offsets: group g is rows starts[g] to starts[g + 1]
 
 
 def _run_lengths(values: np.ndarray) -> np.ndarray:
@@ -134,7 +136,9 @@ def distinct_lattice_points(points: np.ndarray) -> LatticePoints:
     """The distinct points of n x K x m x 3 lattice points, as
     `inference_grid_offsets` and `accumulate_points` lay them out (then
     snapped or not): m = side^3 points, side per axis. An m that is not a
-    cube raises ValueError.
+    cube raises ValueError. Returns the M distinct points of the N = n K
+    groups, each group one contiguous segment that starts with its
+    lattice point 0 (which starts a run on every axis).
 
     Each coordinate of a point depends only on its own lattice step, and
     is non-decreasing in it: sigma > 0, and the clamp, the sum over
@@ -144,25 +148,18 @@ def distinct_lattice_points(points: np.ndarray) -> LatticePoints:
     lengths. No sort over the points is needed. (Were a value to recur
     after another, its runs would stand as separate points with their own
     counts, which attention over them would weigh the same.)"""
-    lead, total = points.shape[:-2], points.shape[-2]
+    total = points.shape[-2]
     side = round(total ** (1 / 3))
     if side ** 3 != total:
         raise ValueError(f"{total} lattice points per group is not a cube")
-    grid = points.reshape(-1, side, side, side, 3)
-    N = grid.shape[0]
+    N = math.prod(points.shape[:-2])
+    grid = points.reshape(N, side, side, side, 3)
     lx, ly, ls = (_run_lengths(v) for v in
                   (grid[:, :, 0, 0, 0], grid[:, 0, :, 0, 1], grid[:, 0, 0, :, 2]))
-    counts = (lx[:, :, None, None] * ly[:, None, :, None] * ls[:, None, None, :]).reshape(N, -1)
+    counts = (lx[:, :, None, None] * ly[:, None, :, None] * ls[:, None, None, :]).reshape(N, total)
     distinct = counts > 0
-    per_group = distinct.sum(axis=1)
-    m = int(per_group.max())
-    filled = np.arange(m) < per_group[:, None]
-    # Lattice point 0 starts a run on every axis, so it is each group's
-    # first distinct point; padding rows repeat it.
-    flat = grid.reshape(N, -1, 3)
-    padded = np.repeat(flat[:, :1], m, axis=1)
-    padded[filled] = flat[distinct]
-    log_counts = np.full((N, m), -np.inf)
-    log_counts[filled] = np.log(counts[distinct])
-    return LatticePoints(points=padded.reshape(lead + (m, 3)),
-                         log_counts=log_counts.reshape(lead + (m,)))
+    starts = np.zeros(N + 1, dtype=np.intp)
+    np.cumsum(distinct.sum(axis=1), out=starts[1:])
+    # Boolean indexing walks the groups in order, each in lattice order.
+    return LatticePoints(points=grid.reshape(N, total, 3)[distinct],
+                         log_counts=np.log(counts[distinct]), starts=starts)

@@ -638,7 +638,7 @@ def level_weights(coords, levels: int) -> Tensor:
     return _node(blend.reshape(lead + (levels,)), (coords,), backward)
 
 
-def sample_attention(queries, feats, blend, table, log_counts=None) -> tuple:
+def sample_attention(queries, feats, blend, table) -> tuple:
     """Softmax attention of each state's queries over the state's own
     samples x = feats + blend . table, without forming x.
 
@@ -653,14 +653,9 @@ def sample_attention(queries, feats, blend, table, log_counts=None) -> tuple:
     with w the softmax of the scores over the m samples. Returns the
     h x N x d pooled samples, heads first like the queries, one tape node
     with the gradients of all four inputs, and the N x h x m weights w as
-    a constant tensor.
-
-    log_counts, an optional N x m constant array, is added to the scores.
-    A sample that stands for c equal samples carries log c: the softmax
-    over all the copies equals the softmax over the distinct samples with
-    log c added, and so does the pooled sum, up to rounding. A padding
-    sample carries -inf and gets weight 0. The backward pass is the same,
-    since the counts are constants.
+    a constant tensor. Every state has the same m samples: a training
+    draw's. `segment_attention` is the inference form over segments of
+    any length.
     """
     queries, feats, blend, table = (_coerce(t) for t in (queries, feats, blend, table))
     # The products run state first: scores are taken as (N, m, h) products
@@ -671,8 +666,6 @@ def sample_attention(queries, feats, blend, table, log_counts=None) -> tuple:
     table_k = table.data @ k  # N,S,h
     scores = feats.data @ k
     scores += blend.data @ table_k
-    if log_counts is not None:
-        scores += log_counts[:, :, None]
     scores -= scores.max(axis=1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=1, keepdims=True)
@@ -700,3 +693,50 @@ def sample_attention(queries, feats, blend, table, log_counts=None) -> tuple:
                               + np.einsum("nhs,nhd->sd", gs_blend, q))
 
     return _node(pooled.transpose(1, 0, 2), (queries, feats, blend, table), backward), Tensor(w)
+
+
+def segment_attention(queries, feats, blend, table, log_counts, starts) -> tuple:
+    """`sample_attention` over segments of unequal length, forward only:
+    the inference form, over each state's distinct lattice points.
+
+    queries: h x N x d, as there; feats: M x d samples and blend: their
+    M x S level weights, state g's samples the rows starts[g] to
+    starts[g + 1] (starts: N + 1 offsets, from 0 to M); table: S x d;
+    log_counts: the M constant logs of each sample's number of copies,
+    added to its scores. The softmax over all the copies equals the
+    softmax over the distinct samples with log c added, and so does the
+    pooled sum, up to rounding. Each segment takes the products of
+    `sample_attention` in the same order, so with log counts of 0 a
+    state's weights and pooled sample equal, to the bit, those of
+    `sample_attention` over its segment alone. Returns the h x N x d pooled samples, heads first, and the M x h
+    weights as a constant tensor.
+
+    It has no backward pass: one that reaches it raises, rather than
+    leaving the gradients of its inputs silently at zero.
+    """
+    queries, feats, blend, table = (_coerce(t) for t in (queries, feats, blend, table))
+    q = queries.data.transpose(1, 0, 2)  # N,h,d
+    k = np.ascontiguousarray(np.swapaxes(q, 1, 2))
+    table_k = table.data @ k  # N,S,h
+    N, h, d = q.shape
+    pooled = np.empty((N, h, d))
+    weights = np.empty((len(log_counts), h))
+    for g, rows in enumerate(map(slice, starts[:-1], starts[1:])):
+        f, b = feats.data[rows], blend.data[rows]
+        scores = f @ k[g]  # m_g,h
+        scores += b @ table_k[g]
+        scores += log_counts[rows, None]
+        scores -= scores.max(axis=0)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=0)
+        weights[rows] = scores
+        w = np.ascontiguousarray(scores.T)  # h,m_g
+        pooled[g] = w @ f
+        pooled[g] += (w @ b) @ table.data
+
+    def backward(grad):
+        raise RuntimeError("segment_attention is forward only; "
+                           "a training forward attends through sample_attention")
+
+    return _node(pooled.transpose(1, 0, 2), (queries, feats, blend, table), backward), \
+        Tensor(weights)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from relattn import decoder
 from relattn.config import RunConfig
 from relattn.data import EntityDetection, SceneSample
 from relattn.decoder import (
@@ -17,7 +18,7 @@ from relattn.features import sinusoidal_grid
 from relattn.gradcheck import check_gradients, check_parameter_gradients
 from relattn.model import RelationModel
 from relattn.params import ParameterRegistry
-from relattn.sampler import TrainDraw, distinct_lattice_points, grid_steps
+from relattn.sampler import LatticePoints, TrainDraw, distinct_lattice_points, grid_steps
 from relattn.tensor import Tensor, add, level_weights, mul, no_grad, point_sample, tsum
 
 from helpers import parameter
@@ -159,11 +160,11 @@ class TestGca:
     def test_matches_unfolded_numpy_reference(self):
         """Forming x = feats + blend . table in full, projecting a key and a
         value for every sample, splitting heads, attending and projecting
-        out gives the layer's output and weights. In the counted form,
-        sample j stands for c_j copies through log c_j and two -inf
-        padding samples follow: the reference attends over each state's
-        samples repeated c_j times, and a sample's weight is the sum over
-        its copies."""
+        out gives the layer's output and weights. In the lattice form,
+        state (i, k) reads the compact segment of its samples j with
+        c_j > 0 copies, each through log c_j: the reference attends over
+        each state's samples repeated c_j times, and a sample's weight is
+        the sum over its copies."""
         reg, layer, (state, box, feats, coords, table) = self.make_random(74)
         blend = level_weights(coords, table.shape[0])
         p = {name: parameter(reg, f"g.{name}").data for name in
@@ -198,17 +199,42 @@ class TestGca:
         np.testing.assert_allclose(weights.data, want_weights, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
-        counts = np.random.default_rng(77).integers(1, 5, (n, K, m))
-        pad = np.random.default_rng(78).standard_normal((n, K, 2, d))
-        padded_feats = Tensor(np.concatenate([feats.data, pad], axis=2))
-        padded_blend = Tensor(np.concatenate([blend.data, blend.data[:, :, :2]], axis=2))
-        log_counts = np.concatenate([np.log(counts), np.full((n, K, 2), -np.inf)], axis=2)
-        out, weights = layer(state, add(state, box), padded_feats, padded_blend, table,
-                             log_counts, return_weights=True)
+        counts, lattice = self.compact_counts(77, n, K, m, coords)
+        kept = counts > 0
+        out, weights = layer(state, add(state, box), Tensor(feats.data[kept]),
+                             Tensor(blend.data[kept]), table, lattice, return_weights=True)
         want, want_weights = reference(counts)
-        np.testing.assert_allclose(weights.data[..., :m], want_weights, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(weights.data[..., m:], 0.0)
+        assert weights.shape == (kept.sum(), h)
+        np.testing.assert_allclose(weights.data, want_weights.transpose(0, 1, 3, 2)[kept],
+                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def compact_counts(seed, n, K, m, coords):
+        """Copies per sample, 0 to 4, with state (0, 0) reading one sample
+        and every state at least one, and the lattice of the kept samples:
+        segments of unequal length."""
+        counts = np.random.default_rng(seed).integers(0, 5, (n, K, m))
+        counts[..., 0] = np.maximum(counts[..., 0], 1)
+        counts[0, 0] = [3] + [0] * (m - 1)
+        kept = counts > 0
+        starts = np.concatenate([[0], np.cumsum(kept.reshape(n * K, m).sum(axis=1))])
+        return counts, LatticePoints(points=coords.data[kept], log_counts=np.log(counts[kept]),
+                                     starts=starts)
+
+    def test_lattice_weights_sum_to_one_per_segment(self):
+        """With a lattice, the weights are one row per distinct sample, and
+        each segment's rows sum to one in every head."""
+        _, layer, (state, box, feats, coords, table) = self.make_random(79)
+        n, K, m, _ = feats.shape
+        counts, lattice = self.compact_counts(80, n, K, m, coords)
+        kept = counts > 0
+        blend = level_weights(Tensor(coords.data[kept]), table.shape[0])
+        _, weights = layer(state, add(state, box), Tensor(feats.data[kept]), blend, table,
+                           lattice, return_weights=True)
+        assert weights.shape == (kept.sum(), 2)
+        sums = np.add.reduceat(weights.data, lattice.starts[:-1], axis=0)
+        np.testing.assert_allclose(sums, np.ones((n * K, 2)), rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         """Every parameter, k.weight and v.bias among them, the feats and
@@ -428,14 +454,15 @@ class TestDistinctLatticeInfer:
             if cfg.scale_interpolation == "nearest":
                 points = snap_scale(Tensor(points)).data
             lattice = distinct_lattice_points(points)
-            counts = np.isfinite(lattice.log_counts).sum(axis=-1)
-            for i, k in np.ndindex(counts.shape):
-                got = lattice.points[i, k, :counts[i, k]]
+            counts = np.diff(lattice.starts).reshape(len(entities), cfg.K)
+            for g, (i, k) in enumerate(np.ndindex(counts.shape)):
+                rows = slice(lattice.starts[g], lattice.starts[g + 1])
+                got = lattice.points[rows]
                 unique, copies = np.unique(points[i, k], axis=0, return_counts=True)
                 assert counts[i, k] == len(unique)
                 order = np.lexsort(got.T[::-1])
                 np.testing.assert_array_equal(got[order], unique)
-                np.testing.assert_allclose(np.exp(lattice.log_counts[i, k, :counts[i, k]])[order],
+                np.testing.assert_allclose(np.exp(lattice.log_counts[rows])[order],
                                            copies, rtol=1e-12)
             distinct.append(counts)
         return distinct
@@ -467,3 +494,44 @@ class TestDistinctLatticeInfer:
         entities = [EntityDetection((0.40, 0.40, 0.60, 0.60), 2, 1), self.ENTITIES[0]]
         for counts in self.check(model, entities):
             assert np.all(counts[0] == 343)
+
+    @pytest.mark.parametrize("overrides", [{}, {"L_d": 2, "scale_interpolation": "nearest"}])
+    def test_samples_each_distinct_point_once(self, overrides, monkeypatch):
+        """Each role and layer samples the folded volume at as many rows as
+        np.unique finds distinct points over the full lattice: no padding
+        row is sampled."""
+        model = self.model(**overrides)
+        cfg = model.config
+        scene = SceneSample(image_size=(256, 256), entities=self.ENTITIES, triplets=[])
+        volume = np.random.default_rng(93).standard_normal((5, 6, 6, cfg.d))
+        rows = []
+
+        def counting_sample(vol, coords):
+            rows.append(int(np.prod(coords.shape[:-1])))
+            return point_sample(vol, coords)
+
+        monkeypatch.setattr(decoder, "point_sample", counting_sample)
+        with no_grad():
+            out = model.forward(scene, volume)
+        # init_state samples the centres and the box corners first.
+        sampled = rows[2:]
+        assert len(sampled) == 2 * cfg.L_d
+        for layer in range(cfg.L_d):
+            for r in range(2):
+                points = out.decode.points[r][layer]
+                if cfg.scale_interpolation == "nearest":
+                    points = snap_scale(Tensor(points)).data
+                unique = sum(len(np.unique(group, axis=0))
+                             for group in points.reshape(-1, points.shape[-2], 3))
+                assert sampled[2 * layer + r] == unique
+        assert sum(sampled) < 2 * cfg.L_d * len(self.ENTITIES) * cfg.K * 343
+
+    def test_backward_through_inference_raises(self):
+        """An inference forward records its tape with gradients on, but a
+        backward pass through its forward-only attention raises."""
+        model = self.model()
+        scene = SceneSample(image_size=(256, 256), entities=self.ENTITIES, triplets=[])
+        volume = np.random.default_rng(94).standard_normal((5, 6, 6, model.config.d))
+        out = model.forward(scene, volume)
+        with pytest.raises(RuntimeError, match="forward only"):
+            tsum(out.decode.queries[0]).backward()

@@ -160,27 +160,40 @@ class TestDistinctLatticePoints:
         lattice = np.stack([jx.ravel(), jy.ravel(), js.ravel()], axis=-1)
         points = np.broadcast_to(lattice, (2, 1, side ** 3, 3))
         got = distinct_lattice_points(points)
-        np.testing.assert_array_equal(got.points, points)
-        np.testing.assert_array_equal(got.points[1, 0, :side ** 3], lattice)
-        np.testing.assert_array_equal(got.log_counts, np.zeros((2, 1, side ** 3)))
+        np.testing.assert_array_equal(got.points, points.reshape(-1, 3))
+        np.testing.assert_array_equal(got.log_counts, np.zeros(2 * side ** 3))
+        np.testing.assert_array_equal(got.starts, [0, side ** 3, 2 * side ** 3])
 
-    def test_padding_repeats_the_first_point(self):
-        """A group with fewer distinct points than the largest fills its
-        remaining rows with its first point, which is lattice point 0, and
-        only those rows hold a -inf log count."""
-        mu = Tensor(np.array([[[0.5, 0.5, 0.5], [0.0, 1.0, 0.02]]]))
-        sigma = Tensor(np.full((1, 2, 3), 0.1))
+    def test_groups_are_contiguous_segments(self):
+        """Each (entity, group) is one segment of its distinct points, with
+        no padding: the segments tile the rows in group order, each starts
+        with its group's lattice point 0, and its counts add up to the
+        side^3 lattice points. An entity past the far corner folds to a
+        one-row segment."""
+        mu = Tensor(np.array([[[0.5, 0.5, 0.5], [0.0, 1.0, 0.02]],
+                              [[2.0, 2.0, 2.0], [0.3, 0.6, 0.9]]]))
+        sigma = Tensor(np.full((2, 2, 3), 0.1))
         offsets = inference_grid_offsets(OffsetDistribution(mu, sigma), 3, 1)
-        points = accumulate_points(Tensor(np.zeros((1, 2, 1, 3))), offsets).data
+        points = accumulate_points(Tensor(np.zeros((2, 2, 1, 3))), offsets).data
         got = distinct_lattice_points(points)
-        distinct = [len(np.unique(points[0, k], axis=0)) for k in range(2)]
-        assert distinct == [343, 80] and got.points.shape == (1, 2, 343, 3)
-        np.testing.assert_array_equal(np.isneginf(got.log_counts[0]),
-                                      np.arange(343) >= np.array(distinct)[:, None])
-        np.testing.assert_array_equal(got.points[0, 1, 80:],
-                                      np.broadcast_to(points[0, 1, 0], (263, 3)))
-        np.testing.assert_array_equal(got.points[0, :, 0], points[0, :, 0])
-        np.testing.assert_allclose(np.exp(got.log_counts).sum(axis=-1), 343, rtol=1e-12)
+        groups = points.reshape(4, 343, 3)
+        distinct = [len(np.unique(group, axis=0)) for group in groups]
+        assert distinct[:3] == [343, 80, 1]
+        M = sum(distinct)
+        assert got.points.shape == (M, 3) and got.log_counts.shape == (M,)
+        assert got.starts[0] == 0 and got.starts[-1] == M
+        assert np.all(np.diff(got.starts) >= 0)
+        np.testing.assert_array_equal(np.diff(got.starts), distinct)
+        for g, group in enumerate(groups):
+            rows = slice(got.starts[g], got.starts[g + 1])
+            np.testing.assert_array_equal(got.points[rows][0], group[0])
+            assert np.rint(np.exp(got.log_counts[rows])).sum() == 343
+        np.testing.assert_array_equal(got.points[got.starts[2]], [1.0, 1.0, 1.0])
+
+    def test_no_groups_give_empty_segments(self):
+        got = distinct_lattice_points(np.zeros((0, 2, 27, 3)))
+        assert got.points.shape == (0, 3) and got.log_counts.shape == (0,)
+        np.testing.assert_array_equal(got.starts, [0])
 
     @pytest.mark.parametrize("m", [2, 26, 28, 342])
     def test_rejects_a_point_count_that_is_not_a_cube(self, m):

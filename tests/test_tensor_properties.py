@@ -4,11 +4,12 @@ model uses and for broadcasting. Examples are derandomized, so every run
 checks the same cases."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from relattn.gradcheck import check_gradients
 from relattn.tensor import Tensor, add, level_weights, matmul, mul, reshape, sample_attention, \
-    softmax, take, transpose, tsum
+    segment_attention, softmax, take, transpose, tsum
 
 from helpers import backward_from
 
@@ -190,52 +191,42 @@ class TestSampleAttention:
                                        atol=1e-12 * max(1.0, np.abs(b.grad).max()))
 
     @PROPERTY
-    @given(N=dims, h=dims, m=dims, pad=st.integers(min_value=0, max_value=2), d=dims, S=dims,
-           seed=seeds)
-    def test_log_counts_stand_for_repeated_samples(self, N, h, m, pad, d, S, seed):
-        """Attention over m distinct samples with log c_j added to their
-        scores, plus `pad` padding samples at -inf, equals attention over
-        each state's samples with sample j repeated c_j times, to
-        rounding: the pooled samples, the weights (summed over a sample's
-        copies), the gradients of the queries and the table, and the
-        gradients of the samples and their level weights, summed over the
-        copies. The padding samples get weight 0 and zero gradients, and
-        their values change nothing."""
+    @given(lengths=st.lists(dims, min_size=1, max_size=3).map(lambda rest: [1] + rest), h=dims,
+           d=dims, S=dims, seed=seeds)
+    def test_log_counts_stand_for_repeated_samples(self, lengths, h, d, S, seed):
+        """`segment_attention` over segments of distinct samples, each
+        with log c_j added to its scores, equals `sample_attention` over
+        each state's segment with sample j repeated c_j times, to
+        rounding: the pooled samples, and the weights summed over a
+        sample's copies. The first segment holds one sample; the others
+        hold one to four."""
         rng = np.random.default_rng(seed)
-        counts = rng.integers(1, 4, (N, m))
-        log_counts = np.concatenate([np.log(counts), np.full((N, pad), -np.inf)], axis=1)
+        N, starts = len(lengths), np.concatenate([[0], np.cumsum(lengths)])
+        M = starts[-1]
+        counts = rng.integers(1, 4, M)
         q, table = rng.standard_normal((h, N, d)), rng.standard_normal((S, d))
-        feats, blend = rng.standard_normal((N, m + pad, d)), rng.standard_normal((N, m + pad, S))
-        g = rng.standard_normal((h, N, d))
-        distinct = [Tensor(x, requires_grad=True) for x in (q, feats, blend, table)]
-        pooled, weights = sample_attention(*distinct, log_counts)
-        backward_from(pooled, g)
-        table_grad = np.zeros_like(table)
+        feats, blend = rng.standard_normal((M, d)), rng.standard_normal((M, S))
+        pooled, weights = segment_attention(q, feats, blend, table, np.log(counts), starts)
+        assert pooled.shape == (h, N, d) and weights.shape == (M, h)
         for i in range(N):
-            copies = np.repeat(np.arange(m), counts[i])
-            each = [Tensor(x, requires_grad=True)
-                    for x in (q[:, i:i + 1], feats[i:i + 1, copies], blend[i:i + 1, copies], table)]
-            want, w = sample_attention(*each)
-            backward_from(want, g[:, i:i + 1])
-            table_grad += each[3].grad
+            rows = slice(starts[i], starts[i + 1])
+            copies = np.repeat(np.arange(M)[rows], counts[rows])
+            want, w = sample_attention(q[:, i:i + 1], feats[None, copies], blend[None, copies],
+                                       table)
             tol = 1e-12 * max(1.0, np.abs(want.data).max())
             np.testing.assert_allclose(pooled.data[:, i], want.data[:, 0], rtol=0, atol=tol)
-            summed = np.zeros((h, m))
+            summed = np.zeros((h, M))
             np.add.at(summed, (slice(None), copies), w.data[0])
-            np.testing.assert_allclose(weights.data[i, :, :m], summed, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(distinct[0].grad[:, i], each[0].grad[:, 0], rtol=0,
-                                       atol=1e-12 * max(1.0, np.abs(each[0].grad).max()))
-            for got, full in ((distinct[1].grad, each[1].grad), (distinct[2].grad, each[2].grad)):
-                folded = np.zeros((m, full.shape[-1]))
-                np.add.at(folded, copies, full[0])
-                np.testing.assert_allclose(got[i, :m], folded, rtol=0,
-                                           atol=1e-12 * max(1.0, np.abs(folded).max()))
-        np.testing.assert_allclose(distinct[3].grad, table_grad, rtol=0,
-                                   atol=1e-12 * max(1.0, np.abs(table_grad).max()))
-        assert np.all(weights.data[:, :, m:] == 0.0)
-        assert np.all(distinct[1].grad[:, m:] == 0.0) and np.all(distinct[2].grad[:, m:] == 0.0)
-        other = feats.copy(), blend.copy()
-        other[0][:, m:] = rng.standard_normal((N, pad, d))
-        other[1][:, m:] = rng.standard_normal((N, pad, S))
-        repadded, _ = sample_attention(q, *other, table, log_counts)
-        np.testing.assert_array_equal(repadded.data, pooled.data)
+            np.testing.assert_allclose(weights.data[rows], summed[:, rows].T, rtol=0, atol=1e-13)
+
+    def test_segment_form_has_no_backward(self):
+        """The segment form records a tape node for inputs that need
+        gradients, and a backward pass that reaches it raises."""
+        rng = np.random.default_rng(81)
+        q = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
+        table = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        pooled, _ = segment_attention(q, rng.standard_normal((5, 3)), rng.standard_normal((5, 4)),
+                                      table, np.zeros(5), np.array([0, 1, 5]))
+        with pytest.raises(RuntimeError, match="forward only"):
+            tsum(pooled).backward()
+        assert q.grad is None and table.grad is None
