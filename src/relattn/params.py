@@ -10,9 +10,11 @@ from .tensor import Tensor, linear
 class Parameter:
     """A named learnable tensor with an optional learning-rate multiplier.
 
-    It owns C-contiguous, writeable float64 storage (copied from ``data``
+    Its storage is C-contiguous, writeable float64 (copied from ``data``
     only when ``data`` is not already so), which the optimizer and
-    ``load_state_dict`` update in place."""
+    ``load_state_dict`` update in place. An `AdamW` built over its registry
+    may move it into a view of the optimizer's arena: read it through
+    ``data`` rather than keeping the array from before."""
 
     __slots__ = ("name", "tensor", "lr_mult")
 

@@ -80,7 +80,8 @@ class Tensor:
         # The first gradient is stored, not copied: it may be shared with
         # other nodes, so no code writes into a ``.grad`` in place.
         if self.grad is None:
-            self.grad = np.asarray(g, dtype=self.data.dtype)
+            self.grad = g if type(g) is np.ndarray and g.dtype == np.float64 \
+                else np.asarray(g, dtype=np.float64)
         else:
             self.grad = self.grad + g
 
@@ -91,25 +92,31 @@ class Tensor:
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar output")
 
+        # A depth-first walk in post-order. The stack holds tensors still
+        # to visit and, as one-tuples, nodes whose parents have all been
+        # pushed; a leaf has no backward, so it is never recorded. The
+        # visit order fixes the order in which each gradient's
+        # contributions add up.
         topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        seen: set[Tensor] = set()
+        stack: list = [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
+            node = stack.pop()
+            if type(node) is tuple:
+                topo.append(node[0])
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
+            seen.add(node)
+            if node._parents:
+                stack.append((node,))
+                for parent in node._parents:
+                    if parent.requires_grad and parent not in seen:
+                        stack.append(parent)
 
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            if node.grad is not None:
                 node._backward(node.grad)
 
     # -- operator sugar --------------------------------------------------
@@ -129,11 +136,24 @@ def _coerce(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    """The output of an op: recorded on the tape, with its parents and
+    backward closure, when some parent requires grad and recording is on.
+    Built without `Tensor.__init__`: float64 arrays, which nearly every op
+    returns, are taken as they are."""
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray and data.dtype == np.float64 \
+        else np.asarray(data, dtype=np.float64)
+    out.grad = None
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
     return out
 
 
@@ -375,8 +395,14 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 
 
 def linear(x, weight, bias) -> Tensor:
-    """Affine map over the last axis of a 2-d or wider x: x @ weight + bias."""
+    """Affine map over the last axis of a 2-d or wider x: x @ weight + bias,
+    as one tape node. Forward and backward run the expressions of
+    `add(matmul(x, weight), bias)`, and the parents (x, weight, bias) keep
+    that pair's visit order in the backward walk, so values and gradients
+    equal the pair's to the bit."""
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
+    if x.ndim < 2:
+        raise DimensionError(f"linear input must be 2-d or wider, got {x.shape}")
     if weight.ndim != 2:
         raise DimensionError(f"linear weight must be 2-d, got {weight.shape}")
     if x.data.shape[-1] != weight.data.shape[0]:
@@ -385,7 +411,15 @@ def linear(x, weight, bias) -> Tensor:
     if bias.data.shape != (weight.data.shape[1],):
         raise DimensionError(
             f"linear bias shape {bias.data.shape} != ({weight.data.shape[1]},)")
-    return add(matmul(x, weight), bias)
+    data = x.data @ weight.data
+    data += bias.data
+
+    def backward(g):
+        bias._accumulate(_unbroadcast(g, bias.data.shape))
+        x._accumulate(g @ weight.data.T)
+        weight._accumulate(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, weight.data.shape))
+
+    return _node(data, (x, weight, bias), backward)
 
 
 def softmax(a, axis: int = -1) -> Tensor:

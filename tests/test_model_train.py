@@ -175,7 +175,7 @@ class TestTapeSize:
         """One desk-config training step records a fixed number of tape
         nodes; a change that grows the tape has to update this count."""
         _, train_ds, _ = tiny_data
-        assert tape_nodes(self.desk_training_loss(train_ds)) == 250
+        assert tape_nodes(self.desk_training_loss(train_ds)) == 231
 
     def test_every_recorded_node_reaches_the_loss(self, tiny_data, monkeypatch):
         """Every node that one training step records lies on a path to the

@@ -155,24 +155,33 @@ class TestAdamW:
         """Several steps over a mix of parameters: one spanning more than
         two chunks with a reduced rate, one that never gets a gradient,
         one with a transposed gradient and one with a zero-stride
-        broadcast gradient. Every value equals the out-of-place oracle
-        bit for bit, and no gradient array is written to."""
+        broadcast gradient, among small parameters stepped in groups by
+        rate multiplier: three of rate 1, one filling most of a chunk so
+        that the group takes two packs, and three of rate 0.5, the middle
+        one without a gradient on every other step. Every value equals
+        the out-of-place oracle bit for bit, and no gradient array is
+        written to."""
         rng = np.random.default_rng(60)
-        shapes = [(2 * _CHUNK + 77,), (5, 4), (3,), (6, 7), (4, 9)]
-        lr_mults = [0.1, 1.0, 1.0, 1.0, 0.5]
+        shapes = [(2 * _CHUNK + 77,), (5, 4), (3,), (6, 7), (4, 9), (_CHUNK - 30,), (2, 3),
+                  (8,), (3, 3)]
+        lr_mults = [0.1, 1.0, 1.0, 1.0, 0.5, 1.0, 0.5, 0.5, 0.1]
         init = [rng.standard_normal(s) for s in shapes]
         opt, params = optimizer(*((f"p{i}", w.copy(), mult)
                                   for i, (w, mult) in enumerate(zip(init, lr_mults))),
                                 lr=0.01, weight_decay=0.05)
         scales = [1.0, 1.0, 0.1, 0.1]
         grad_steps = []
-        for _ in scales:
+        for step in range(len(scales)):
             grad_steps.append([
                 rng.standard_normal(shapes[0]),
                 rng.standard_normal(shapes[1]),
                 None,
                 rng.standard_normal((7, 6)).T,
                 np.broadcast_to(rng.standard_normal(9), (4, 9)),
+                rng.standard_normal(shapes[5]),
+                rng.standard_normal(shapes[6]),
+                rng.standard_normal(shapes[7]) if step % 2 else None,
+                rng.standard_normal(shapes[8]),
             ])
         originals = [[None if g is None else g.copy() for g in grads]
                      for grads in grad_steps]
@@ -189,6 +198,39 @@ class TestAdamW:
             for g, c in zip(grads, copies):
                 if g is not None:
                     assert np.array_equal(g, c)
+
+    def test_small_parameters_share_one_arena_per_rate(self):
+        """Small parameters of one rate multiplier are views into one value
+        array, in registry order; a large one keeps its own storage."""
+        opt, (a, big, b, c) = optimizer(("a", np.ones((2, 3))), ("big", np.ones(_CHUNK)),
+                                        ("b", np.ones(4), 0.5), ("c", np.full(5, 2.0)),
+                                        lr=0.1, weight_decay=0.0)
+        assert a.data.base is c.data.base
+        np.testing.assert_array_equal(a.data.base, np.r_[np.ones(6), np.full(5, 2.0)])
+        np.testing.assert_array_equal(b.data.base, np.ones(4))
+        assert big.data.base is None
+
+    def test_load_state_dict_then_step_uses_the_loaded_values(self):
+        """A load writes into the arena views, so the next step starts from
+        the loaded values."""
+        rng = np.random.default_rng(61)
+        shapes, lr_mults = [(3, 2), (4,), (2, 2)], [1.0, 0.5, 1.0]
+        reg = ParameterRegistry()
+        for i, (shape, mult) in enumerate(zip(shapes, lr_mults)):
+            reg.add(f"p{i}", np.zeros(shape), mult)
+        opt = AdamW(reg, lr=0.01, weight_decay=0.05)
+        params = reg.parameters()
+        views = [p.data for p in params]
+        loaded = [rng.standard_normal(shape) for shape in shapes]
+        reg.load_state_dict({p.name: w for p, w in zip(params, loaded)})
+        grads = [rng.standard_normal(shape) for shape in shapes]
+        for p, g in zip(params, grads):
+            p.tensor.grad = g
+        assert opt.step() is None
+        want = adamw_oracle(loaded, [grads], 0.01, lr_mults, [1.0], weight_decay=0.05)
+        for p, view, w in zip(params, views, want):
+            assert p.data is view
+            assert np.array_equal(p.data, w), p.name
 
     def test_updates_the_parameter_array_in_place(self):
         opt, (p,) = optimizer(("w", np.ones((3, 2))), lr=0.1, weight_decay=1e-4)
@@ -233,6 +275,21 @@ class TestAdamW:
             assert opt.step() == "b"
         assert np.isfinite(params[0].data).all()
         assert not np.isfinite(params[1].data[_CHUNK + 3])
+
+
+    def test_names_the_earlier_of_two_non_finite_group_members(self):
+        """The rate-1 group is stepped first, but the rate-0.5 member that
+        comes earlier in registry order is the one named."""
+        opt, params = optimizer(("a", np.ones(3)), ("b", np.ones(3), 0.5),
+                                ("c", np.ones(3), 0.5), ("d", np.ones(3)),
+                                lr=0.1, weight_decay=1e-4)
+        for p in params:
+            p.tensor.grad = np.ones(3)
+        params[1].tensor.grad[2] = np.nan
+        params[3].tensor.grad[0] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert opt.step() == "b"
+        assert np.isfinite(params[2].data).all()
 
 
 class TestSchedule:

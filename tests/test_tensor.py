@@ -156,6 +156,16 @@ class TestErrors:
         with pytest.raises(DimensionError):
             linear(Tensor(np.ones(3)), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
 
+    @pytest.mark.parametrize("weight, bias", [
+        (np.ones((1, 3, 2)), np.zeros(2)),  # a weight that is not 2-d
+        (np.ones((4, 2)), np.zeros(2)),     # weight rows other than x's width
+        (np.ones((3, 2)), np.zeros(3)),     # a bias other than one per column
+        (np.ones((3, 2)), np.zeros((1, 2))),
+    ])
+    def test_linear_rejects_weight_and_bias_shapes(self, weight, bias):
+        with pytest.raises(DimensionError):
+            linear(Tensor(np.ones((4, 3))), Tensor(weight), Tensor(bias))
+
     def test_concat_rejects_mismatched_offaxis(self):
         with pytest.raises(DimensionError):
             concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1)
@@ -276,6 +286,60 @@ class TestAutodiff:
         np.testing.assert_array_equal(b.grad, w)
         np.testing.assert_array_equal(a.grad, w + v)
         np.testing.assert_array_equal(both.grad, w)
+
+    def test_backward_walk_order_is_pinned(self):
+        """A node with three consumers receives their gradients 1e16, -1e16
+        and 1.0 in the order of the walk. The walk runs the consumers in
+        the order they appear in the expression, so the two large terms
+        cancel first and the sum is 1.0; adding the 1.0 to either large
+        term first would round it away and give 0.0."""
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        h = mul(x, 1.0)
+        tsum(add(add(mul(h, 1e16), mul(h, -1e16)), mul(h, 1.0))).backward()
+        assert x.grad.tolist() == [1.0]
+        assert (1e16 + 1.0) - 1e16 == 0.0 and (1.0 - 1e16) + 1e16 == 0.0
+
+
+class TestLinearNode:
+    """`linear` is one tape node whose forward value and gradients equal
+    those of `add(matmul(x, weight), bias)` to the bit."""
+
+    @staticmethod
+    def value_and_grads(layer, x0, w0, b0, upstream, consumers):
+        """The layer's output and the gradients of the leaves x0, weight
+        and bias of a loss in which x, a node made from x0, feeds the
+        layer and, with `consumers`, two more terms: one of 1e8 x and one
+        of -1e8 x, so that the sum of x's three gradients depends on the
+        order in which they add."""
+        x_leaf = Tensor(x0, requires_grad=True)
+        w, b = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+        x = mul(x_leaf, 1.0)
+        y = layer(x, w, b)
+        loss = tsum(mul(y, Tensor(upstream)))
+        if consumers:
+            loss = add(add(loss, tsum(mul(x, 1e8))), tsum(mul(x, -1e8)))
+        loss.backward()
+        return y.data, x_leaf.grad, w.grad, b.grad
+
+    @pytest.mark.parametrize("consumers", [False, True])
+    @pytest.mark.parametrize("lead", [(5,), (2, 5)])
+    def test_bit_equal_to_add_of_matmul(self, lead, consumers):
+        rng = np.random.default_rng(18)
+        x0, w0, b0 = (rng.standard_normal(lead + (3,)), rng.standard_normal((3, 4)),
+                      rng.standard_normal(4))
+        upstream = rng.standard_normal(lead + (4,))
+        fused = self.value_and_grads(linear, x0, w0, b0, upstream, consumers)
+        pair = self.value_and_grads(lambda x, w, b: add(matmul(x, w), b),
+                                    x0, w0, b0, upstream, consumers)
+        for got, want in zip(fused, pair):
+            assert np.array_equal(got, want)
+
+    def test_records_one_node(self):
+        rng = np.random.default_rng(19)
+        x, w, b = leaf(rng, 5, 3), leaf(rng, 3, 4), leaf(rng, 4)
+        y = linear(x, w, b)
+        assert y._parents == (x, w, b)
+        assert all(not p._parents for p in y._parents)
 
 
 class TestGumbel:

@@ -25,10 +25,10 @@ SHARED_NAMES = {
     "params.ParameterRegistry.add": "params.LinearParams.__init__",
     "tensor.Tensor.ndim": "tensor.matmul",
     "tensor.Tensor.shape": "decoder.GcaLayer.__call__",
-    "tensor.add": "tensor.linear",
+    "tensor.add": "tensor.gumbel_softmax",
     "tensor.concat": "decoder.snap_scale",
     "tensor.exp": "sampler.GroupOffsetPredictor.__call__",
-    "tensor.matmul": "tensor.linear",
+    "tensor.matmul": "tensor.Tensor.__matmul__",
     "tensor.reshape": "sampler.draw_offsets",
     "tensor.take": "tensor.Tensor.__getitem__",
     "tensor.transpose": "decoder.split_heads",
@@ -197,13 +197,21 @@ def instance_names(trees: dict, cls: str) -> set:
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign):
                 targets, value = node.targets, node.value
-            elif isinstance(node, ast.Call) and callee(node) == "append":
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "append"):
                 targets, value = [node.func.value], node
             else:
                 continue
             if any(isinstance(n, ast.Call) and callee(n) == cls for n in ast.walk(value)):
                 names |= set().union(*(target_names(t) for t in targets))
     return names
+
+
+def test_instance_names_skips_a_bare_append_call():
+    """A call to a bare function named `append`, such as a local
+    `append = items.append`, binds no list; only `xs.append(...)` does."""
+    tree = ast.parse("append = items.append\nappend(Foo())\nxs.append(Foo())\n")
+    assert instance_names({"module.py": tree}, "Foo") == {"xs"}
 
 
 def optional_parameters(cls, node: ast.FunctionDef) -> list:
