@@ -21,7 +21,7 @@ import numpy as np
 from .config import RunConfig
 from .data import SCALE_LEVELS
 from .features import build_positional_embeddings, sinusoidal_grid
-from .params import LinearParams, ParameterRegistry, xavier
+from .params import LinearParams, ParameterRegistry, init_normal, xavier
 from .sampler import GroupOffsetPredictor, LatticePoints, TrainDraw, accumulate_points, \
     distinct_lattice_points, draw_offsets, inference_grid_offsets
 from .tensor import Tensor, add, concat, layer_norm, level_weights, matmul, point_sample, \
@@ -118,7 +118,7 @@ class GcaLayer:
     per-sample form up to rounding."""
 
     def __init__(self, registry: ParameterRegistry, prefix: str, d: int,
-                 heads: int, head_dim: int, rng: np.random.Generator):
+                 heads: int, head_dim: int, rng: np.random.Generator | None):
         width = heads * head_dim
         self.heads, self.head_dim = heads, head_dim
         self.wq = LinearParams(registry, f"{prefix}.q", d, width, rng)
@@ -166,7 +166,7 @@ class RcaLayer:
     """
 
     def __init__(self, registry: ParameterRegistry, prefix: str, d: int,
-                 heads: int, head_dim: int, rng: np.random.Generator):
+                 heads: int, head_dim: int, rng: np.random.Generator | None):
         width = heads * head_dim
         self.heads, self.head_dim = heads, head_dim
         self.wq = LinearParams(registry, f"{prefix}.q", d, width, rng)
@@ -212,20 +212,18 @@ class DecoderStack:
     blocks, plus the box-embedding projection and corner/role embeddings."""
 
     def __init__(self, registry: ParameterRegistry, config: RunConfig,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         C, K, d = config.C, config.K, config.d
-        self.sub_embeds = registry.add("embeds.subject", rng.normal(0.0, 0.02, size=(C, K, d)))
-        self.obj_embeds = registry.add("embeds.object", rng.normal(0.0, 0.02, size=(C, K, d)))
+        self.sub_embeds = registry.add("embeds.subject", init_normal(rng, 0.02, (C, K, d)))
+        self.obj_embeds = registry.add("embeds.object", init_normal(rng, 0.02, (C, K, d)))
         self.scale_embeds = registry.add("embeds.scale",
-                                         rng.normal(0.0, 0.02, size=(SCALE_LEVELS, d)))
+                                         init_normal(rng, 0.02, (SCALE_LEVELS, d)))
         self.d, self.layers = d, config.L_d
         self.range_mult, self.step_mult = config.infer_range_mult, config.infer_step_mult
         self.nearest_scale = config.scale_interpolation == "nearest"
         self.box_proj = LinearParams(registry, "decoder.box_proj", 2 * d, d, rng)
-        self.corner_embeds = registry.add("decoder.corner_embeds",
-                                          rng.normal(0.0, 0.02, size=(2, d)))
-        self.role_embeds = registry.add("decoder.role_embeds",
-                                        rng.normal(0.0, 0.02, size=(2, d)))
+        self.corner_embeds = registry.add("decoder.corner_embeds", init_normal(rng, 0.02, (2, d)))
+        self.role_embeds = registry.add("decoder.role_embeds", init_normal(rng, 0.02, (2, d)))
         # Per layer, one sampler and one GCA block per role, as
         # (subject, object) pairs, then one RCA block over both roles.
         self.samplers, self.gca, self.rca = [], [], []

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig
 from .data import Dataset, DatasetError, load_dataset
@@ -22,14 +20,16 @@ DEFAULT_KS = (20, 50, 100)
 
 def load_model(checkpoint_path: str) -> tuple:
     """Rebuild the model recorded in a checkpoint. Returns (model, config).
-    A checkpoint whose configuration is invalid, or whose parameters do
-    not fit the model it describes, raises CheckpointError."""
+    The model is built without drawing an initialization, then filled
+    from the checkpoint's arrays. A checkpoint whose configuration is
+    invalid, or whose parameters do not fit the model it describes,
+    raises CheckpointError."""
     meta, state = load_checkpoint(checkpoint_path)
     if not isinstance(meta.get("config"), dict):
         raise CheckpointError(f"checkpoint {checkpoint_path} records no run configuration")
     try:
         cfg = RunConfig.from_dict(meta["config"])
-        model = RelationModel(cfg, np.random.default_rng([cfg.seed, 0]))
+        model = RelationModel(cfg, None)
     except ConfigError as exc:
         raise CheckpointError(
             f"checkpoint {checkpoint_path} records an invalid run configuration: {exc}") from exc

@@ -22,7 +22,15 @@ class ForwardOutput:
 
 
 class RelationModel:
-    def __init__(self, config: RunConfig, rng: np.random.Generator):
+    """The decoder and the relation head over one parameter registry.
+
+    ``rng`` draws the seeded initial values, in a fixed order. With
+    ``rng`` None nothing is drawn: every parameter that would be drawn
+    starts at zero, for a model whose values are then loaded from a
+    checkpoint with ``registry.load_state_dict``. Names, shapes and
+    learning-rate multipliers are the same either way."""
+
+    def __init__(self, config: RunConfig, rng: np.random.Generator | None):
         if config.C is None or config.P is None:
             raise ConfigError("model construction needs C and P resolved")
         config.validate()

@@ -28,7 +28,8 @@ class AdamW:
     live in flat arenas, each parameter's storage being a view into the
     value arena, and a step gathers the gradients of a pack of whole
     parameters, no longer than the scratch buffers, and updates the pack
-    at once."""
+    at once. Packs are filled first-fit-decreasing by size, so few packs
+    hold a group."""
 
     def __init__(self, registry: ParameterRegistry, lr: float, weight_decay: float):
         self.params: list[Parameter] = registry.parameters()
@@ -54,22 +55,22 @@ class AdamW:
             self._large.append((p, [(slice(lo, lo + _CHUNK), m[lo:lo + _CHUNK], v[lo:lo + _CHUNK])
                                     for lo in range(0, p.data.size, _CHUNK)]))
         # Per group, its multiplier and its packs: the pack's members with
-        # their offsets into it, and views of the values and moments.
+        # their offsets into it, and views of the values and moments. The
+        # packs lie one after another in the group's arena.
         self._groups = []
         for lr_mult, members in groups.items():
             values = np.empty(sum(p.data.size for p in members))
             m, v = np.zeros(values.size), np.zeros(values.size)
-            packs, pack, lo, hi = [], [], 0, 0
-            for p in members:
-                if hi + p.data.size - lo > width:
-                    packs.append((pack, values[lo:hi], m[lo:hi], v[lo:hi]))
-                    pack, lo = [], hi
-                view = values[hi:hi + p.data.size].reshape(p.data.shape)
-                np.copyto(view, p.data)
-                p.tensor.data = view
-                pack.append((p, hi - lo, hi + p.data.size - lo))
-                hi += p.data.size
-            packs.append((pack, values[lo:hi], m[lo:hi], v[lo:hi]))
+            packs, hi = [], 0
+            for fill in _first_fit_decreasing(members, width):
+                pack, lo = [], hi
+                for p in fill:
+                    view = values[hi:hi + p.data.size].reshape(p.data.shape)
+                    np.copyto(view, p.data)
+                    p.tensor.data = view
+                    pack.append((p, hi - lo, hi + p.data.size - lo))
+                    hi += p.data.size
+                packs.append((pack, values[lo:hi], m[lo:hi], v[lo:hi]))
             self._groups.append((lr_mult, packs))
 
     def step(self, lr_scale: float = 1.0) -> str | None:
@@ -111,6 +112,21 @@ class AdamW:
             return None
         return next((p.name for p in self.params
                      if p.tensor.grad is not None and not np.isfinite(p.data).all()), None)
+
+
+def _first_fit_decreasing(members: list, width: int) -> list:
+    """The members split into packs of at most ``width`` values: each in
+    turn, largest first (registry order among equals), goes into the
+    first pack with room for it, or opens a new one."""
+    packs, room = [], []
+    for p in sorted(members, key=lambda p: -p.data.size):
+        i = next((i for i, free in enumerate(room) if free >= p.data.size), len(packs))
+        if i == len(packs):
+            packs.append([])
+            room.append(width)
+        packs[i].append(p)
+        room[i] -= p.data.size
+    return packs
 
 
 def _runs(pack: list):

@@ -71,19 +71,28 @@ class ParameterRegistry:
             np.copyto(p.data, arr)
 
 
-def xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
-    """Glorot-normal initialization."""
+def init_normal(rng: np.random.Generator | None, std: float, shape: tuple) -> np.ndarray:
+    """Zero-mean normal initial values drawn from ``rng``, or zeros when
+    ``rng`` is None: a model built to be filled from a checkpoint draws
+    nothing. Every drawn initial value goes through here."""
+    if rng is None:
+        return np.zeros(shape)
+    return rng.normal(0.0, std, size=shape)
+
+
+def xavier(rng: np.random.Generator | None, fan_in: int, fan_out: int,
+           shape=None) -> np.ndarray:
+    """Glorot-normal initialization; zeros when ``rng`` is None."""
     if shape is None:
         shape = (fan_in, fan_out)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
+    return init_normal(rng, np.sqrt(2.0 / (fan_in + fan_out)), shape)
 
 
 class LinearParams:
     """Weight/bias pair registered under ``prefix.weight`` / ``prefix.bias``."""
 
     def __init__(self, registry: ParameterRegistry, prefix: str, d_in: int, d_out: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.weight = registry.add(f"{prefix}.weight", xavier(rng, d_in, d_out))
         self.bias = registry.add(f"{prefix}.bias", np.zeros(d_out))
 

@@ -55,7 +55,7 @@ def final_scores(predicate_logits: np.ndarray, relatedness_logits: np.ndarray) -
 
 class RelationHead:
     def __init__(self, registry: ParameterRegistry, config: RunConfig,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.heads, self.head_dim, self.hard = config.h_A, config.d_A, config.gumbel_hard
         heads, width = self.heads, self.heads * self.head_dim
         self.wq = LinearParams(registry, "head.q", config.d, width, rng)

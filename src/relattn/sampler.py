@@ -46,7 +46,7 @@ class GroupOffsetPredictor:
     3 offset means and 3 log-stds."""
 
     def __init__(self, registry: ParameterRegistry, prefix: str, d: int, K: int,
-                 rng: np.random.Generator, lr_mult: float = 1.0):
+                 rng: np.random.Generator | None, lr_mult: float = 1.0):
         self.w1 = registry.add(f"{prefix}.w1", xavier(rng, d, d, shape=(K, d, d)), lr_mult=lr_mult)
         self.b1 = registry.add(f"{prefix}.b1", np.zeros((K, 1, d)), lr_mult=lr_mult)
         # Offsets should start small relative to the unit cube.

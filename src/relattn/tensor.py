@@ -165,8 +165,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -176,8 +178,10 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -187,8 +191,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -198,8 +204,10 @@ def div(a, b) -> Tensor:
     data = a.data / b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -214,8 +222,10 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(data, (a, b), backward)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relattn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from relattn.config import ConfigError, RunConfig
 from relattn.data import (
     Dataset,
@@ -90,6 +91,29 @@ class TestForward:
         scene = SceneSample(image_size=(256, 256), entities=[], triplets=[])
         out = model.forward(scene, np.zeros(1))
         assert out.prediction.scores.shape == (cfg.P, 0, 0)
+
+    def test_draw_free_build_matches_the_seeded_layout(self, tiny_data):
+        """Built without a generator, the model registers the same names,
+        shapes and rate multipliers as a seeded build, in the same order.
+        A parameter that two seeds draw differently starts at zero; every
+        other one starts at the seeded build's constant."""
+        _, train_ds, _ = tiny_data
+        cfg = resolve_config(tiny_config(), train_ds)
+        seeded, other = (RelationModel(cfg, np.random.default_rng(seed)).registry.parameters()
+                         for seed in (0, 1))
+        bare = RelationModel(cfg, None).registry.parameters()
+        assert [(p.name, p.data.shape, p.lr_mult) for p in bare] == \
+            [(p.name, p.data.shape, p.lr_mult) for p in seeded]
+        drawn = 0
+        for p, a, b in zip(bare, seeded, other):
+            if np.array_equal(a.data, b.data):
+                assert np.array_equal(p.data, a.data), p.name
+            else:
+                assert not p.data.any(), p.name
+                drawn += 1
+        # Five embeddings and the box projection, four sampler weights,
+        # eight GCA, ten RCA and four relation-head weights.
+        assert drawn == 32
 
     def test_construction_requires_resolved_sizes(self):
         with pytest.raises(ConfigError):
@@ -336,7 +360,7 @@ class TestTraining:
         val = metric_value(rows, "recall", 20)
         assert val is not None and 0.0 <= val <= 1.0
         assert (tmp_path / "m.csv").exists()
-        fresh = RelationModel(cfg, np.random.default_rng([cfg.seed, 0]))
+        fresh = RelationModel(cfg, None)
         fresh.registry.load_state_dict(
             {name: arr.copy() for name, arr in model.registry.arrays().items()})
         scene = test_ds.scenes[0]
@@ -346,6 +370,33 @@ class TestTraining:
             x = model.forward(scene, volume).prediction.scores
             y = fresh.forward(scene, volume).prediction.scores
         np.testing.assert_array_equal(x, y)
+
+    def test_load_model_returns_the_checkpoint_payloads(self, tiny_data, tmp_path):
+        """The draw-free build is filled from the file: every array is
+        byte-equal to its checkpoint payload."""
+        data_dir, _, _ = tiny_data
+        result = train(tiny_config(), data_dir, str(tmp_path / "run"))
+        _, state = load_checkpoint(result.checkpoint_path)
+        model, _ = load_model(result.checkpoint_path)
+        arrays = model.registry.arrays()
+        assert list(arrays) == list(state)
+        for name, arr in arrays.items():
+            assert arr.tobytes() == state[name].tobytes(), name
+
+    @pytest.mark.parametrize("fault", ["renamed", "reshaped"])
+    def test_load_model_rejects_a_checkpoint_that_does_not_fit(self, tiny_data, tmp_path,
+                                                               fault):
+        data_dir, _, _ = tiny_data
+        result = train(tiny_config(), data_dir, str(tmp_path / "run"))
+        meta, state = load_checkpoint(result.checkpoint_path)
+        if fault == "renamed":
+            state["head.bias2"] = state.pop("head.bias")
+        else:
+            state["head.bias"] = np.zeros(state["head.bias"].size + 1)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, state, meta)
+        with pytest.raises(CheckpointError, match="does not fit"):
+            load_model(str(bad))
 
     def test_non_finite_gradient_stops_training(self, tiny_data, tmp_path,
                                                 monkeypatch):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from relattn.params import Parameter, ParameterRegistry, xavier
+from relattn.config import RunConfig
+from relattn.model import RelationModel
+from relattn.params import Parameter, ParameterRegistry, init_normal, xavier
 from relattn.optim import _CHUNK, AdamW, lr_scale_at
 from relattn.tensor import Tensor, mul, tsum
 
@@ -99,6 +101,15 @@ class TestRegistry:
         rng = np.random.default_rng(31)
         w = xavier(rng, 400, 600, (400, 600))
         np.testing.assert_allclose(w.std(), np.sqrt(2.0 / 1000), rtol=0.05)
+
+    def test_init_normal_draws_or_gives_zeros(self):
+        """With a generator, the same values as its own normal draw; with
+        None, zeros of the shape."""
+        got = init_normal(np.random.default_rng(32), 0.02, (3, 4))
+        assert np.array_equal(got, np.random.default_rng(32).normal(0.0, 0.02, size=(3, 4)))
+        zeros = init_normal(None, 0.02, (3, 4))
+        assert zeros.shape == (3, 4) and not zeros.any()
+        assert not xavier(None, 5, 6, (2, 5, 6)).any()
 
 
 class TestAdamW:
@@ -201,7 +212,8 @@ class TestAdamW:
 
     def test_small_parameters_share_one_arena_per_rate(self):
         """Small parameters of one rate multiplier are views into one value
-        array, in registry order; a large one keeps its own storage."""
+        array, one pack after another, largest first within a pack; a
+        large one keeps its own storage."""
         opt, (a, big, b, c) = optimizer(("a", np.ones((2, 3))), ("big", np.ones(_CHUNK)),
                                         ("b", np.ones(4), 0.5), ("c", np.full(5, 2.0)),
                                         lr=0.1, weight_decay=0.0)
@@ -209,6 +221,29 @@ class TestAdamW:
         np.testing.assert_array_equal(a.data.base, np.r_[np.ones(6), np.full(5, 2.0)])
         np.testing.assert_array_equal(b.data.base, np.ones(4))
         assert big.data.base is None
+
+    def test_packs_fill_first_fit_decreasing(self):
+        """Sizes 5, 2, 4, 3 and 2 at a scratch width of 8 (the largest
+        parameter) take two packs: 5 + 3, then 4 + 2 + 2 with the two 2s
+        in registry order. Next-fit in registry order would take three."""
+        opt, params = optimizer(*((f"p{i}", np.ones(n)) for i, n in enumerate((5, 2, 4, 3, 2))),
+                                ("big", np.ones(8), 0.5), lr=0.1, weight_decay=0.0)
+        (_, packs), _ = opt._groups
+        assert [[p.name for p, _lo, _hi in pack] for pack, *_ in packs] == \
+            [["p0", "p3"], ["p2", "p1", "p4"]]
+        assert [values.size for _pack, values, _m, _v in packs] == [8, 8]
+
+    def test_desk_model_fills_the_fewest_packs(self):
+        """The desk model's 44,547 small values, 39,531 at rate 1 and 5,016
+        in the sampler's group, take ceil(39,531 / 4,096) + ceil(5,016 /
+        4,096) = 12 packs at a 4,096-value scratch width; next-fit in
+        registry order took 17."""
+        cfg = RunConfig(C=8, P=10, K=2, d=32, L_d=1, h_G=4, d_G=8, h_R=4, d_R=8, h_A=8, d_A=8)
+        model = RelationModel(cfg, np.random.default_rng(0))
+        opt = AdamW(model.registry, lr=1e-3, weight_decay=1e-4)
+        assert opt._a.size == 4096 and opt._large == []
+        assert [(lr_mult, sum(values.size for _pack, values, _m, _v in packs), len(packs))
+                for lr_mult, packs in opt._groups] == [(1.0, 39_531, 10), (0.1, 5_016, 2)]
 
     def test_load_state_dict_then_step_uses_the_loaded_values(self):
         """A load writes into the arena views, so the next step starts from

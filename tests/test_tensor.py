@@ -287,6 +287,24 @@ class TestAutodiff:
         np.testing.assert_array_equal(a.grad, w + v)
         np.testing.assert_array_equal(both.grad, w)
 
+    @pytest.mark.parametrize("op", [add, sub, mul, div, matmul])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_constant_operand_gets_no_gradient(self, op, side):
+        """A binary op computes no gradient for an operand that does not
+        require one: the constant's ``.grad`` stays None after backward,
+        and the other operand's gradient is that of the same expression
+        with both operands trainable."""
+        rng = np.random.default_rng(10)
+        values = [rng.uniform(0.5, 1.5, (3, 3)) for _ in range(2)]
+        w = rng.standard_normal((3, 3))
+        operands = [Tensor(v, requires_grad=i != side) for i, v in enumerate(values)]
+        tsum(mul(op(*operands), Tensor(w))).backward()
+        both = [Tensor(v, requires_grad=True) for v in values]
+        tsum(mul(op(*both), Tensor(w))).backward()
+        assert operands[side].grad is None
+        other = 1 - side
+        assert np.array_equal(operands[other].grad, both[other].grad)
+
     def test_backward_walk_order_is_pinned(self):
         """A node with three consumers receives their gradients 1e16, -1e16
         and 1.0 in the order of the walk. The walk runs the consumers in

@@ -267,3 +267,57 @@ def test_every_optional_parameter_is_passed_by_the_program():
                 if not any(passes(call, index, name) for call in candidates):
                     unpassed.add(f"{qualname}({name})")
     assert sorted(unpassed) == sorted(UNPASSED_OPTIONS)
+
+
+# Generator methods that draw values; a parameter's initial draw goes
+# through `params.init_normal` (or `xavier`, which calls it), so that a
+# model built with rng None, to be loaded from a checkpoint, draws nothing.
+DRAWS = frozenset({"normal", "uniform", "standard_normal"})
+
+
+def direct_draws_into_registry(tree) -> list:
+    """Line numbers of the `.add(...)` calls whose arguments call a
+    generator's draw method directly: in the argument itself, or in a value
+    assigned, in the same function, to a name the argument reads."""
+    lines = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        assigned: dict = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                for name in set().union(*(target_names(t) for t in node.targets)):
+                    assigned.setdefault(name, []).append(node.value)
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add"):
+                continue
+            args = node.args + [k.value for k in node.keywords]
+            sources = args + [value for arg in args for n in ast.walk(arg)
+                              if isinstance(n, ast.Name) for value in assigned.get(n.id, [])]
+            if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr in DRAWS for source in sources for n in ast.walk(source)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_direct_draws_into_registry_finds_both_forms():
+    """A draw in the argument and one through a local name are found; a
+    draw through `init_normal` or `xavier` is not."""
+    tree = ast.parse(
+        "def build(registry, rng):\n"
+        "    registry.add('a', rng.normal(0.0, 0.02, size=(2,)))\n"
+        "    w = 0.1 * rng.uniform(size=3)\n"
+        "    registry.add('b', w)\n"
+        "    registry.add('c', init_normal(rng, 0.02, (2,)))\n"
+        "    registry.add('d', xavier(rng, 2, 3))\n")
+    assert direct_draws_into_registry(tree) == [2, 4]
+
+
+def test_parameters_are_drawn_through_init_normal():
+    """No parameter under `src/relattn/` draws its initial values from a
+    generator directly: each goes through `params.init_normal`, which a
+    model built for loading skips."""
+    found = [f"{path.name}:{line}" for path, tree in program_trees().items()
+             if path.parent.name == "relattn" for line in direct_draws_into_registry(tree)]
+    assert found == []
